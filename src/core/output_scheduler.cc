@@ -8,14 +8,39 @@
 namespace noc
 {
 
+namespace
+{
+
+/**
+ * Call @p fn(first, last) on the words of @p ring holding the @p n
+ * entries from index @p at onward: one contiguous run, or two when the
+ * range wraps past the end of the ring.
+ */
+template <typename Fn>
+void
+forEachRun(std::vector<std::int32_t> &ring, std::size_t at, std::size_t n,
+           Fn &&fn)
+{
+    std::int32_t *words = ring.data();
+    if (at + n <= ring.size()) {
+        fn(words + at, words + at + n);
+    } else {
+        fn(words + at, words + ring.size());
+        fn(words, words + (at + n - ring.size()));
+    }
+}
+
+} // namespace
+
 OutputScheduler::OutputScheduler(const LoftParams &params,
                                  std::string name, Pool *pool)
     : params_(params), name_(std::move(name)),
-      busy_(params.windowSlots(), 0),
-      credit_(params.windowSlots(),
-              static_cast<std::int32_t>(params.bufferQuanta())),
-      creditBeforeWindow_(static_cast<std::int32_t>(params.bufferQuanta())),
-      skipped_(params.windowFrames, 0),
+      frameSlots_(params.frameSlots()),
+      windowFrames_(params.windowFrames),
+      windowSlots_(params.windowSlots()),
+      bufferQuanta_(static_cast<std::int32_t>(params.bufferQuanta())),
+      busy_(windowSlots_, 0), credit_(windowSlots_, bufferQuanta_),
+      skipped_(windowFrames_, 0),
       bookings_(PoolAlloc<std::pair<const std::uint64_t, SlotBooking>>(
           pool)),
       futureReturns_(
@@ -27,25 +52,53 @@ OutputScheduler::OutputScheduler(const LoftParams &params,
 void
 OutputScheduler::registerFlow(FlowId flow, std::uint32_t reservation_flits)
 {
-    if (flows_.count(flow))
+    const auto pos = flowLowerBound(flow);
+    if (pos != flows_.end() && pos->id == flow)
         fatal("%s: flow %u registered twice", name_.c_str(), flow);
     if (flows_.size() >= params_.maxFlows)
         fatal("%s: more than %u contending flows", name_.c_str(),
               params_.maxFlows);
     const std::uint32_t r = std::max<std::uint32_t>(
         1, reservation_flits / params_.quantumFlits);
-    if (totalReserved_ + r > params_.frameSlots())
+    if (totalReserved_ + r > frameSlots_)
         fatal("%s: reservations exceed the frame (sum R > F): "
               "%u + %u > %u slots", name_.c_str(), totalReserved_, r,
-              params_.frameSlots());
+              frameSlots_);
     totalReserved_ += r;
 
     FlowState st;
+    st.id = flow;
     st.r = r;
     st.c = r;
     st.injFrame = headFrame_;
-    flows_[flow] = st;
+    flows_.insert(pos, st);
     NOC_OBSERVE(observer_, onSchedFlowRegistered(*this, flow, r));
+}
+
+std::vector<OutputScheduler::FlowState>::const_iterator
+OutputScheduler::flowLowerBound(FlowId flow) const
+{
+    return std::lower_bound(
+        flows_.begin(), flows_.end(), flow,
+        [](const FlowState &st, FlowId id) { return st.id < id; });
+}
+
+std::size_t
+OutputScheduler::flowIndex(FlowId flow) const
+{
+    const auto it = flowLowerBound(flow);
+    if (it == flows_.end() || it->id != flow)
+        return flows_.size();
+    return static_cast<std::size_t>(it - flows_.begin());
+}
+
+const OutputScheduler::FlowState &
+OutputScheduler::flowAt(FlowId flow) const
+{
+    const std::size_t i = flowIndex(flow);
+    if (i == flows_.size())
+        panic("%s: query for unregistered flow %u", name_.c_str(), flow);
+    return flows_[i];
 }
 
 std::uint64_t
@@ -58,28 +111,13 @@ OutputScheduler::toLocal(Slot abs) const
     return abs - originSlot_;
 }
 
-std::uint64_t
-OutputScheduler::windowStartSlot() const
+std::size_t
+OutputScheduler::ringSlot(std::uint64_t s) const
 {
-    return headFrame_ * params_.frameSlots();
-}
-
-std::uint64_t
-OutputScheduler::windowEndSlotEx() const
-{
-    return (headFrame_ + params_.windowFrames) * params_.frameSlots();
-}
-
-std::int32_t &
-OutputScheduler::creditRef(std::uint64_t local_slot)
-{
-    return credit_[local_slot % params_.windowSlots()];
-}
-
-std::int32_t
-OutputScheduler::creditVal(std::uint64_t local_slot) const
-{
-    return credit_[local_slot % params_.windowSlots()];
+    const std::uint64_t i = std::uint64_t{headIdx_} * frameSlots_ +
+        (s - windowStartSlot());
+    return static_cast<std::size_t>(i < windowSlots_ ? i
+                                                     : i - windowSlots_);
 }
 
 void
@@ -87,58 +125,61 @@ OutputScheduler::advanceTo(Cycle now)
 {
     lastAdvance_ = now;
     const std::uint64_t l_now = toLocal(params_.slotOf(now));
-    const std::uint64_t target_frame = l_now / params_.frameSlots();
-    while (headFrame_ < target_frame)
+    // Recycle every frame that ended at or before the current slot.
+    while (windowStartSlot() + frameSlots_ <= l_now)
         recycleHeadFrame();
 }
 
+// loft-tidy: steady-state-hot
 void
 OutputScheduler::recycleHeadFrame()
 {
     const std::uint64_t k = headFrame_;
-    const std::uint32_t fs = params_.frameSlots();
-    const std::uint32_t wf = params_.windowFrames;
+    const std::uint64_t old_end = windowStartSlot() + frameSlots_;
+    const std::uint64_t new_start = windowEndSlotEx();
 
-    // Freeze the cumulative credit at the end of the departing head
-    // frame; it becomes the "slot prior to the window" value used by
-    // condition (1) when IF == HF.
-    creditBeforeWindow_ = creditVal((k + 1) * fs - 1);
-
-    // Frame k's storage is recycled as frame k + WF. Seed each new
-    // slot's cumulative credit from the last slot of the previously
-    // newest frame, then roll in credit returns that had been recorded
-    // for beyond-window slots.
-    const auto bn = static_cast<std::int32_t>(params_.bufferQuanta());
-    std::int32_t running = creditVal((k + wf) * fs - 1);
-    for (std::uint64_t j = (k + wf) * fs; j < (k + wf + 1) * fs; ++j) {
-        auto fr = futureReturns_.find(j);
-        if (fr != futureReturns_.end()) {
-            running += static_cast<std::int32_t>(fr->second);
-            running = std::min(running, bn);
-            futureReturns_.erase(fr);
-        }
-        creditRef(j) = running;
-        busy_[j % params_.windowSlots()] = 0;
+    // Frame k is one aligned run of the ring, recycled in place as frame
+    // k + WF. Seed each new slot's cumulative credit from the last slot
+    // of the previously newest frame (the ring slot just before the
+    // run), then roll in credit returns that had been recorded for
+    // beyond-window slots. Every banked return lies at or beyond the
+    // old window end, so the new frame's are a prefix of futureReturns_:
+    // fill the runs between them.
+    const std::size_t head = std::size_t{headIdx_} * frameSlots_;
+    std::int32_t *credit = credit_.data() + head;
+    std::int32_t running =
+        credit_[head == 0 ? windowSlots_ - 1 : head - 1];
+    std::size_t filled = 0;
+    auto fr = futureReturns_.begin();
+    for (; fr != futureReturns_.end() &&
+           fr->first < new_start + frameSlots_;
+         ++fr) {
+        const auto at = static_cast<std::size_t>(fr->first - new_start);
+        std::fill(credit + filled, credit + at, running);
+        running = std::min(
+            running + static_cast<std::int32_t>(fr->second), bufferQuanta_);
+        filled = at;
     }
+    std::fill(credit + filled, credit + frameSlots_, running);
+    futureReturns_.erase(futureReturns_.begin(), fr);
+    std::uint8_t *busy = busy_.data() + head;
+    std::fill(busy, busy + frameSlots_, std::uint8_t{0});
+
     // Bookings left in the expiring frame are stale (their data was
     // forwarded as emergent long ago or lost); drop them.
-    const std::uint64_t old_start = k * fs;
-    for (auto it = bookings_.begin();
-         it != bookings_.end() && it->first < old_start + fs;) {
-        it = bookings_.erase(it);
-    }
-    skipped_[(k + wf) % wf] = 0;
+    bookings_.erase(bookings_.begin(), bookings_.lower_bound(old_end));
+    skipped_[headIdx_] = 0;
 
     // Algorithm 3: flows stuck at the old head frame move on and
     // accumulate reservation (capped at R).
-    for (auto &[flow, st] : flows_) {
-        (void)flow;
+    for (FlowState &st : flows_) {
         if (st.injFrame == k) {
             st.injFrame = k + 1;
             st.c = std::min(st.r, st.c + st.r);
         }
     }
     ++headFrame_;
+    headIdx_ = headIdx_ + 1 == windowFrames_ ? 0 : headIdx_ + 1;
     dirty_ = true;
 }
 
@@ -154,28 +195,34 @@ OutputScheduler::conditionOneHolds(const FlowState &st) const
     // condition (1) applies.
     if (st.injFrame == headFrame_)
         return true;
-    const std::uint32_t fs = params_.frameSlots();
-    const std::int32_t prior = creditVal(st.injFrame * fs - 1);
-    const std::int32_t lhs = static_cast<std::int32_t>(fs) -
-        static_cast<std::int32_t>(
-            skipped_[st.injFrame % params_.windowFrames]);
+    const std::int32_t prior =
+        credit_[ringSlot(st.injFrame * frameSlots_ - 1)];
+    const std::int32_t lhs = static_cast<std::int32_t>(frameSlots_) -
+        static_cast<std::int32_t>(skipped_[st.injFrame % windowFrames_]);
     return lhs <= prior;
 }
 
+// loft-tidy: steady-state-hot
 bool
 OutputScheduler::tryScheduleInFrame(const FlowState &st,
                                     std::uint64_t l_now,
                                     std::uint64_t earliest_local,
                                     std::uint64_t &found_local) const
 {
-    const std::uint32_t fs = params_.frameSlots();
     std::uint64_t start = st.injFrame == headFrame_
-        ? l_now + 1 : st.injFrame * fs;
+        ? l_now + 1 : st.injFrame * frameSlots_;
     start = std::max(start, earliest_local);
-    const std::uint64_t end_ex = (st.injFrame + 1) * fs;
-    for (std::uint64_t s = start; s < end_ex; ++s) {
-        if (!busy_[s % params_.windowSlots()] && creditVal(s) > 0) {
-            found_local = s;
+    const std::uint64_t end_ex = (st.injFrame + 1) * frameSlots_;
+    if (start >= end_ex)
+        return false;
+    // A frame is one aligned run of the ring: scan it without wrapping.
+    const std::size_t at = ringSlot(start);
+    const auto n = static_cast<std::size_t>(end_ex - start);
+    const std::uint8_t *busy = busy_.data() + at;
+    const std::int32_t *credit = credit_.data() + at;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!busy[i] && credit[i] > 0) {
+            found_local = start + i;
             return true;
         }
     }
@@ -188,11 +235,11 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
                              Slot &granted_abs)
 {
     advanceTo(now);
-    auto it = flows_.find(flow);
-    if (it == flows_.end())
+    const std::size_t idx = flowIndex(flow);
+    if (idx == flows_.size())
         panic("%s: scheduling request from unregistered flow %u",
               name_.c_str(), flow);
-    FlowState &st = it->second;
+    FlowState &st = flows_[idx];
     if (st.injFrame < headFrame_)
         panic("%s: flow %u injection frame fell behind the head frame",
               name_.c_str(), flow);
@@ -209,7 +256,6 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
                 --st.c;
                 book(found, flow, quantum_no);
                 granted_abs = toAbs(found);
-                lastBookedAbs_ = std::max(lastBookedAbs_, granted_abs);
                 ++grants_;
                 dirty_ = true;
                 NOC_OBSERVE(observer_,
@@ -223,10 +269,10 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
                 return true;
             }
         }
-        if (st.injFrame + 1 <= headFrame_ + params_.windowFrames - 1) {
+        if (st.injFrame + 1 <= headFrame_ + windowFrames_ - 1) {
             // Advance the injection frame; the unused reservation is
             // voluntarily yielded (skipped).
-            skipped_[st.injFrame % params_.windowFrames] += st.c;
+            skipped_[st.injFrame % windowFrames_] += st.c;
             if (st.c > 0)
                 NOC_OBSERVE(observer_,
                             onSchedSkipped(*this, flow, st.c,
@@ -244,53 +290,59 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
     }
 }
 
+// loft-tidy: steady-state-hot
 void
 OutputScheduler::book(std::uint64_t local_slot, FlowId flow,
                       std::uint64_t quantum_no)
 {
-    busy_[local_slot % params_.windowSlots()] = 1;
+    const std::size_t at = ringSlot(local_slot);
+    busy_[at] = 1;
+    // loft-tidy: pooled(map nodes recycle through the router's Pool)
     bookings_[local_slot] = SlotBooking{flow, quantum_no};
-    bool negative = false;
-    for (std::uint64_t j = local_slot; j < windowEndSlotEx(); ++j) {
-        std::int32_t &c = creditRef(j);
-        --c;
-        if (c < 0)
-            negative = true;
-    }
-    if (negative) {
-        ++violations_; // buffer overbooked: the anomaly of Section 4.2
+    // Every slot from the booking to the window end loses a credit; a
+    // negative result is the buffer overbooking of Section 4.2.
+    std::int32_t lowest = 0;
+    forEachRun(credit_, at, windowEndSlotEx() - local_slot,
+               [&lowest](std::int32_t *c, std::int32_t *end) {
+                   std::int32_t lo = lowest;
+                   for (; c != end; ++c) {
+                       --*c;
+                       lo = std::min(lo, *c);
+                   }
+                   lowest = lo;
+               });
+    if (lowest < 0) {
+        ++violations_;
         NOC_OBSERVE(observer_, onSchedCreditNegative(*this, lastAdvance_));
     }
     ++outstanding_;
 }
 
+// loft-tidy: steady-state-hot
 void
 OutputScheduler::onCreditReturn(Slot abs_slot)
 {
     NOC_OBSERVE(observer_, onSchedCreditReturn(*this, abs_slot));
-    if (outstanding_ == 0) {
-        // A return for a booking that predates a local status reset.
-        // Credits are capped at the buffer size, so applying it below
-        // is harmless.
-        ++staleReturns_;
-    } else {
+    // A return for a booking that predates a local status reset finds
+    // nothing outstanding. Credits are capped at the buffer size, so
+    // applying it below is harmless.
+    if (outstanding_ != 0)
         --outstanding_;
-    }
-    const auto bn = static_cast<std::int32_t>(params_.bufferQuanta());
     const std::uint64_t s =
         abs_slot > originSlot_ ? abs_slot - originSlot_ : 0;
-    const std::uint64_t w_start = windowStartSlot();
     const std::uint64_t w_end = windowEndSlotEx();
     if (s >= w_end) {
+        // loft-tidy: pooled(map nodes recycle through the router's Pool)
         ++futureReturns_[s];
         return;
     }
-    if (s < w_start)
-        creditBeforeWindow_ = std::min(creditBeforeWindow_ + 1, bn);
-    for (std::uint64_t j = std::max(s, w_start); j < w_end; ++j) {
-        std::int32_t &c = creditRef(j);
-        c = std::min(c + 1, bn);
-    }
+    const std::uint64_t from = std::max(s, windowStartSlot());
+    const std::int32_t cap = bufferQuanta_;
+    forEachRun(credit_, ringSlot(from), w_end - from,
+               [cap](std::int32_t *c, std::int32_t *end) {
+                   for (; c != end; ++c)
+                       *c = std::min(*c + 1, cap);
+               });
 }
 
 void
@@ -302,7 +354,7 @@ OutputScheduler::clearBooking(Slot abs_slot)
     auto it = bookings_.find(s);
     if (it == bookings_.end())
         return; // dropped as stale by frame recycling
-    busy_[s % params_.windowSlots()] = 0;
+    busy_[ringSlot(s)] = 0;
     bookings_.erase(it);
     NOC_OBSERVE(observer_, onSchedBookingCleared(*this, abs_slot));
 }
@@ -337,6 +389,7 @@ OutputScheduler::canLocalReset() const
     return bookings_.empty();
 }
 
+// loft-tidy: steady-state-hot
 void
 OutputScheduler::localReset(Cycle now)
 {
@@ -347,19 +400,16 @@ OutputScheduler::localReset(Cycle now)
             static_cast<unsigned long long>(headFrame_));
     originSlot_ = params_.slotOf(now);
     headFrame_ = 0;
+    headIdx_ = 0;
     std::fill(busy_.begin(), busy_.end(), 0);
-    const auto bn = static_cast<std::int32_t>(params_.bufferQuanta());
-    std::fill(credit_.begin(), credit_.end(), bn);
-    creditBeforeWindow_ = bn;
+    std::fill(credit_.begin(), credit_.end(), bufferQuanta_);
     std::fill(skipped_.begin(), skipped_.end(), 0);
     futureReturns_.clear();
     outstanding_ = 0; // returns for pre-reset bookings become stale
-    for (auto &[flow, st] : flows_) {
-        (void)flow;
+    for (FlowState &st : flows_) {
         st.injFrame = 0;
         st.c = st.r;
     }
-    lastBookedAbs_ = 0;
     dirty_ = false;
     ++resets_;
     NOC_OBSERVE(observer_, onSchedLocalReset(*this, now));
@@ -379,13 +429,13 @@ OutputScheduler::debugCorruptBookingFlow(Slot abs_slot)
 void
 OutputScheduler::debugAdjustCredit(Slot abs_slot, std::int32_t delta)
 {
-    creditRef(toLocal(abs_slot)) += delta;
+    credit_[toLocal(abs_slot) % windowSlots_] += delta;
 }
 
 std::int32_t
 OutputScheduler::virtualCreditAt(Slot abs_slot) const
 {
-    return creditVal(toLocal(abs_slot));
+    return credit_[toLocal(abs_slot) % windowSlots_];
 }
 
 } // namespace noc

@@ -16,12 +16,18 @@
  * equation (3): scheduling a quantum to depart at slot s decrements
  * credits of every slot >= s; a credit returned by the downstream input
  * scheduler with departure slot s' increments every slot >= s'.
+ *
+ * The reservation table is a ring of WF frames holding local slot s at
+ * index s mod WT. The frame window starts on a frame boundary of the
+ * ring and wraps at most once, so a walk from any window slot to the
+ * window end covers at most two contiguous runs of the ring and a frame
+ * is always one run: no walk divides per slot.
  */
 
 #ifndef NOC_CORE_OUTPUT_SCHEDULER_HH
 #define NOC_CORE_OUTPUT_SCHEDULER_HH
 
-#include <map>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,12 +69,16 @@ class OutputScheduler
      */
     void registerFlow(FlowId flow, std::uint32_t reservation_flits);
 
-    bool hasFlow(FlowId flow) const { return flows_.count(flow) != 0; }
+    bool
+    hasFlow(FlowId flow) const
+    {
+        return flowIndex(flow) != flows_.size();
+    }
 
     /**
      * Advance CP/HF to the frame containing @p now, recycling expired
      * frames (Algorithm 3). Must be called every cycle before any
-     * scheduling request.
+     * scheduling request; @p now never decreases.
      */
     void advanceTo(Cycle now);
 
@@ -146,14 +156,14 @@ class OutputScheduler
     /** Bookings that drove any slot's virtual credit negative. */
     std::uint64_t anomalyViolations() const { return violations_; }
     std::uint32_t reservedSlotsTotal() const { return totalReserved_; }
-    std::uint32_t flowRemaining(FlowId f) const { return flows_.at(f).c; }
+    std::uint32_t flowRemaining(FlowId f) const { return flowAt(f).c; }
     std::uint64_t flowInjectFrame(FlowId f) const
     {
-        return flows_.at(f).injFrame;
+        return flowAt(f).injFrame;
     }
     std::uint32_t skippedAt(std::uint64_t frame) const
     {
-        return skipped_[frame % params_.windowFrames];
+        return skipped_[frame % windowFrames_];
     }
     const std::string &name() const { return name_; }
     const LoftParams &params() const { return params_; }
@@ -184,20 +194,32 @@ class OutputScheduler
   private:
     struct FlowState
     {
+        FlowId id = kInvalidFlow;   ///< the flow (flow-table sort key)
         std::uint32_t r = 0;        ///< reservation per frame (quanta)
         std::uint32_t c = 0;        ///< remaining reservation C_ij
         std::uint64_t injFrame = 0; ///< injection frame IF_ij (local)
     };
 
+    /** First flow-table entry whose id is not below @p flow. */
+    std::vector<FlowState>::const_iterator
+    flowLowerBound(FlowId flow) const;
+    /** Index of @p flow in the flow table, or the table size if absent. */
+    std::size_t flowIndex(FlowId flow) const;
+    /** State of a registered flow; panics on an unknown id. */
+    const FlowState &flowAt(FlowId flow) const;
+
     /** Local slot of an absolute slot. */
     std::uint64_t toLocal(Slot abs) const;
     Slot toAbs(std::uint64_t local) const { return local + originSlot_; }
 
-    std::uint64_t windowStartSlot() const;
-    std::uint64_t windowEndSlotEx() const;
-
-    std::int32_t &creditRef(std::uint64_t local_slot);
-    std::int32_t creditVal(std::uint64_t local_slot) const;
+    std::uint64_t windowStartSlot() const { return headFrame_ * frameSlots_; }
+    std::uint64_t
+    windowEndSlotEx() const
+    {
+        return windowStartSlot() + windowSlots_;
+    }
+    /** Ring index of local slot @p s, which must lie in the window. */
+    std::size_t ringSlot(std::uint64_t s) const;
 
     void recycleHeadFrame();
     void book(std::uint64_t local_slot, FlowId flow,
@@ -209,22 +231,30 @@ class OutputScheduler
 
     LoftParams params_;
     std::string name_;
+    /// Cached from params_: F and WT in slots, WF, and the credit
+    /// ceiling (the downstream buffer in quanta).
+    std::uint32_t frameSlots_;
+    std::uint32_t windowFrames_;
+    std::uint32_t windowSlots_;
+    std::int32_t bufferQuanta_;
 
     Slot originSlot_ = 0;
     std::uint64_t headFrame_ = 0;
+    /** Ring frame holding the head frame (headFrame_ mod WF). */
+    std::uint32_t headIdx_ = 0;
 
     std::vector<std::uint8_t> busy_;
     std::vector<std::int32_t> credit_;
-    std::int32_t creditBeforeWindow_;
     std::vector<std::uint32_t> skipped_;
     /** Booked quanta keyed by local slot (ordered for earliest lookup). */
     PoolMap<std::uint64_t, SlotBooking> bookings_;
     /** Credit returns for slots beyond the current window. */
     PoolMap<std::uint64_t, std::uint32_t> futureReturns_;
 
-    /// Ordered so frame-recycle / reset sweeps visit flows in flow-id
-    /// order regardless of registration history (fingerprint-stable).
-    std::map<FlowId, FlowState> flows_;
+    /// Flow table sorted by flow id: frame-recycle and reset sweeps
+    /// visit flows in flow-id order regardless of registration history
+    /// (fingerprint-stable).
+    std::vector<FlowState> flows_;
     std::uint32_t totalReserved_ = 0;
 
     std::uint64_t outstanding_ = 0;
@@ -232,9 +262,6 @@ class OutputScheduler
     std::uint64_t throttles_ = 0;
     std::uint64_t resets_ = 0;
     std::uint64_t violations_ = 0;
-    std::uint64_t staleReturns_ = 0;
-    /** Latest booked slot (absolute): "busy flags" extend to here. */
-    Slot lastBookedAbs_ = 0;
     bool dirty_ = false;
     Cycle lastAdvance_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)

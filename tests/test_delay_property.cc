@@ -24,6 +24,14 @@ struct BoundCase
     std::uint64_t seed;
 };
 
+// Without this gtest prints the raw bytes of the case, and the address
+// of `pattern` in them changes from run to run, so the test names would.
+void
+PrintTo(const BoundCase &bc, std::ostream *os)
+{
+    *os << bc.pattern << " rate " << bc.rate << " seed " << bc.seed;
+}
+
 class DelayBound4x4 : public ::testing::TestWithParam<BoundCase>
 {
 };

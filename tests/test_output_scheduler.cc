@@ -273,6 +273,14 @@ TEST(OutputScheduler, UnregisteredFlowPanics)
     EXPECT_DEATH((void)s.trySchedule(9, 0, 0, 1, x), "unregistered");
 }
 
+TEST(OutputScheduler, UnregisteredFlowQueriesPanic)
+{
+    OutputScheduler s(smallParams(), "t");
+    s.registerFlow(0, 1);
+    EXPECT_DEATH((void)s.flowRemaining(9), "t: .*unregistered flow 9");
+    EXPECT_DEATH((void)s.flowInjectFrame(9), "t: .*unregistered flow 9");
+}
+
 TEST(OutputScheduler, FrameRecyclingClearsStaleState)
 {
     OutputScheduler s(smallParams(), "t");
