@@ -47,23 +47,18 @@
 namespace noc
 {
 
-// The auditor must consciously account for every observer hook: each
-// NetObserver hook is either overridden below or explicitly waived
-// here (enforced by the loft-observer-hook-parity lint check).
-// loft-tidy: complete-observer
-// loft-tidy: hook-ignored(onQuantumScheduled)   — grants are audited
-//     at the scheduler via onSchedGrant; the router-side echo adds no
-//     ledger information.
-// loft-tidy: hook-ignored(onMissedSlot)         — a missed switching
-//     slot is a performance event, not a conservation violation.
-// loft-tidy: hook-ignored(onSchedSkipped)       — skipped(i) capacity
-//     redistribution is Algorithm-1 bookkeeping, audited indirectly
-//     through the credit ledger.
-// loft-tidy: hook-ignored(onSchedCreditReturn)  — credit returns are
-//     cross-checked against bookings in onSchedBookingCleared.
-// loft-tidy: hook-ignored(onSourceThrottled)    — source back-pressure
-//     is a performance event; liveness is watched through the flit
-//     movement hooks the watchdog already consumes.
+// Hooks the auditor leaves at NetObserver's empty defaults, and why:
+//  - onQuantumScheduled: grants are audited at the scheduler via
+//    onSchedGrant; the router-side echo adds no ledger information.
+//  - onMissedSlot: a missed switching slot is a performance event, not
+//    a conservation violation.
+//  - onSchedSkipped: skipped(i) capacity redistribution is Algorithm-1
+//    bookkeeping, audited indirectly through the credit ledger.
+//  - onSchedCreditReturn: credit returns are cross-checked against
+//    bookings in onSchedBookingCleared.
+//  - onSourceThrottled: source back-pressure is a performance event;
+//    liveness is watched through the flit movement hooks the watchdog
+//    already consumes.
 // loft-tidy: phase-serial — keyless: ticked in the serial epilogue and
 //     fed through the DeferredObserver merge, never inside the
 //     partitioned phase.
@@ -162,6 +157,7 @@ class NetworkAuditor final : public NetObserver, public Clocked
     // Clocked
     void tick(Cycle now) override;
 
+  protected:
     // NetObserver
     void onPacketAccepted(NodeId node, const Packet &pkt,
                           Cycle now) override;

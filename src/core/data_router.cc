@@ -133,7 +133,9 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
         ip.unclaimed.erase(un);
     }
     ip.records.emplace(key, std::move(rec));
-    NOC_OBSERVE(observer_, onLookaheadAdmitted(id_, in, la, now));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::LookaheadAdmitted,
+                            .node = id_, .port = in, .la = la,
+                            .now = now});
     return true;
 }
 
@@ -195,8 +197,9 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         rec.la.departureSlot = granted;
         onward = rec.la;
         terminal = outp == Port::Local;
-        NOC_OBSERVE(observer_,
-                    onQuantumScheduled(id_, outp, rec.la, granted, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::QuantumScheduled,
+                                .node = id_, .port = outp, .la = rec.la,
+                                .slot = granted, .now = now});
         pend.erase(it);
         return true;
     }
@@ -252,9 +255,11 @@ LoftDataRouter::receiveData(Cycle now)
                           "(scheduling anomaly)", id_);
                 ++ip.nonspecUsed;
             }
-            NOC_OBSERVE(observer_,
-                        onFlitArrived(id_, static_cast<Port>(p), flit,
-                                      wf->spec, now));
+            NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitArrived,
+                                    .node = id_,
+                                    .port = static_cast<Port>(p),
+                                    .flit = flit, .spec = wf->spec,
+                                    .now = now});
             const std::uint64_t key =
                 recordKey(flit.flow, flit.quantum);
             auto it = ip.records.find(key);
@@ -345,9 +350,10 @@ LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
     ++rec.forwardedFlits;
     op.lastForward = now;
     ++op.flitsForwarded;
-    NOC_OBSERVE(observer_,
-                onFlitForwarded(id_, static_cast<Port>(out), bf.flit,
-                                to_spec, now));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitForwarded,
+                            .node = id_, .port = static_cast<Port>(out),
+                            .flit = bf.flit, .spec = to_spec,
+                            .now = now});
     DPRINTF(Data, now, "router %u: flow %u flit %llu out %s (%s)",
             id_, bf.flit.flow,
             static_cast<unsigned long long>(bf.flit.flitNo),
@@ -413,15 +419,17 @@ LoftDataRouter::switchOutputs(Cycle now)
                 // Section 4.2).
                 ++missedSlots_;
                 NOC_OBSERVE(observer_,
-                            onMissedSlot(id_, static_cast<Port>(out),
-                                         now));
+                            {.kind = NetEvent::Kind::MissedSlot,
+                             .node = id_, .port = static_cast<Port>(out),
+                             .now = now});
                 continue;
             }
             if (due_dataless) {
                 ++missedSlots_;
                 NOC_OBSERVE(observer_,
-                            onMissedSlot(id_, static_cast<Port>(out),
-                                         now));
+                            {.kind = NetEvent::Kind::MissedSlot,
+                             .node = id_, .port = static_cast<Port>(out),
+                             .now = now});
             }
         }
 
@@ -492,7 +500,9 @@ LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
         if (ip.actualCreditOut)
             ip.actualCreditOut->send(now, ActualCreditMsg{bf.spec});
         ++flitsDropped_;
-        NOC_OBSERVE(observer_, onFlitDropped(id_, bf.flit, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitDropped,
+                                .node = id_, .flit = bf.flit,
+                                .now = now});
     }
     flits.clear();
 }
@@ -526,8 +536,10 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
                 // materialized — the look-ahead flit must be lost.
                 u.detected = true;
                 NOC_OBSERVE(observer_,
-                            onFaultDetected(FaultKind::LookaheadDrop,
-                                            id_, u.firstArrival, now));
+                            {.kind = NetEvent::Kind::FaultDetected,
+                             .fault = FaultKind::LookaheadDrop,
+                             .node = id_, .injectedAt = u.firstArrival,
+                             .now = now});
             }
             // Re-synthesize only once the quantum is complete; data
             // flits of one quantum arrive in order, so the tail marker
@@ -570,12 +582,14 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
             // admitLookahead claims the staged flits and erases the
             // unclaimed entry on success; `it`/`u` are dead after the
             // call, so take what the observer needs by value first.
-            const Cycle firstArrival = u.firstArrival;
+            [[maybe_unused]] const Cycle firstArrival = u.firstArrival;
             if (admitLookahead(static_cast<Port>(p), la, now, now)) {
                 ++laReissues_;
                 NOC_OBSERVE(observer_,
-                            onFaultRecovered(FaultKind::LookaheadDrop,
-                                             id_, firstArrival, now));
+                            {.kind = NetEvent::Kind::FaultRecovered,
+                             .fault = FaultKind::LookaheadDrop,
+                             .node = id_, .injectedAt = firstArrival,
+                             .now = now});
             }
         }
     }

@@ -38,12 +38,14 @@ LoftSink::tick(Cycle now)
         ++corruptedDeliveries_;
         [[maybe_unused]] const Cycle at =
             wf->corruptedAt ? wf->corruptedAt : now;
-        NOC_OBSERVE(observer_,
-                    onFaultDetected(FaultKind::DataCorrupt, node_, at,
-                                    now));
-        NOC_OBSERVE(observer_,
-                    onFaultRecovered(FaultKind::DataCorrupt, node_, at,
-                                     now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FaultDetected,
+                                .fault = FaultKind::DataCorrupt,
+                                .node = node_, .injectedAt = at,
+                                .now = now});
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FaultRecovered,
+                                .fault = FaultKind::DataCorrupt,
+                                .node = node_, .injectedAt = at,
+                                .now = now});
     }
 
     actualCreditOut_->send(now, ActualCreditMsg{wf->spec});
@@ -57,7 +59,8 @@ LoftSink::tick(Cycle now)
     ++flitsEjected_;
     if (metrics_)
         metrics_->onFlitEjected(flit.flow);
-    NOC_OBSERVE(observer_, onFlitEjected(node_, flit, now));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitEjected,
+                            .node = node_, .flit = flit, .now = now});
 
     auto [it, inserted] = pending_.try_emplace(flit.packet, 0u);
     (void)inserted;
@@ -65,9 +68,9 @@ LoftSink::tick(Cycle now)
     if (it->second == flit.pktSize) {
         if (metrics_)
             metrics_->onPacketEjected(flit.flow, flit.createdAt, now);
-        NOC_OBSERVE(observer_,
-                    onPacketDelivered(node_, flit.flow, flit.packet,
-                                      now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::PacketDelivered,
+                                .node = node_, .flow = flit.flow,
+                                .packet = flit.packet, .now = now});
         pending_.erase(it);
     }
 }

@@ -65,7 +65,9 @@ LoftSourceUnit::enqueue(const Packet &pkt)
         panic("LoftSourceUnit %u: packet from node %u", node_, pkt.src);
     queue_.push_back(pkt);
     queuedFlits_ += pkt.sizeFlits;
-    NOC_OBSERVE(observer_, onPacketAccepted(node_, pkt, pkt.enqueuedAt));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::PacketAccepted,
+                            .node = node_, .pkt = pkt,
+                            .now = pkt.enqueuedAt});
     return true;
 }
 
@@ -175,9 +177,10 @@ LoftSourceUnit::emitLookahead(Cycle now)
     }
     if (!free) {
         ++stallNoLaCredit_;
-        NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, pending_->la.flow,
-                                      StallReason::NoLaCredit, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
+                                .node = node_, .flow = pending_->la.flow,
+                                .reason = StallReason::NoLaCredit,
+                                .now = now});
         return;
     }
 
@@ -186,9 +189,10 @@ LoftSourceUnit::emitLookahead(Cycle now)
     if (!sched_.trySchedule(pending_->la.flow, now,
                             pending_->la.quantumNo, earliest, granted)) {
         ++throttles_;
-        NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, pending_->la.flow,
-                                      StallReason::SchedThrottle, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
+                                .node = node_, .flow = pending_->la.flow,
+                                .reason = StallReason::SchedThrottle,
+                                .now = now});
         return;
     }
     const std::size_t vc = laVcPick_.arbitrate(free);
@@ -196,8 +200,9 @@ LoftSourceUnit::emitLookahead(Cycle now)
     laOut_->send(now, LaWireFlit{pending_->la,
                  static_cast<std::uint32_t>(vc)});
     --laCredits_[vc];
-    NOC_OBSERVE(observer_,
-                onNiQuantumScheduled(node_, pending_->la, granted, now));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::NiQuantumScheduled,
+                            .node = node_, .la = pending_->la,
+                            .slot = granted, .now = now});
 
     OutboundQuantum ob(&pool_);
     ob.flow = pending_->la.flow;
@@ -239,17 +244,19 @@ LoftSourceUnit::forwardData(Cycle now)
             ++stallSpecCredit_;
         else
             ++stallNonspecCredit_;
-        NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, cand->flow,
-                                      to_spec
-                                          ? StallReason::NoSpecCredit
-                                          : StallReason::NoNonspecCredit,
-                                      now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
+                                .node = node_, .flow = cand->flow,
+                                .reason = to_spec
+                                              ? StallReason::NoSpecCredit
+                                              : StallReason::NoNonspecCredit,
+                                .now = now});
         return;
     }
     const Flit flit = cand->flits[cand->sent];
     dataOut_->send(now, DataWireFlit{flit, to_spec});
-    NOC_OBSERVE(observer_, onFlitSourced(node_, flit, to_spec, now));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitSourced,
+                            .node = node_, .flit = flit, .spec = to_spec,
+                            .now = now});
     if (to_spec)
         --dnSpecFree_;
     else

@@ -97,8 +97,9 @@ acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now,
     const FaultStamp &f = msg.fault;
     if (f.corrupted) {
         ++discarded;
-        NOC_OBSERVE(obs, onFaultDetected(FaultKind::CreditCorrupt, node,
-                                         f.faultAt, now));
+        NOC_OBSERVE(obs, {.kind = NetEvent::Kind::FaultDetected,
+                          .fault = FaultKind::CreditCorrupt, .node = node,
+                          .injectedAt = f.faultAt, .now = now});
         (void)obs;
         (void)node;
         (void)now;
@@ -109,10 +110,13 @@ acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now,
         // re-delivers it; a corrupted one was already detected when the
         // garbled copy failed its CRC above.
         if (f.kind == FaultKind::CreditLoss)
-            NOC_OBSERVE(obs, onFaultDetected(FaultKind::CreditLoss, node,
-                                             f.faultAt, now));
-        NOC_OBSERVE(obs,
-                    onFaultRecovered(f.kind, node, f.faultAt, now));
+            NOC_OBSERVE(obs, {.kind = NetEvent::Kind::FaultDetected,
+                              .fault = FaultKind::CreditLoss,
+                              .node = node, .injectedAt = f.faultAt,
+                              .now = now});
+        NOC_OBSERVE(obs, {.kind = NetEvent::Kind::FaultRecovered,
+                          .fault = f.kind, .node = node,
+                          .injectedAt = f.faultAt, .now = now});
     }
     return true;
 }

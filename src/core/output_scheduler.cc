@@ -72,7 +72,8 @@ OutputScheduler::registerFlow(FlowId flow, std::uint32_t reservation_flits)
     st.c = r;
     st.injFrame = headFrame_;
     flows_.insert(pos, st);
-    NOC_OBSERVE(observer_, onSchedFlowRegistered(*this, flow, r));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SchedFlowRegistered,
+                            .sched = this, .flow = flow, .quanta = r});
 }
 
 std::vector<OutputScheduler::FlowState>::const_iterator
@@ -259,8 +260,11 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
                 ++grants_;
                 dirty_ = true;
                 NOC_OBSERVE(observer_,
-                            onSchedGrant(*this, flow, quantum_no,
-                                         granted_abs, st.injFrame, now));
+                            {.kind = NetEvent::Kind::SchedGrant,
+                             .sched = this, .flow = flow,
+                             .quantumNo = quantum_no,
+                             .slot = granted_abs, .frame = st.injFrame,
+                             .now = now});
                 DPRINTF(Sched, now, "%s: flow %u quantum %llu -> "
                         "slot %llu (frame %llu)", name_.c_str(), flow,
                         static_cast<unsigned long long>(quantum_no),
@@ -275,8 +279,9 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
             skipped_[st.injFrame % windowFrames_] += st.c;
             if (st.c > 0)
                 NOC_OBSERVE(observer_,
-                            onSchedSkipped(*this, flow, st.c,
-                                           st.injFrame, now));
+                            {.kind = NetEvent::Kind::SchedSkipped,
+                             .sched = this, .flow = flow, .quanta = st.c,
+                             .frame = st.injFrame, .now = now});
             st.c = std::min(st.r, st.c + st.r);
             ++st.injFrame;
         } else {
@@ -313,7 +318,9 @@ OutputScheduler::book(std::uint64_t local_slot, FlowId flow,
                });
     if (lowest < 0) {
         ++violations_;
-        NOC_OBSERVE(observer_, onSchedCreditNegative(*this, lastAdvance_));
+        NOC_OBSERVE(observer_,
+                    {.kind = NetEvent::Kind::SchedCreditNegative,
+                     .sched = this, .now = lastAdvance_});
     }
     ++outstanding_;
 }
@@ -322,7 +329,8 @@ OutputScheduler::book(std::uint64_t local_slot, FlowId flow,
 void
 OutputScheduler::onCreditReturn(Slot abs_slot)
 {
-    NOC_OBSERVE(observer_, onSchedCreditReturn(*this, abs_slot));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SchedCreditReturn,
+                            .sched = this, .slot = abs_slot});
     // A return for a booking that predates a local status reset finds
     // nothing outstanding. Credits are capped at the buffer size, so
     // applying it below is harmless.
@@ -356,7 +364,8 @@ OutputScheduler::clearBooking(Slot abs_slot)
         return; // dropped as stale by frame recycling
     busy_[ringSlot(s)] = 0;
     bookings_.erase(it);
-    NOC_OBSERVE(observer_, onSchedBookingCleared(*this, abs_slot));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SchedBookingCleared,
+                            .sched = this, .slot = abs_slot});
 }
 
 std::optional<SlotBooking>
@@ -412,7 +421,8 @@ OutputScheduler::localReset(Cycle now)
     }
     dirty_ = false;
     ++resets_;
-    NOC_OBSERVE(observer_, onSchedLocalReset(*this, now));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SchedLocalReset,
+                            .sched = this, .now = now});
 }
 
 void

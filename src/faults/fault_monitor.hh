@@ -27,17 +27,6 @@ class FaultMonitor : public NetObserver
   public:
     FaultMonitor();
 
-    void onFaultInjected(FaultKind kind, NodeId node, Cycle now) override;
-    void onFaultDetected(FaultKind kind, NodeId node, Cycle injectedAt,
-                         Cycle now) override;
-    void onFaultRecovered(FaultKind kind, NodeId node, Cycle injectedAt,
-                          Cycle now) override;
-    void onFlitDropped(NodeId node, const Flit &flit, Cycle now) override;
-    void onPacketAccepted(NodeId node, const Packet &pkt,
-                          Cycle now) override;
-    void onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
-                           Cycle now) override;
-
     const std::array<std::uint64_t, kNumFaultKinds> &injected() const
     {
         return injected_;
@@ -71,6 +60,18 @@ class FaultMonitor : public NetObserver
 
     const LogHistogram &detectionLatency() const { return detectLat_; }
     const LogHistogram &recoveryLatency() const { return recoverLat_; }
+
+  protected:
+    void onFaultInjected(FaultKind kind, NodeId node, Cycle now) override;
+    void onFaultDetected(FaultKind kind, NodeId node, Cycle injectedAt,
+                         Cycle now) override;
+    void onFaultRecovered(FaultKind kind, NodeId node, Cycle injectedAt,
+                          Cycle now) override;
+    void onFlitDropped(NodeId node, const Flit &flit, Cycle now) override;
+    void onPacketAccepted(NodeId node, const Packet &pkt,
+                          Cycle now) override;
+    void onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
+                           Cycle now) override;
 
   private:
     std::array<std::uint64_t, kNumFaultKinds> injected_{};

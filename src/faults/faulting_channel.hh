@@ -168,8 +168,9 @@ class FaultingChannel final : public ChannelFaultHook<T>,
             // notices the stuck link.
             stallReported_ = true;
             NOC_OBSERVE(shared_->observer,
-                        onFaultDetected(FaultKind::LinkStall, receiver_,
-                                        stallStart_, now));
+                        {.kind = NetEvent::Kind::FaultDetected,
+                         .fault = FaultKind::LinkStall, .node = receiver_,
+                         .injectedAt = stallStart_, .now = now});
         }
         return true;
     }
@@ -245,7 +246,8 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     {
         ++shared_->injected[static_cast<std::size_t>(kind)];
         NOC_OBSERVE(shared_->observer,
-                    onFaultInjected(kind, receiver_, now));
+                    {.kind = NetEvent::Kind::FaultInjected, .fault = kind,
+                     .node = receiver_, .now = now});
     }
 
     FaultSiteShared *shared_;

@@ -48,8 +48,9 @@ GsfSourceUnit::allowStart(const Packet &pkt, Cycle now,
         if (st.injFrame >= newest) {
             // Reservations in all active frames used up.
             NOC_OBSERVE(observer_,
-                        onSourceThrottled(node(), pkt.flow,
-                                          StallReason::FrameQuota, now));
+                        {.kind = NetEvent::Kind::SourceThrottled,
+                         .node = node(), .flow = pkt.flow,
+                         .reason = StallReason::FrameQuota, .now = now});
             return false;
         }
         ++st.injFrame;

@@ -18,7 +18,7 @@ DeferredObserver::beginParallel(unsigned domains)
 {
     LOFT_PSAN_BARRIER_SEAM("DeferredObserver::beginParallel");
     // Grow-only so event-buffer capacity carries across run windows
-    // (the guard in push() requires currentDomain() >= 0, so keeping
+    // (the guard in consume() requires currentDomain() >= 0, so keeping
     // the buffers alive between windows never diverts a direct event).
     if (perDomain_.size() < domains)
         perDomain_.resize(domains);
@@ -49,14 +49,14 @@ DeferredObserver::mergeDomains()
         if (best == perDomain_.size())
             break;
         // Drain the chosen component's consecutive events in one go.
-        const std::vector<DeferredNetEvent> &buf = perDomain_[best];
+        const std::vector<Stamped> &buf = perDomain_[best];
         std::size_t &cur = cursors_[best];
         do {
-            deliver(buf[cur]);
+            downstream_->consume(buf[cur].event);
             ++cur;
         } while (cur < buf.size() && buf[cur].component == best_comp);
     }
-    for (std::vector<DeferredNetEvent> &buf : perDomain_)
+    for (std::vector<Stamped> &buf : perDomain_)
         buf.clear();
 }
 
@@ -64,390 +64,22 @@ void
 DeferredObserver::endParallel()
 {
     LOFT_PSAN_BARRIER_SEAM("DeferredObserver::endParallel");
-    for (std::vector<DeferredNetEvent> &buf : perDomain_)
+    for (std::vector<Stamped> &buf : perDomain_)
         buf.clear();
 }
 
 void
-DeferredObserver::push(DeferredNetEvent &&e)
+DeferredObserver::consume(const NetEvent &e)
 {
     const int d = par::currentDomain();
     if (d < 0 || perDomain_.empty()) {
-        LOFT_PSAN_DIRECT_DELIVERY("DeferredObserver::push");
-        deliver(e);
+        LOFT_PSAN_DIRECT_DELIVERY("DeferredObserver::consume");
+        downstream_->consume(e);
         return;
     }
-    LOFT_PSAN_DEFERRED_BUFFER("DeferredObserver::push");
-    e.component = par::ctx().component;
-    perDomain_[static_cast<std::size_t>(d)].push_back(std::move(e));
-}
-
-void
-DeferredObserver::deliver(const DeferredNetEvent &e)
-{
-    using Kind = DeferredNetEvent::Kind;
-    switch (e.kind) {
-      case Kind::PacketAccepted:
-        downstream_->onPacketAccepted(e.node, e.pkt, e.now);
-        return;
-      case Kind::FlitSourced:
-        downstream_->onFlitSourced(e.node, e.flit, e.spec, e.now);
-        return;
-      case Kind::FlitArrived:
-        downstream_->onFlitArrived(e.node, e.port, e.flit, e.spec,
-                                   e.now);
-        return;
-      case Kind::FlitForwarded:
-        downstream_->onFlitForwarded(e.node, e.port, e.flit, e.spec,
-                                     e.now);
-        return;
-      case Kind::FlitEjected:
-        downstream_->onFlitEjected(e.node, e.flit, e.now);
-        return;
-      case Kind::PacketDelivered:
-        downstream_->onPacketDelivered(e.node, e.flow,
-                                       static_cast<PacketId>(e.a),
-                                       e.now);
-        return;
-      case Kind::LookaheadAdmitted:
-        downstream_->onLookaheadAdmitted(e.node, e.port, e.la, e.now);
-        return;
-      case Kind::QuantumScheduled:
-        downstream_->onQuantumScheduled(e.node, e.port, e.la,
-                                        static_cast<Slot>(e.a), e.now);
-        return;
-      case Kind::NiQuantumScheduled:
-        downstream_->onNiQuantumScheduled(e.node, e.la,
-                                          static_cast<Slot>(e.a), e.now);
-        return;
-      case Kind::MissedSlot:
-        downstream_->onMissedSlot(e.node, e.port, e.now);
-        return;
-      case Kind::SchedFlowRegistered:
-        downstream_->onSchedFlowRegistered(
-            *e.sched, e.flow, static_cast<std::uint32_t>(e.a));
-        return;
-      case Kind::SchedGrant:
-        downstream_->onSchedGrant(*e.sched, e.flow, e.a,
-                                  static_cast<Slot>(e.b), e.c, e.now);
-        return;
-      case Kind::SchedSkipped:
-        downstream_->onSchedSkipped(*e.sched, e.flow,
-                                    static_cast<std::uint32_t>(e.a),
-                                    e.b, e.now);
-        return;
-      case Kind::SchedBookingCleared:
-        downstream_->onSchedBookingCleared(*e.sched,
-                                           static_cast<Slot>(e.a));
-        return;
-      case Kind::SchedCreditReturn:
-        downstream_->onSchedCreditReturn(*e.sched,
-                                         static_cast<Slot>(e.a));
-        return;
-      case Kind::SchedCreditNegative:
-        downstream_->onSchedCreditNegative(*e.sched, e.now);
-        return;
-      case Kind::SchedLocalReset:
-        downstream_->onSchedLocalReset(*e.sched, e.now);
-        return;
-      case Kind::FaultInjected:
-        downstream_->onFaultInjected(e.fault, e.node, e.now);
-        return;
-      case Kind::FaultDetected:
-        downstream_->onFaultDetected(e.fault, e.node,
-                                     static_cast<Cycle>(e.a), e.now);
-        return;
-      case Kind::FaultRecovered:
-        downstream_->onFaultRecovered(e.fault, e.node,
-                                      static_cast<Cycle>(e.a), e.now);
-        return;
-      case Kind::FlitDropped:
-        downstream_->onFlitDropped(e.node, e.flit, e.now);
-        return;
-      case Kind::SourceThrottled:
-        downstream_->onSourceThrottled(
-            e.node, e.flow, static_cast<StallReason>(e.a), e.now);
-        return;
-    }
-    panic("DeferredObserver: unknown event kind");
-}
-
-void
-DeferredObserver::onPacketAccepted(NodeId node, const Packet &pkt,
-                                   Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::PacketAccepted;
-    e.node = node;
-    e.pkt = pkt;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFlitSourced(NodeId node, const Flit &flit, bool spec,
-                                Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FlitSourced;
-    e.node = node;
-    e.flit = flit;
-    e.spec = spec;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFlitArrived(NodeId node, Port in, const Flit &flit,
-                                bool spec, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FlitArrived;
-    e.node = node;
-    e.port = in;
-    e.flit = flit;
-    e.spec = spec;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFlitForwarded(NodeId node, Port out, const Flit &flit,
-                                  bool spec, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FlitForwarded;
-    e.node = node;
-    e.port = out;
-    e.flit = flit;
-    e.spec = spec;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFlitEjected(NodeId node, const Flit &flit, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FlitEjected;
-    e.node = node;
-    e.flit = flit;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onPacketDelivered(NodeId node, FlowId flow,
-                                    PacketId pkt, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::PacketDelivered;
-    e.node = node;
-    e.flow = flow;
-    e.a = pkt;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onLookaheadAdmitted(NodeId node, Port in,
-                                      const LookaheadFlit &la, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::LookaheadAdmitted;
-    e.node = node;
-    e.port = in;
-    e.la = la;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onQuantumScheduled(NodeId node, Port out,
-                                     const LookaheadFlit &la, Slot granted,
-                                     Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::QuantumScheduled;
-    e.node = node;
-    e.port = out;
-    e.la = la;
-    e.a = granted;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onNiQuantumScheduled(NodeId node,
-                                       const LookaheadFlit &la,
-                                       Slot granted, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::NiQuantumScheduled;
-    e.node = node;
-    e.la = la;
-    e.a = granted;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onMissedSlot(NodeId node, Port out, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::MissedSlot;
-    e.node = node;
-    e.port = out;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedFlowRegistered(const OutputScheduler &sched,
-                                        FlowId flow, std::uint32_t quanta)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedFlowRegistered;
-    e.sched = &sched;
-    e.flow = flow;
-    e.a = quanta;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedGrant(const OutputScheduler &sched, FlowId flow,
-                               std::uint64_t quantum_no, Slot abs_slot,
-                               std::uint64_t frame, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedGrant;
-    e.sched = &sched;
-    e.flow = flow;
-    e.a = quantum_no;
-    e.b = abs_slot;
-    e.c = frame;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedSkipped(const OutputScheduler &sched,
-                                 FlowId flow, std::uint32_t quanta,
-                                 std::uint64_t frame, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedSkipped;
-    e.sched = &sched;
-    e.flow = flow;
-    e.a = quanta;
-    e.b = frame;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedBookingCleared(const OutputScheduler &sched,
-                                        Slot abs_slot)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedBookingCleared;
-    e.sched = &sched;
-    e.a = abs_slot;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedCreditReturn(const OutputScheduler &sched,
-                                      Slot abs_slot)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedCreditReturn;
-    e.sched = &sched;
-    e.a = abs_slot;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedCreditNegative(const OutputScheduler &sched,
-                                        Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedCreditNegative;
-    e.sched = &sched;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSchedLocalReset(const OutputScheduler &sched,
-                                    Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SchedLocalReset;
-    e.sched = &sched;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFaultInjected(FaultKind kind, NodeId node, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FaultInjected;
-    e.fault = kind;
-    e.node = node;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFaultDetected(FaultKind kind, NodeId node,
-                                  Cycle injectedAt, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FaultDetected;
-    e.fault = kind;
-    e.node = node;
-    e.a = injectedAt;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFaultRecovered(FaultKind kind, NodeId node,
-                                   Cycle injectedAt, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FaultRecovered;
-    e.fault = kind;
-    e.node = node;
-    e.a = injectedAt;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onFlitDropped(NodeId node, const Flit &flit, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::FlitDropped;
-    e.node = node;
-    e.flit = flit;
-    e.now = now;
-    push(std::move(e));
-}
-
-void
-DeferredObserver::onSourceThrottled(NodeId node, FlowId flow,
-                                    StallReason reason, Cycle now)
-{
-    DeferredNetEvent e;
-    e.kind = DeferredNetEvent::Kind::SourceThrottled;
-    e.node = node;
-    e.flow = flow;
-    e.a = static_cast<std::uint64_t>(reason);
-    e.now = now;
-    push(std::move(e));
+    LOFT_PSAN_DEFERRED_BUFFER("DeferredObserver::consume");
+    perDomain_[static_cast<std::size_t>(d)].push_back(
+        {par::ctx().component, e});
 }
 
 } // namespace noc

@@ -6,14 +6,14 @@
  * domains would call the run's observer sink (auditor / telemetry /
  * mux) concurrently and in a nondeterministic interleaving. The
  * DeferredObserver sits between the network and the sink: during the
- * parallel phase every hook call is recorded into a per-domain buffer,
- * stamped with the emitting component's serial registration index; at
- * the per-cycle barrier the buffers are k-way merged by that index and
- * replayed downstream single-threaded.
+ * parallel phase every event record is appended to a per-domain
+ * buffer, stamped with the emitting component's serial registration
+ * index; at the per-cycle barrier the buffers are k-way merged by that
+ * index and replayed downstream single-threaded.
  *
  * Components execute in registration order within their domain and
  * domains partition the index space, so each buffer is already sorted
- * and the merge reconstructs the exact serial hook-call sequence — not
+ * and the merge reconstructs the exact serial event sequence — not
  * merely some deterministic order. Exactness matters: telemetry's
  * chrome trace appends one record per event at hook time, so its export
  * is byte-identical only if the event order is identical.
@@ -28,63 +28,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/flit.hh"
 #include "net/instrument.hh"
-#include "net/packet.hh"
 #include "sim/parallel.hh"
 
 namespace noc
 {
 
-/** One buffered observer event (tagged union over the hook payloads). */
-struct DeferredNetEvent
-{
-    enum class Kind : std::uint8_t
-    {
-        PacketAccepted,
-        FlitSourced,
-        FlitArrived,
-        FlitForwarded,
-        FlitEjected,
-        PacketDelivered,
-        LookaheadAdmitted,
-        QuantumScheduled,
-        NiQuantumScheduled,
-        MissedSlot,
-        SchedFlowRegistered,
-        SchedGrant,
-        SchedSkipped,
-        SchedBookingCleared,
-        SchedCreditReturn,
-        SchedCreditNegative,
-        SchedLocalReset,
-        FaultInjected,
-        FaultDetected,
-        FaultRecovered,
-        FlitDropped,
-        SourceThrottled,
-    };
-
-    Kind kind = Kind::PacketAccepted;
-    /** Serial registration index of the emitting component. */
-    std::uint32_t component = 0;
-    NodeId node = kInvalidNode;
-    Port port{};
-    bool spec = false;
-    FaultKind fault = FaultKind::LookaheadDrop;
-    FlowId flow = kInvalidFlow;
-    const OutputScheduler *sched = nullptr;
-    /** Kind-dependent scalars (slots, frames, quanta, packet ids...). */
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint64_t c = 0;
-    Cycle now = 0;
-    Flit flit{};
-    LookaheadFlit la{};
-    Packet pkt{};
-};
-
-// loft-tidy: complete-observer(strict)
 class DeferredObserver final : public NetObserver, public DomainMerged
 {
   public:
@@ -96,62 +45,25 @@ class DeferredObserver final : public NetObserver, public DomainMerged
     void mergeDomains() override;
     void endParallel() override;
 
-    // NetObserver: every hook defers (or passes through when direct).
-    void onPacketAccepted(NodeId node, const Packet &pkt,
-                          Cycle now) override;
-    void onFlitSourced(NodeId node, const Flit &flit, bool spec,
-                       Cycle now) override;
-    void onFlitArrived(NodeId node, Port in, const Flit &flit, bool spec,
-                       Cycle now) override;
-    void onFlitForwarded(NodeId node, Port out, const Flit &flit,
-                         bool spec, Cycle now) override;
-    void onFlitEjected(NodeId node, const Flit &flit, Cycle now) override;
-    void onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
-                           Cycle now) override;
-    void onLookaheadAdmitted(NodeId node, Port in, const LookaheadFlit &la,
-                             Cycle now) override;
-    void onQuantumScheduled(NodeId node, Port out, const LookaheadFlit &la,
-                            Slot granted, Cycle now) override;
-    void onNiQuantumScheduled(NodeId node, const LookaheadFlit &la,
-                              Slot granted, Cycle now) override;
-    void onMissedSlot(NodeId node, Port out, Cycle now) override;
-    void onSchedFlowRegistered(const OutputScheduler &sched, FlowId flow,
-                               std::uint32_t quanta) override;
-    void onSchedGrant(const OutputScheduler &sched, FlowId flow,
-                      std::uint64_t quantum_no, Slot abs_slot,
-                      std::uint64_t frame, Cycle now) override;
-    void onSchedSkipped(const OutputScheduler &sched, FlowId flow,
-                        std::uint32_t quanta, std::uint64_t frame,
-                        Cycle now) override;
-    void onSchedBookingCleared(const OutputScheduler &sched,
-                               Slot abs_slot) override;
-    void onSchedCreditReturn(const OutputScheduler &sched,
-                             Slot abs_slot) override;
-    void onSchedCreditNegative(const OutputScheduler &sched,
-                               Cycle now) override;
-    void onSchedLocalReset(const OutputScheduler &sched,
-                           Cycle now) override;
-    void onFaultInjected(FaultKind kind, NodeId node, Cycle now) override;
-    void onFaultDetected(FaultKind kind, NodeId node, Cycle injectedAt,
-                         Cycle now) override;
-    void onFaultRecovered(FaultKind kind, NodeId node, Cycle injectedAt,
-                          Cycle now) override;
-    void onFlitDropped(NodeId node, const Flit &flit, Cycle now) override;
-    void onSourceThrottled(NodeId node, FlowId flow, StallReason reason,
-                           Cycle now) override;
+    /** Buffer @p e in the calling domain, or pass it straight on
+     *  outside a parallel window. */
+    void consume(const NetEvent &e) override;
 
   private:
-    /** Buffer @p e in the calling domain, or deliver when direct. */
-    void push(DeferredNetEvent &&e);
-
-    /** Dispatch @p e to the downstream sink. */
-    void deliver(const DeferredNetEvent &e);
+    /** A buffered event and the serial registration index of the
+     *  component that emitted it. */
+    struct Stamped
+    {
+        std::uint32_t component;
+        NetEvent event;
+    };
 
     // loft-tidy: phase-shared(barrier) — only mergeDomains() (main
-    //     thread, cycle barrier) and direct-mode push() dereference it;
-    //     partitioned-phase callers only append to their domain buffer.
+    //     thread, cycle barrier) and direct-mode consume() dereference
+    //     it; partitioned-phase callers only append to their domain
+    //     buffer.
     NetObserver *downstream_;
-    std::vector<std::vector<DeferredNetEvent>> perDomain_;
+    std::vector<std::vector<Stamped>> perDomain_;
     std::vector<std::size_t> cursors_;
 };
 

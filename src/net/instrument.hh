@@ -1,16 +1,23 @@
 /**
  * @file
  * Network instrumentation: a passive observer interface that every
- * network implementation (LOFT, GSF, wormhole) can publish its
+ * network implementation (LOFT, GSF, wormhole) publishes its
  * micro-architectural events to, plus the hook macro that makes the
  * whole mechanism compile-time zero-cost.
  *
- * Components hold a `NetObserver *` (null by default) and announce
- * events through NOC_OBSERVE(ptr, call). With LOFT_AUDIT_ENABLED == 0
- * (CMake option -DLOFT_AUDIT=OFF) the macro expands to nothing, so no
- * observer call — not even the null check — remains in the hot path.
+ * An event is one NetEvent record: a kind tag plus the fields of that
+ * kind. Components hold a `NetObserver *` (null by default) and
+ * announce each event as a designated initializer,
  *
- * The observer sees four groups of events:
+ *     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitEjected,
+ *                             .node = node_, .flit = flit, .now = now});
+ *
+ * which hands the record to NetObserver::consume(). With
+ * LOFT_AUDIT_ENABLED == 0 (CMake option -DLOFT_AUDIT=OFF) the macro
+ * expands to nothing, so no observer call — not even the null check —
+ * remains in the hot path.
+ *
+ * The observer sees five groups of events:
  *  - flit life cycle: sourced at an NI, arrived at a router input,
  *    forwarded through a router output, ejected at a sink;
  *  - packet life cycle: accepted by an NI, fully delivered at a sink;
@@ -18,15 +25,22 @@
  *    reservation table and quantum output-scheduling decisions;
  *  - LSF output-scheduler state transitions: flow registration, slot
  *    grants, booking clears, virtual-credit returns, negative-credit
- *    (anomaly) occurrences, and local status resets.
+ *    (anomaly) occurrences, and local status resets;
+ *  - faults and source back-pressure: injection, detection, recovery,
+ *    drops, and the reason a source NI stalled.
  *
- * All methods have empty default bodies so an observer implements only
- * what it cares about.
+ * consume() is the only way in. Its default body decodes the record
+ * into the matching protected on* hook; the hooks have empty bodies,
+ * so a sink overrides only what it cares about. Transports that pass
+ * records on whole (ObserverMux, DeferredObserver) override consume()
+ * and never look at the kind.
  */
 
 #ifndef NOC_NET_INSTRUMENT_HH
 #define NOC_NET_INSTRUMENT_HH
 
+#include "net/flit.hh"
+#include "net/packet.hh"
 #include "net/topology.hh"
 #include "sim/types.hh"
 
@@ -35,13 +49,13 @@
 #endif
 
 #if LOFT_AUDIT_ENABLED
-#define NOC_OBSERVE(obs, call)                                          \
+#define NOC_OBSERVE(obs, ...)                                           \
     do {                                                                \
         if (obs)                                                        \
-            (obs)->call;                                                \
+            (obs)->consume(::noc::NetEvent __VA_ARGS__);                \
     } while (0)
 #else
-#define NOC_OBSERVE(obs, call)                                          \
+#define NOC_OBSERVE(obs, ...)                                           \
     do {                                                                \
     } while (0)
 #endif
@@ -49,9 +63,6 @@
 namespace noc
 {
 
-struct Flit;
-struct LookaheadFlit;
-struct Packet;
 class OutputScheduler;
 
 /** True if instrumentation hooks are compiled into this build. */
@@ -135,12 +146,81 @@ stallReasonName(StallReason reason)
     return "unknown";
 }
 
-// loft-tidy: observer-base
+/**
+ * One observer event. The kind names the NetObserver hook it decodes
+ * into; the other fields are that hook's arguments, and fields a kind
+ * does not use keep their defaults. Fields are declared in the order
+ * the hooks take their arguments, so a designated initializer at a
+ * hook site lists them in hook order.
+ */
+struct NetEvent
+{
+    enum class Kind : std::uint8_t
+    {
+        PacketAccepted,
+        FlitSourced,
+        FlitArrived,
+        FlitForwarded,
+        FlitEjected,
+        PacketDelivered,
+        LookaheadAdmitted,
+        QuantumScheduled,
+        NiQuantumScheduled,
+        MissedSlot,
+        SchedFlowRegistered,
+        SchedGrant,
+        SchedSkipped,
+        SchedBookingCleared,
+        SchedCreditReturn,
+        SchedCreditNegative,
+        SchedLocalReset,
+        FaultInjected,
+        FaultDetected,
+        FaultRecovered,
+        FlitDropped,
+        SourceThrottled,
+    };
+
+    Kind kind = Kind::PacketAccepted;
+    /** The emitting scheduler (Sched* kinds). */
+    const OutputScheduler *sched = nullptr;
+    FaultKind fault = FaultKind::LookaheadDrop;
+    NodeId node = kInvalidNode;
+    /** Router input (arrivals, admissions) or output port. */
+    Port port{};
+    FlowId flow = kInvalidFlow;
+    Packet pkt{};
+    Flit flit{};
+    LookaheadFlit la{};
+    /** The flit uses the speculative path. */
+    bool spec = false;
+    std::uint64_t quantumNo = 0;
+    /** Reserved slots per frame, or reserved slots yielded. */
+    std::uint32_t quanta = 0;
+    /** Absolute slot granted, cleared or returned. */
+    Slot slot = 0;
+    std::uint64_t frame = 0;
+    /** The delivered packet (PacketDelivered). */
+    PacketId packet = 0;
+    /** When the detected or recovered fault was injected. */
+    Cycle injectedAt = 0;
+    StallReason reason = StallReason::NoVc;
+    Cycle now = 0;
+};
+
 class NetObserver
 {
   public:
     virtual ~NetObserver() = default;
 
+    /**
+     * Receive @p e. The default body calls the hook that @p e's kind
+     * names; the switch has no default, so -Wswitch flags a kind that
+     * reaches no hook.
+     */
+    virtual void consume(const NetEvent &e);
+
+  protected:
     /// @name Packet / flit life cycle (all networks)
     /// @{
 

@@ -4,13 +4,13 @@
  * to its components (see Network::setObserver), which made the auditor
  * and any other consumer mutually exclusive: installing a second
  * observer silently detached the first. ObserverMux removes that
- * limitation by being the one installed observer and re-publishing
- * every event, in registration order, to any number of downstream
+ * limitation by being the one installed observer and passing every
+ * event record, in registration order, to any number of downstream
  * observers (e.g. the NetworkAuditor and the TelemetryCollector of the
  * same run).
  *
  * The mux is as passive as its targets: it owns nothing, mutates no
- * network state, and with -DLOFT_AUDIT=OFF never receives a call
+ * network state, and with -DLOFT_AUDIT=OFF never receives an event
  * because the NOC_OBSERVE hook sites are compiled out.
  */
 
@@ -25,7 +25,6 @@
 namespace noc
 {
 
-// loft-tidy: complete-observer(strict)
 class ObserverMux : public NetObserver
 {
   public:
@@ -40,189 +39,13 @@ class ObserverMux : public NetObserver
             targets_.push_back(obs);
     }
 
-    /** Remove @p obs from the fan-out list (no-op if absent). */
-    void remove(NetObserver *obs)
-    {
-        targets_.erase(
-            std::remove(targets_.begin(), targets_.end(), obs),
-            targets_.end());
-    }
-
     std::size_t numTargets() const { return targets_.size(); }
 
-    // NetObserver: forward every event to every target, in order.
-
-    void
-    onPacketAccepted(NodeId node, const Packet &pkt, Cycle now) override
+    /** Forward @p e to every target, in order. */
+    void consume(const NetEvent &e) override
     {
-        for (auto *t : targets_)
-            t->onPacketAccepted(node, pkt, now);
-    }
-
-    void
-    onFlitSourced(NodeId node, const Flit &flit, bool spec,
-                  Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFlitSourced(node, flit, spec, now);
-    }
-
-    void
-    onFlitArrived(NodeId node, Port in, const Flit &flit, bool spec,
-                  Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFlitArrived(node, in, flit, spec, now);
-    }
-
-    void
-    onFlitForwarded(NodeId node, Port out, const Flit &flit, bool spec,
-                    Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFlitForwarded(node, out, flit, spec, now);
-    }
-
-    void
-    onFlitEjected(NodeId node, const Flit &flit, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFlitEjected(node, flit, now);
-    }
-
-    void
-    onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
-                      Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onPacketDelivered(node, flow, pkt, now);
-    }
-
-    void
-    onLookaheadAdmitted(NodeId node, Port in, const LookaheadFlit &la,
-                        Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onLookaheadAdmitted(node, in, la, now);
-    }
-
-    void
-    onQuantumScheduled(NodeId node, Port out, const LookaheadFlit &la,
-                       Slot granted, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onQuantumScheduled(node, out, la, granted, now);
-    }
-
-    void
-    onNiQuantumScheduled(NodeId node, const LookaheadFlit &la,
-                         Slot granted, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onNiQuantumScheduled(node, la, granted, now);
-    }
-
-    void
-    onMissedSlot(NodeId node, Port out, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onMissedSlot(node, out, now);
-    }
-
-    void
-    onSchedFlowRegistered(const OutputScheduler &sched, FlowId flow,
-                          std::uint32_t quanta) override
-    {
-        for (auto *t : targets_)
-            t->onSchedFlowRegistered(sched, flow, quanta);
-    }
-
-    void
-    onSchedGrant(const OutputScheduler &sched, FlowId flow,
-                 std::uint64_t quantum_no, Slot abs_slot,
-                 std::uint64_t frame, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onSchedGrant(sched, flow, quantum_no, abs_slot, frame,
-                            now);
-    }
-
-    void
-    onSchedSkipped(const OutputScheduler &sched, FlowId flow,
-                   std::uint32_t quanta, std::uint64_t frame,
-                   Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onSchedSkipped(sched, flow, quanta, frame, now);
-    }
-
-    void
-    onSchedBookingCleared(const OutputScheduler &sched,
-                          Slot abs_slot) override
-    {
-        for (auto *t : targets_)
-            t->onSchedBookingCleared(sched, abs_slot);
-    }
-
-    void
-    onSchedCreditReturn(const OutputScheduler &sched,
-                        Slot abs_slot) override
-    {
-        for (auto *t : targets_)
-            t->onSchedCreditReturn(sched, abs_slot);
-    }
-
-    void
-    onSchedCreditNegative(const OutputScheduler &sched,
-                          Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onSchedCreditNegative(sched, now);
-    }
-
-    void
-    onSchedLocalReset(const OutputScheduler &sched, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onSchedLocalReset(sched, now);
-    }
-
-    void
-    onFaultInjected(FaultKind kind, NodeId node, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFaultInjected(kind, node, now);
-    }
-
-    void
-    onFaultDetected(FaultKind kind, NodeId node, Cycle injectedAt,
-                    Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFaultDetected(kind, node, injectedAt, now);
-    }
-
-    void
-    onFaultRecovered(FaultKind kind, NodeId node, Cycle injectedAt,
-                     Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFaultRecovered(kind, node, injectedAt, now);
-    }
-
-    void
-    onFlitDropped(NodeId node, const Flit &flit, Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onFlitDropped(node, flit, now);
-    }
-
-    void
-    onSourceThrottled(NodeId node, FlowId flow, StallReason reason,
-                      Cycle now) override
-    {
-        for (auto *t : targets_)
-            t->onSourceThrottled(node, flow, reason, now);
+        for (NetObserver *t : targets_)
+            t->consume(e);
     }
 
   private:

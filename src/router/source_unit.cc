@@ -34,7 +34,9 @@ SourceUnit::enqueue(const Packet &pkt)
               node_, pkt.src);
     queue_.push_back(pkt);
     queuedFlits_ += pkt.sizeFlits;
-    NOC_OBSERVE(observer_, onPacketAccepted(node_, pkt, pkt.enqueuedAt));
+    NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::PacketAccepted,
+                            .node = node_, .pkt = pkt,
+                            .now = pkt.enqueuedAt});
     return true;
 }
 
@@ -79,8 +81,9 @@ SourceUnit::tick(Cycle now)
         }
         if (chosen == params_.numVCs) {
             NOC_OBSERVE(observer_,
-                        onSourceThrottled(node_, queue_.front().flow,
-                                          StallReason::NoVc, now));
+                        {.kind = NetEvent::Kind::SourceThrottled,
+                         .node = node_, .flow = queue_.front().flow,
+                         .reason = StallReason::NoVc, .now = now});
         }
         std::uint64_t frame_tag = 0;
         if (chosen < params_.numVCs &&
@@ -115,7 +118,9 @@ SourceUnit::tick(Cycle now)
         flit.payload = flitPayload(flit.flow, flit.flitNo);
 
         out_->send(now, WireFlit{flit, currentVC_});
-        NOC_OBSERVE(observer_, onFlitSourced(node_, flit, false, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitSourced,
+                                .node = node_, .flit = flit,
+                                .spec = false, .now = now});
         --vcs_[currentVC_].credits;
         --queuedFlits_;
         ++sentFlits_;
@@ -124,9 +129,10 @@ SourceUnit::tick(Cycle now)
         if (tail)
             sending_ = false;
     } else if (sending_) {
-        NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, current_.flow,
-                                      StallReason::NoCredit, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
+                                .node = node_, .flow = current_.flow,
+                                .reason = StallReason::NoCredit,
+                                .now = now});
     }
 }
 

@@ -118,9 +118,11 @@ WormholeRouter::receiveFlits(Cycle now)
                       "(credit protocol violated)", id_, p, wf->vc);
             // Flit arriving now may traverse the switch after the
             // remaining pipeline stages.
-            NOC_OBSERVE(observer_,
-                        onFlitArrived(id_, static_cast<Port>(p),
-                                      wf->flit, false, now));
+            NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitArrived,
+                                    .node = id_,
+                                    .port = static_cast<Port>(p),
+                                    .flit = wf->flit, .spec = false,
+                                    .now = now});
             vcPush(v, wf->flit, now + params_.routerStages - 1);
         }
     }
@@ -190,9 +192,11 @@ WormholeRouter::switchAllocAndTraverse(Cycle now)
         vcPop(v);
 
         out_[outp]->send(now, WireFlit{flit, v.outVC});
-        NOC_OBSERVE(observer_,
-                    onFlitForwarded(id_, static_cast<Port>(outp), flit,
-                                    false, now));
+        NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitForwarded,
+                                .node = id_,
+                                .port = static_cast<Port>(outp),
+                                .flit = flit, .spec = false,
+                                .now = now});
         --o.credits;
         if (creditReturn_[win])
             creditReturn_[win]->send(

@@ -106,24 +106,20 @@ struct TelemetryEpoch
     std::vector<NodeCounters> nodes;
 };
 
-// The collector must consciously account for every observer hook: each
-// NetObserver hook is either overridden below or explicitly waived
-// here (enforced by the loft-observer-hook-parity lint check).
-// loft-tidy: complete-observer
-// loft-tidy: hook-ignored(onQuantumScheduled)   — grant counters come
-//     from onSchedGrant; the router-side echo would double-count.
-// loft-tidy: hook-ignored(onNiQuantumScheduled) — same, for the NI.
-// loft-tidy: hook-ignored(onSchedFlowRegistered) — static setup, not a
-//     time-series event.
-// loft-tidy: hook-ignored(onSchedBookingCleared) — table occupancy is
-//     sampled as a gauge each epoch, not replayed from events.
-// loft-tidy: hook-ignored(onSchedCreditNegative) — anomaly counting is
-//     the auditor's job; telemetry reports the scheduler's own counter.
-// loft-tidy: hook-ignored(onFlitDropped)        — drops surface through
-//     the fault counters (onFaultInjected/Detected/Recovered).
-// loft-tidy: hook-ignored(onSourceThrottled)    — stall attribution is
-//     the trace subsystem's job (src/trace); the time series already
-//     reflects back-pressure through the utilization counters.
+// Hooks the collector leaves at NetObserver's empty defaults, and why:
+//  - onQuantumScheduled: grant counters come from onSchedGrant; the
+//    router-side echo would double-count.
+//  - onNiQuantumScheduled: same, for the NI.
+//  - onSchedFlowRegistered: static setup, not a time-series event.
+//  - onSchedBookingCleared: table occupancy is sampled as a gauge each
+//    epoch, not replayed from events.
+//  - onSchedCreditNegative: anomaly counting is the auditor's job;
+//    telemetry reports the scheduler's own counter.
+//  - onFlitDropped: drops surface through the fault counters
+//    (onFaultInjected/Detected/Recovered).
+//  - onSourceThrottled: stall attribution is the trace subsystem's job
+//    (src/trace); the time series already reflects back-pressure
+//    through the utilization counters.
 // loft-tidy: phase-serial — keyless: ticked in the serial epilogue and
 //     fed through the DeferredObserver merge, never inside the
 //     partitioned phase.
@@ -220,6 +216,7 @@ class TelemetryCollector final : public NetObserver, public Clocked
     // Clocked: closes sampling epochs.
     void tick(Cycle now) override;
 
+  protected:
     // NetObserver
     void onPacketAccepted(NodeId node, const Packet &pkt,
                           Cycle now) override;

@@ -153,30 +153,22 @@ struct TraceSummary
  *  (submission order; deterministic). */
 TraceSummary mergeTraceSummaries(const std::vector<TraceSummary> &parts);
 
-// The collector must consciously account for every observer hook: each
-// NetObserver hook is either overridden below or explicitly waived
-// here (enforced by the loft-observer-hook-parity lint check).
-// loft-tidy: complete-observer
-// loft-tidy: hook-ignored(onSchedFlowRegistered) — static setup; the
-//     blame windows come from the forward/sourced events.
-// loft-tidy: hook-ignored(onSchedGrant)         — the router-side
-//     onQuantumScheduled echo carries the packet identity the trace
-//     needs; raw grants do not name a packet.
-// loft-tidy: hook-ignored(onSchedSkipped)       — FRS bookkeeping,
-//     not a packet-lifecycle event.
-// loft-tidy: hook-ignored(onSchedBookingCleared) — booking teardown;
-//     the decomposition only needs the grant-time slot.
-// loft-tidy: hook-ignored(onSchedCreditReturn)  — credit plumbing,
-//     audited elsewhere; irrelevant to latency attribution.
-// loft-tidy: hook-ignored(onSchedCreditNegative) — anomaly counting
-//     is the auditor's job.
-// loft-tidy: hook-ignored(onSchedLocalReset)    — rebases scheduler
-//     slot origins; per-packet timelines are unaffected.
-// loft-tidy: hook-ignored(onFaultInjected)      — fault accounting
-//     lives in FaultMonitor; the flight recorder captures the
-//     consequences (drops, stalls) at flit granularity.
-// loft-tidy: hook-ignored(onFaultDetected)      — same.
-// loft-tidy: hook-ignored(onFaultRecovered)     — same.
+// Hooks the collector leaves at NetObserver's empty defaults, and why:
+//  - onSchedFlowRegistered: static setup; the blame windows come from
+//    the forward/sourced events.
+//  - onSchedGrant: the router-side onQuantumScheduled echo carries the
+//    packet identity the trace needs; raw grants do not name a packet.
+//  - onSchedSkipped: FRS bookkeeping, not a packet-lifecycle event.
+//  - onSchedBookingCleared: booking teardown; the decomposition only
+//    needs the grant-time slot.
+//  - onSchedCreditReturn: credit plumbing, audited elsewhere;
+//    irrelevant to latency attribution.
+//  - onSchedCreditNegative: anomaly counting is the auditor's job.
+//  - onSchedLocalReset: rebases scheduler slot origins; per-packet
+//    timelines are unaffected.
+//  - onFaultInjected, onFaultDetected, onFaultRecovered: fault
+//    accounting lives in FaultMonitor; the flight recorder captures
+//    the consequences (drops, stalls) at flit granularity.
 class TraceCollector final : public NetObserver
 {
   public:
@@ -229,6 +221,7 @@ class TraceCollector final : public NetObserver
     const ChromeTraceWriter &spanWriter() const { return spans_; }
     /// @}
 
+  protected:
     // NetObserver
     void onPacketAccepted(NodeId node, const Packet &pkt,
                           Cycle now) override;

@@ -322,7 +322,8 @@ TEST(Watchdog, TripsOnStalledFlitAndStaysSoft)
     flit.flitNo = 0;
     flit.src = 0;
     flit.dst = 3;
-    auditor.onFlitSourced(0, flit, false, 10);
+    auditor.consume({.kind = NetEvent::Kind::FlitSourced, .node = 0,
+                     .flit = flit, .now = 10});
 
     for (Cycle t = 0; t < 1000; t += 64)
         auditor.tick(t);
@@ -358,8 +359,10 @@ TEST(Ledger, DuplicateSourcingIsAConservationViolation)
     flit.flitNo = 7;
     flit.src = 0;
     flit.dst = 3;
-    auditor.onFlitSourced(0, flit, false, 5);
-    auditor.onFlitSourced(0, flit, false, 6);
+    auditor.consume({.kind = NetEvent::Kind::FlitSourced, .node = 0,
+                     .flit = flit, .now = 5});
+    auditor.consume({.kind = NetEvent::Kind::FlitSourced, .node = 0,
+                     .flit = flit, .now = 6});
     EXPECT_EQ(auditor.countOf(AuditKind::Conservation), 1u);
     EXPECT_GE(auditor.hardViolationCount(), 1u);
 }
@@ -376,9 +379,13 @@ TEST(Ledger, EjectionAtWrongNodeIsAConservationViolation)
     flit.flitNo = 0;
     flit.src = 0;
     flit.dst = 3;
-    auditor.onFlitSourced(0, flit, false, 5);
-    auditor.onFlitArrived(1, Port::West, flit, false, 7);
-    auditor.onFlitEjected(1, flit, 8); // dst is 3, not 1
+    auditor.consume({.kind = NetEvent::Kind::FlitSourced, .node = 0,
+                     .flit = flit, .now = 5});
+    auditor.consume({.kind = NetEvent::Kind::FlitArrived, .node = 1,
+                     .port = Port::West, .flit = flit, .now = 7});
+    // dst is 3, not 1
+    auditor.consume({.kind = NetEvent::Kind::FlitEjected, .node = 1,
+                     .flit = flit, .now = 8});
     EXPECT_EQ(auditor.countOf(AuditKind::Conservation), 1u);
 }
 

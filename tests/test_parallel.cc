@@ -21,7 +21,9 @@
 #include "gsf/gsf_network.hh"
 #include "harness/sweep.hh"
 #include "net/channel.hh"
+#include "net/deferred_observer.hh"
 #include "qos/allocation.hh"
+#include "sim/phase_sanitizer.hh"
 #include "sim/simulator.hh"
 
 namespace noc
@@ -70,10 +72,10 @@ struct MatrixCase
 };
 
 std::string
-matrixName(const ::testing::TestParamInfo<MatrixCase> &info)
+matrixName(const MatrixCase &c)
 {
     std::string name;
-    switch (info.param.kind) {
+    switch (c.kind) {
       case NetKind::Loft:
         name = "Loft";
         break;
@@ -84,9 +86,17 @@ matrixName(const ::testing::TestParamInfo<MatrixCase> &info)
         name = "Wormhole";
         break;
     }
-    name += info.param.audit ? "_AuditOn" : "_AuditOff";
-    name += info.param.telemetry ? "_TelemetryOn" : "_TelemetryOff";
+    name += c.audit ? "_AuditOn" : "_AuditOff";
+    name += c.telemetry ? "_TelemetryOn" : "_TelemetryOff";
     return name;
+}
+
+// Without a PrintTo gtest appends the case's raw bytes, uninitialised
+// padding included, to the ctest name, which then changes per run.
+void
+PrintTo(const MatrixCase &c, std::ostream *os)
+{
+    *os << matrixName(c);
 }
 
 class ParallelBitIdentity : public ::testing::TestWithParam<MatrixCase>
@@ -145,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{NetKind::Wormhole, true, true},
         MatrixCase{NetKind::Wormhole, true, false},
         MatrixCase{NetKind::Wormhole, false, false}),
-    matrixName);
+    [](const auto &info) { return matrixName(info.param); });
 
 /// ---------------------------------------------------------------
 /// Domain-barrier properties on bare channels: a value sent at cycle
@@ -372,6 +382,98 @@ TEST(ParallelQuiescence, PartitionedRunDeliversAndDrains)
     EXPECT_TRUE(sim.runUntil(
         [&] { return sim.activeComponents() == 0; }, 20000));
     EXPECT_EQ(net->metrics().totalPackets(), 1u);
+}
+
+/// ---------------------------------------------------------------
+/// DeferredObserver on its own: events buffered by fake domains are
+/// replayed in serial component order at the barrier.
+/// ---------------------------------------------------------------
+
+/** Records the node and flit payload of every event it consumes. */
+class EventLog final : public NetObserver
+{
+  public:
+    std::vector<std::pair<NodeId, std::uint64_t>> events;
+
+    void consume(const NetEvent &e) override
+    {
+        events.emplace_back(e.node, e.flit.payload);
+    }
+};
+
+/** Emit one event as component @p component of domain @p domain
+ *  would inside the partitioned phase; @p node identifies it. */
+void
+emitFromDomain(NetObserver &obs, int domain, std::uint32_t component,
+               NodeId node)
+{
+    par::ctx().domain = domain;
+    par::ctx().component = component;
+    LOFT_PSAN_SET_PHASE(SimPhase::Partitioned, 1);
+    Flit flit;
+    flit.payload = 1000 + node;
+    obs.consume({.kind = NetEvent::Kind::FlitEjected, .node = node,
+                 .flit = flit, .now = 1});
+    par::ctx().domain = par::kDirect;
+    LOFT_PSAN_SET_PHASE(SimPhase::Barrier, 1);
+}
+
+using Logged = std::vector<std::pair<NodeId, std::uint64_t>>;
+
+TEST(DeferredObserver, MergeReplaysEventsInComponentOrder)
+{
+    EventLog sink;
+    DeferredObserver defer(&sink);
+    defer.beginParallel(2);
+    // Domain 0 runs components 0 and 2, domain 1 runs 1 and 3; the
+    // domains interleave freely, each in its own component order.
+    emitFromDomain(defer, 1, 1, 10);
+    emitFromDomain(defer, 0, 0, 0);
+    emitFromDomain(defer, 1, 1, 11);
+    emitFromDomain(defer, 0, 2, 20);
+    emitFromDomain(defer, 1, 3, 30);
+    emitFromDomain(defer, 0, 2, 21);
+    EXPECT_TRUE(sink.events.empty());
+
+    defer.mergeDomains();
+    EXPECT_EQ(sink.events, (Logged{{0, 1000},
+                                   {10, 1010},
+                                   {11, 1011},
+                                   {20, 1020},
+                                   {21, 1021},
+                                   {30, 1030}}));
+    defer.mergeDomains(); // the buffers were drained
+    EXPECT_EQ(sink.events.size(), 6u);
+    defer.endParallel();
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
+}
+
+TEST(DeferredObserver, EventOutsideAParallelWindowPassesStraightThrough)
+{
+    EventLog sink;
+    DeferredObserver defer(&sink);
+    defer.consume({.kind = NetEvent::Kind::FlitEjected, .node = 5});
+    EXPECT_EQ(sink.events, (Logged{{5, 0}}));
+
+    // An open window with the calling thread in no domain (a serial
+    // prologue or epilogue component) still delivers directly.
+    defer.beginParallel(2);
+    defer.consume({.kind = NetEvent::Kind::FlitEjected, .node = 6});
+    EXPECT_EQ(sink.events, (Logged{{5, 0}, {6, 0}}));
+    defer.endParallel();
+}
+
+TEST(DeferredObserver, EndParallelDropsBufferedEvents)
+{
+    EventLog sink;
+    DeferredObserver defer(&sink);
+    defer.beginParallel(2);
+    emitFromDomain(defer, 0, 0, 1);
+    emitFromDomain(defer, 1, 1, 2);
+    defer.endParallel();
+    defer.mergeDomains();
+    EXPECT_TRUE(sink.events.empty());
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
 }
 
 /// ---------------------------------------------------------------

@@ -39,6 +39,16 @@ struct SchedCase
     std::uint64_t seed;
 };
 
+// Without a PrintTo gtest names each case by its raw bytes, and the
+// uninitialised padding in them changes the ctest names from run to run.
+void
+PrintTo(const SchedCase &sc, std::ostream *os)
+{
+    *os << "F" << sc.frameFlits << " WF" << sc.windowFrames << " flows "
+        << sc.numFlows << " return " << sc.creditReturnProb << " seed "
+        << sc.seed;
+}
+
 class TheoremOne : public ::testing::TestWithParam<SchedCase>
 {
 };
@@ -166,6 +176,15 @@ struct NetCase
     bool reset;
     std::uint64_t seed;
 };
+
+void
+PrintTo(const NetCase &nc, std::ostream *os)
+{
+    *os << "q" << nc.quantumFlits << " F" << nc.frameFlits << " buf"
+        << nc.specBuffer << " pkt" << nc.packetSize
+        << (nc.speculative ? " spec" : " nospec")
+        << (nc.reset ? " reset" : " noreset") << " seed " << nc.seed;
+}
 
 class Conservation : public ::testing::TestWithParam<NetCase>
 {

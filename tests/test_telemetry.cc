@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the telemetry subsystem: the ObserverMux fan-out, counter
- * conservation of the TelemetryCollector against the MetricsCollector
- * on a small mesh, epoch-sampling semantics, and the shape of the
- * CSV / Chrome-trace exports.
+ * Tests for the telemetry subsystem: the ObserverMux fan-out and the
+ * NetObserver::consume decode, counter conservation of the
+ * TelemetryCollector against the MetricsCollector on a small mesh,
+ * epoch-sampling semantics, and the shape of the CSV / Chrome-trace
+ * exports.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/output_scheduler.hh"
 #include "harness/experiment.hh"
 #include "net/observer_mux.hh"
 #include "qos/allocation.hh"
@@ -23,42 +26,139 @@ namespace
 {
 
 // ---------------------------------------------------------------
-// ObserverMux
+// Observer plumbing: ObserverMux fan-out, and NetObserver::consume
+// calling each kind's own hook with the record's fields as arguments.
 // ---------------------------------------------------------------
 
-/** Observer that logs which instance saw which event, in order. */
-class RecordingObserver : public NetObserver
+/** Logs every hook call as "<name>Hook arg...", one line per call. */
+class HookLog final : public NetObserver
 {
   public:
-    explicit RecordingObserver(std::vector<std::string> *log,
-                               std::string name)
-        : log_(log), name_(std::move(name))
+    HookLog(std::vector<std::string> *lines, std::string name)
+        : lines_(lines), name_(std::move(name))
     {
     }
 
-    void onFlitEjected(NodeId node, const Flit &flit, Cycle now) override
+  protected:
+    void onPacketAccepted(NodeId n, const Packet &p, Cycle t) override
     {
-        (void)flit;
-        (void)now;
-        log_->push_back(name_ + ":eject@" + std::to_string(node));
+        add("PacketAccepted", n, p.id, t);
     }
-
-    void onMissedSlot(NodeId node, Port out, Cycle now) override
+    void onFlitSourced(NodeId n, const Flit &f, bool spec, Cycle t) override
     {
-        (void)out;
-        (void)now;
-        log_->push_back(name_ + ":miss@" + std::to_string(node));
+        add("FlitSourced", n, f.flitNo, spec, t);
+    }
+    void onFlitArrived(NodeId n, Port in, const Flit &f, bool spec,
+                       Cycle t) override
+    {
+        add("FlitArrived", n, portName(in), f.flitNo, spec, t);
+    }
+    void onFlitForwarded(NodeId n, Port out, const Flit &f, bool spec,
+                         Cycle t) override
+    {
+        add("FlitForwarded", n, portName(out), f.flitNo, spec, t);
+    }
+    void onFlitEjected(NodeId n, const Flit &f, Cycle t) override
+    {
+        add("FlitEjected", n, f.flitNo, t);
+    }
+    void onPacketDelivered(NodeId n, FlowId flow, PacketId pkt,
+                           Cycle t) override
+    {
+        add("PacketDelivered", n, flow, pkt, t);
+    }
+    void onLookaheadAdmitted(NodeId n, Port in, const LookaheadFlit &la,
+                             Cycle t) override
+    {
+        add("LookaheadAdmitted", n, portName(in), la.quantumNo, t);
+    }
+    void onQuantumScheduled(NodeId n, Port out, const LookaheadFlit &la,
+                            Slot granted, Cycle t) override
+    {
+        add("QuantumScheduled", n, portName(out), la.quantumNo, granted, t);
+    }
+    void onNiQuantumScheduled(NodeId n, const LookaheadFlit &la,
+                              Slot granted, Cycle t) override
+    {
+        add("NiQuantumScheduled", n, la.quantumNo, granted, t);
+    }
+    void onMissedSlot(NodeId n, Port out, Cycle t) override
+    {
+        add("MissedSlot", n, portName(out), t);
+    }
+    void onSchedFlowRegistered(const OutputScheduler &s, FlowId flow,
+                               std::uint32_t quanta) override
+    {
+        add("SchedFlowRegistered", s.name(), flow, quanta);
+    }
+    void onSchedGrant(const OutputScheduler &s, FlowId flow,
+                      std::uint64_t quantum_no, Slot slot,
+                      std::uint64_t frame, Cycle t) override
+    {
+        add("SchedGrant", s.name(), flow, quantum_no, slot, frame, t);
+    }
+    void onSchedSkipped(const OutputScheduler &s, FlowId flow,
+                        std::uint32_t quanta, std::uint64_t frame,
+                        Cycle t) override
+    {
+        add("SchedSkipped", s.name(), flow, quanta, frame, t);
+    }
+    void onSchedBookingCleared(const OutputScheduler &s, Slot slot) override
+    {
+        add("SchedBookingCleared", s.name(), slot);
+    }
+    void onSchedCreditReturn(const OutputScheduler &s, Slot slot) override
+    {
+        add("SchedCreditReturn", s.name(), slot);
+    }
+    void onSchedCreditNegative(const OutputScheduler &s, Cycle t) override
+    {
+        add("SchedCreditNegative", s.name(), t);
+    }
+    void onSchedLocalReset(const OutputScheduler &s, Cycle t) override
+    {
+        add("SchedLocalReset", s.name(), t);
+    }
+    void onFaultInjected(FaultKind k, NodeId n, Cycle t) override
+    {
+        add("FaultInjected", faultKindName(k), n, t);
+    }
+    void onFaultDetected(FaultKind k, NodeId n, Cycle at, Cycle t) override
+    {
+        add("FaultDetected", faultKindName(k), n, at, t);
+    }
+    void onFaultRecovered(FaultKind k, NodeId n, Cycle at, Cycle t) override
+    {
+        add("FaultRecovered", faultKindName(k), n, at, t);
+    }
+    void onFlitDropped(NodeId n, const Flit &f, Cycle t) override
+    {
+        add("FlitDropped", n, f.flitNo, t);
+    }
+    void onSourceThrottled(NodeId n, FlowId flow, StallReason r,
+                           Cycle t) override
+    {
+        add("SourceThrottled", n, flow, stallReasonName(r), t);
     }
 
   private:
-    std::vector<std::string> *log_;
+    template <typename... Args>
+    void add(const char *hook, const Args &...args)
+    {
+        std::ostringstream os;
+        os << name_ << hook;
+        ((os << ' ' << args), ...);
+        lines_->push_back(os.str());
+    }
+
+    std::vector<std::string> *lines_;
     std::string name_;
 };
 
 TEST(ObserverMux, IgnoresNullAndDuplicates)
 {
     std::vector<std::string> log;
-    RecordingObserver a(&log, "a");
+    HookLog a(&log, "a:");
     ObserverMux mux;
     mux.add(nullptr);
     EXPECT_EQ(mux.numTargets(), 0u);
@@ -66,43 +166,110 @@ TEST(ObserverMux, IgnoresNullAndDuplicates)
     mux.add(&a); // duplicate: not added twice
     EXPECT_EQ(mux.numTargets(), 1u);
 
-    Flit f;
-    mux.onFlitEjected(3, f, 10);
-    EXPECT_EQ(log, (std::vector<std::string>{"a:eject@3"}));
+    mux.consume({.kind = NetEvent::Kind::FlitEjected, .node = 3,
+                 .now = 10});
+    EXPECT_EQ(log, (std::vector<std::string>{"a:FlitEjected 3 0 10"}));
 }
 
 TEST(ObserverMux, FanOutInRegistrationOrder)
 {
     std::vector<std::string> log;
-    RecordingObserver a(&log, "a");
-    RecordingObserver b(&log, "b");
+    HookLog a(&log, "a:");
+    HookLog b(&log, "b:");
     ObserverMux mux;
     mux.add(&a);
     mux.add(&b);
 
-    Flit f;
-    mux.onFlitEjected(1, f, 5);
-    mux.onMissedSlot(2, Port::East, 6);
-    EXPECT_EQ(log, (std::vector<std::string>{"a:eject@1", "b:eject@1",
-                                             "a:miss@2", "b:miss@2"}));
+    mux.consume({.kind = NetEvent::Kind::FlitEjected, .node = 1,
+                 .now = 5});
+    mux.consume({.kind = NetEvent::Kind::MissedSlot, .node = 2,
+                 .port = Port::East, .now = 6});
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "a:FlitEjected 1 0 5", "b:FlitEjected 1 0 5",
+                       "a:MissedSlot 2 East 6", "b:MissedSlot 2 East 6"}));
 }
 
-TEST(ObserverMux, RemoveDetachesOneTarget)
+TEST(NetObserver, ConsumeCallsTheHookOfEachKind)
 {
-    std::vector<std::string> log;
-    RecordingObserver a(&log, "a");
-    RecordingObserver b(&log, "b");
-    ObserverMux mux;
-    mux.add(&a);
-    mux.add(&b);
-    mux.remove(&a);
-    EXPECT_EQ(mux.numTargets(), 1u);
+    using K = NetEvent::Kind;
+    const OutputScheduler sched(LoftParams{}, "s");
+    Packet pkt;
+    pkt.id = 7;
+    Flit flit;
+    flit.flitNo = 8;
+    LookaheadFlit la;
+    la.quantumNo = 9;
 
-    Flit f;
-    mux.onFlitEjected(0, f, 1);
-    EXPECT_EQ(log, (std::vector<std::string>{"b:eject@0"}));
-    mux.remove(&a); // absent: no-op
-    EXPECT_EQ(mux.numTargets(), 1u);
+    // Every value a hook receives differs from the others of its
+    // event, so a field passed in the wrong position shows.
+    const NetEvent events[] = {
+        {.kind = K::PacketAccepted, .node = 1, .pkt = pkt, .now = 100},
+        {.kind = K::FlitSourced, .node = 1, .flit = flit, .spec = true,
+         .now = 101},
+        {.kind = K::FlitArrived, .node = 2, .port = Port::East,
+         .flit = flit, .spec = true, .now = 102},
+        {.kind = K::FlitForwarded, .node = 2, .port = Port::West,
+         .flit = flit, .now = 103},
+        {.kind = K::FlitEjected, .node = 3, .flit = flit, .now = 104},
+        {.kind = K::PacketDelivered, .node = 3, .flow = 4, .packet = 7,
+         .now = 105},
+        {.kind = K::LookaheadAdmitted, .node = 2, .port = Port::North,
+         .la = la, .now = 106},
+        {.kind = K::QuantumScheduled, .node = 2, .port = Port::Local,
+         .la = la, .slot = 50, .now = 107},
+        {.kind = K::NiQuantumScheduled, .node = 1, .la = la, .slot = 51,
+         .now = 108},
+        {.kind = K::MissedSlot, .node = 2, .port = Port::South,
+         .now = 109},
+        {.kind = K::SchedFlowRegistered, .sched = &sched, .flow = 4,
+         .quanta = 3},
+        {.kind = K::SchedGrant, .sched = &sched, .flow = 4,
+         .quantumNo = 9, .slot = 52, .frame = 6, .now = 110},
+        {.kind = K::SchedSkipped, .sched = &sched, .flow = 4, .quanta = 2,
+         .frame = 6, .now = 111},
+        {.kind = K::SchedBookingCleared, .sched = &sched, .slot = 53},
+        {.kind = K::SchedCreditReturn, .sched = &sched, .slot = 54},
+        {.kind = K::SchedCreditNegative, .sched = &sched, .now = 112},
+        {.kind = K::SchedLocalReset, .sched = &sched, .now = 113},
+        {.kind = K::FaultInjected, .fault = FaultKind::CreditLoss,
+         .node = 5, .now = 114},
+        {.kind = K::FaultDetected, .fault = FaultKind::DataCorrupt,
+         .node = 5, .injectedAt = 90, .now = 115},
+        {.kind = K::FaultRecovered, .fault = FaultKind::LinkStall,
+         .node = 5, .injectedAt = 91, .now = 116},
+        {.kind = K::FlitDropped, .node = 6, .flit = flit, .now = 117},
+        {.kind = K::SourceThrottled, .node = 1, .flow = 4,
+         .reason = StallReason::NoLaCredit, .now = 118},
+    };
+    std::vector<std::string> lines;
+    HookLog log(&lines, "");
+    for (const NetEvent &e : events)
+        log.consume(e);
+
+    EXPECT_EQ(lines, (std::vector<std::string>{
+                             "PacketAccepted 1 7 100",
+                             "FlitSourced 1 8 1 101",
+                             "FlitArrived 2 East 8 1 102",
+                             "FlitForwarded 2 West 8 0 103",
+                             "FlitEjected 3 8 104",
+                             "PacketDelivered 3 4 7 105",
+                             "LookaheadAdmitted 2 North 9 106",
+                             "QuantumScheduled 2 Local 9 50 107",
+                             "NiQuantumScheduled 1 9 51 108",
+                             "MissedSlot 2 South 109",
+                             "SchedFlowRegistered s 4 3",
+                             "SchedGrant s 4 9 52 6 110",
+                             "SchedSkipped s 4 2 6 111",
+                             "SchedBookingCleared s 53",
+                             "SchedCreditReturn s 54",
+                             "SchedCreditNegative s 112",
+                             "SchedLocalReset s 113",
+                             "FaultInjected credit_loss 5 114",
+                             "FaultDetected data_corrupt 5 90 115",
+                             "FaultRecovered link_stall 5 91 116",
+                             "FlitDropped 6 8 117",
+                             "SourceThrottled 1 4 no_la_credit 118",
+                         }));
 }
 
 // ---------------------------------------------------------------

@@ -10,14 +10,6 @@
  *
  * Structural expectations are communicated through `loft-tidy:`
  * annotation comments:
- *   - `loft-tidy: observer-base`            the class whose virtual
- *     `on*` methods form the hook vocabulary;
- *   - `loft-tidy: complete-observer`        class must override or
- *     explicitly waive every hook;
- *   - `loft-tidy: complete-observer(strict)` class must override every
- *     hook, waivers are not allowed (the ObserverMux contract);
- *   - `loft-tidy: hook-ignored(onFoo)`      conscious waiver of one
- *     hook on a complete-observer class;
  *   - `loft-tidy: clocked-base`             intentional non-final
  *     intermediate Clocked base class;
  *   - `loft-tidy: steady-state-hot`         function runs every cycle
@@ -95,8 +87,8 @@ struct ClassDecl
 struct Annotation
 {
     int line = 0;
-    std::string directive; ///< e.g. "complete-observer"
-    std::string arg;       ///< e.g. "strict" / "onFoo" (may be empty)
+    std::string directive; ///< e.g. "deferred-endpoint"
+    std::string arg;       ///< e.g. "DeferredObserver" (may be empty)
 };
 
 /** A lexically discovered member-function definition (with a body). */
@@ -152,8 +144,6 @@ struct Context
 /** Check names, as they appear in diagnostics and NOLINT lists. */
 inline constexpr char kCheckUnorderedIteration[] =
     "loft-unordered-iteration-escape";
-inline constexpr char kCheckObserverParity[] =
-    "loft-observer-hook-parity";
 inline constexpr char kCheckRngDiscipline[] =
     "loft-rng-stream-discipline";
 inline constexpr char kCheckClockedComponent[] =
@@ -169,8 +159,6 @@ inline constexpr char kCheckStaleSuppression[] =
 
 void checkUnorderedIteration(const Context &ctx,
                              std::vector<Diagnostic> &out);
-void checkObserverParity(const Context &ctx,
-                         std::vector<Diagnostic> &out);
 void checkRngDiscipline(const Context &ctx,
                         std::vector<Diagnostic> &out);
 void checkClockedComponent(const Context &ctx,

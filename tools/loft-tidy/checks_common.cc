@@ -396,10 +396,9 @@ checkStaleSuppression(const Context &ctx,
                       std::vector<Diagnostic> &out)
 {
     const std::set<std::string> known = {
-        kCheckUnorderedIteration, kCheckObserverParity,
-        kCheckRngDiscipline,      kCheckClockedComponent,
-        kCheckSteadyStateAlloc,   kCheckPhaseDiscipline,
-        kCheckCrossDomainChannel,
+        kCheckUnorderedIteration, kCheckRngDiscipline,
+        kCheckClockedComponent,   kCheckSteadyStateAlloc,
+        kCheckPhaseDiscipline,    kCheckCrossDomainChannel,
     };
     for (const FileUnit &u : ctx.units) {
         for (const auto &[line, text] : u.commentOnLine) {

@@ -57,7 +57,6 @@ struct Options
 
 const char *const kAllChecks[] = {
     kCheckUnorderedIteration,
-    kCheckObserverParity,
     kCheckRngDiscipline,
     kCheckClockedComponent,
     kCheckSteadyStateAlloc,
@@ -343,8 +342,6 @@ main(int argc, char **argv)
     };
     timed(kCheckUnorderedIteration,
           [&] { checkUnorderedIteration(ctx, diags); });
-    timed(kCheckObserverParity,
-          [&] { checkObserverParity(ctx, diags); });
     timed(kCheckRngDiscipline, [&] { checkRngDiscipline(ctx, diags); });
     timed(kCheckClockedComponent,
           [&] { checkClockedComponent(ctx, diags); });
