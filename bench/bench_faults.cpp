@@ -35,20 +35,6 @@ const std::vector<double> kFaultRates{0.0, 1e-5, 1e-4, 5e-4, 1e-3};
 const std::vector<std::uint64_t> kSeeds{1, 2, 3};
 constexpr double kLoad = 0.2;
 
-const char *
-kindName(NetKind kind)
-{
-    switch (kind) {
-      case NetKind::Loft:
-        return "loft";
-      case NetKind::Gsf:
-        return "gsf";
-      case NetKind::Wormhole:
-        return "wormhole";
-    }
-    return "?";
-}
-
 std::string
 rateLabel(double rate)
 {
@@ -189,7 +175,7 @@ main(int argc, char **argv)
     noc::bench::Json networks;
     for (NetKind kind :
          {NetKind::Loft, NetKind::Gsf, NetKind::Wormhole}) {
-        std::printf("\n%s\n", kindName(kind));
+        std::printf("\n%s\n", netKindName(kind));
         noc::bench::printRule();
         std::printf("%-8s %9s %9s %9s %8s %9s %9s %9s\n", "rate",
                     "injected", "detected", "recovered", "dropped",
@@ -221,7 +207,7 @@ main(int argc, char **argv)
                 .set("watchdogs", cell.watchdogs);
             rates.set(label, j);
         }
-        networks.set(kindName(kind), rates);
+        networks.set(netKindName(kind), rates);
     }
 
     noc::bench::printRule();

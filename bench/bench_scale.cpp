@@ -41,20 +41,6 @@ constexpr unsigned kSizes[] = {8, 16, 32, 64};
 constexpr NetKind kKinds[] = {NetKind::Loft, NetKind::Gsf,
                               NetKind::Wormhole};
 
-const char *
-kindName(NetKind k)
-{
-    switch (k) {
-      case NetKind::Loft:
-        return "loft";
-      case NetKind::Gsf:
-        return "gsf";
-      case NetKind::Wormhole:
-        return "wormhole";
-    }
-    return "?";
-}
-
 RunConfig
 scaleConfig(NetKind kind, unsigned size)
 {
@@ -144,7 +130,7 @@ main(int argc, char **argv)
         for (const NetKind kind : kKinds) {
             const ScalePoint p = runPoint(kind, size);
             std::printf("%-8s %-10s %14.3g %18.3g %12.4f %8llu\n",
-                        mesh_key.c_str(), kindName(kind),
+                        mesh_key.c_str(), netKindName(kind),
                         p.cyclesPerSec, p.nodeCyclesPerSec,
                         p.throughput,
                         static_cast<unsigned long long>(p.steadyAllocs));
@@ -157,7 +143,7 @@ main(int argc, char **argv)
                 .set("node_cycles_per_sec", p.nodeCyclesPerSec)
                 .set("throughput", p.throughput)
                 .set("steady_allocs", p.steadyAllocs);
-            per_kind.set(kindName(kind), point);
+            per_kind.set(netKindName(kind), point);
         }
         meshes.set(mesh_key, per_kind);
     }

@@ -100,20 +100,6 @@ intraRunConfig(NetKind kind, unsigned workers)
 
 constexpr double kIntraLoad = 0.08;
 
-const char *
-kindName(NetKind kind)
-{
-    switch (kind) {
-      case NetKind::Loft:
-        return "loft";
-      case NetKind::Gsf:
-        return "gsf";
-      case NetKind::Wormhole:
-        return "wormhole";
-    }
-    return "?";
-}
-
 /** One serial-vs-partitioned comparison of a single 16x16 run. */
 struct IntraKindResult
 {
@@ -279,7 +265,7 @@ main(int argc, char **argv)
         intra_identical = intra_identical && r.identical;
         std::printf("intra %-8s serial=%6.3fs partitioned=%6.3fs "
                     "speedup=%.2fx identical: %s\n",
-                    kindName(kind), r.serialWallSeconds,
+                    netKindName(kind), r.serialWallSeconds,
                     r.parallelWallSeconds,
                     r.parallelWallSeconds > 0.0
                         ? r.serialWallSeconds / r.parallelWallSeconds

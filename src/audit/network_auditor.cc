@@ -136,12 +136,6 @@ NetworkAuditor::noteMovement(NodeId node, FlowId flow, Cycle now)
 }
 
 void
-NetworkAuditor::onPacketAccepted(NodeId, const Packet &, Cycle)
-{
-    ++packetsAccepted_;
-}
-
-void
 NetworkAuditor::onFlitSourced(NodeId node, const Flit &flit, bool spec,
                               Cycle now)
 {

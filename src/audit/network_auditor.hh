@@ -97,12 +97,6 @@ class NetworkAuditor final : public NetObserver, public Clocked
         postmortem_ = std::move(fn);
     }
 
-    /** Last cycle any flit moved at each node (watchdog forensics). */
-    const std::map<NodeId, Cycle> &nodeLastMovement() const
-    {
-        return nodeLastMovement_;
-    }
-
     /**
      * End-of-run check: with the network drained, the ledger must be
      * empty (every sourced flit ejected). Call after the simulation
@@ -130,27 +124,7 @@ class NetworkAuditor final : public NetObserver, public Clocked
     }
     /** Packet completions in the order the sinks reported them. */
     const std::vector<Delivery> &deliveries() const { return deliveries_; }
-    std::uint64_t packetsAccepted() const { return packetsAccepted_; }
     std::uint64_t flitsInLedger() const { return ledger_.size(); }
-
-    /// @}
-    /// @name Fault-event accounting (fault-injection runs)
-    /// @{
-
-    std::uint64_t faultsInjected(FaultKind k) const
-    {
-        return faultsInjected_[static_cast<std::size_t>(k)];
-    }
-    std::uint64_t faultsDetected(FaultKind k) const
-    {
-        return faultsDetected_[static_cast<std::size_t>(k)];
-    }
-    std::uint64_t faultsRecovered(FaultKind k) const
-    {
-        return faultsRecovered_[static_cast<std::size_t>(k)];
-    }
-    /** Flits retired by recovery give-up (accounted, not leaked). */
-    std::uint64_t flitsDropped() const { return flitsDropped_; }
 
     /// @}
 
@@ -159,8 +133,6 @@ class NetworkAuditor final : public NetObserver, public Clocked
 
   protected:
     // NetObserver
-    void onPacketAccepted(NodeId node, const Packet &pkt,
-                          Cycle now) override;
     void onFlitSourced(NodeId node, const Flit &flit, bool spec,
                        Cycle now) override;
     void onFlitArrived(NodeId node, Port in, const Flit &flit, bool spec,
@@ -248,8 +220,8 @@ class NetworkAuditor final : public NetObserver, public Clocked
 
     std::map<FlowId, std::uint64_t> deliveredFlits_;
     std::vector<Delivery> deliveries_;
-    std::uint64_t packetsAccepted_ = 0;
 
+    /// Fault-event accounting, printed by report().
     std::array<std::uint64_t, kNumFaultKinds> faultsInjected_{};
     std::array<std::uint64_t, kNumFaultKinds> faultsDetected_{};
     std::array<std::uint64_t, kNumFaultKinds> faultsRecovered_{};

@@ -156,12 +156,6 @@ class LoftDataRouter final : public Clocked
     {
         return outputs_[portIndex(p)].flitsForwarded;
     }
-    /** Bucket count of input @p p's record table (no-rehash probe:
-     *  pre-sized at construction, this must never change mid-run). */
-    std::size_t recordBucketCount(Port p) const
-    {
-        return inputs_[portIndex(p)].records.bucket_count();
-    }
     /// @}
 
   private:

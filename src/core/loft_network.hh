@@ -44,7 +44,6 @@ class LoftNetwork : public Network
 
     const LoftParams &params() const { return params_; }
     LoftDataRouter &dataRouter(NodeId n) { return *dataRouters_.at(n); }
-    LookaheadRouter &laRouter(NodeId n) { return *laRouters_.at(n); }
     LoftSourceUnit &source(NodeId n) { return *sources_.at(n); }
 
     /** Reservation in flits/frame derived from a bandwidth share. */

@@ -56,7 +56,6 @@ LoftSink::tick(Cycle now)
             now, VirtualCreditMsg{params_.slotOf(now)});
     }
 
-    ++flitsEjected_;
     if (metrics_)
         metrics_->onFlitEjected(flit.flow);
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitEjected,

@@ -176,7 +176,6 @@ LoftSourceUnit::emitLookahead(Cycle now)
             free |= std::uint64_t(1) << v;
     }
     if (!free) {
-        ++stallNoLaCredit_;
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
                                 .node = node_, .flow = pending_->la.flow,
                                 .reason = StallReason::NoLaCredit,
@@ -188,7 +187,6 @@ LoftSourceUnit::emitLookahead(Cycle now)
     const Slot earliest = params_.slotOf(now) + 1;
     if (!sched_.trySchedule(pending_->la.flow, now,
                             pending_->la.quantumNo, earliest, granted)) {
-        ++throttles_;
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
                                 .node = node_, .flow = pending_->la.flow,
                                 .reason = StallReason::SchedThrottle,
@@ -240,10 +238,6 @@ LoftSourceUnit::forwardData(Cycle now)
         cand->sendSpec = !emergent;
     const bool to_spec = cand->sendSpec;
     if (to_spec ? dnSpecFree_ == 0 : dnNonspecFree_ == 0) {
-        if (to_spec)
-            ++stallSpecCredit_;
-        else
-            ++stallNonspecCredit_;
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SourceThrottled,
                                 .node = node_, .flow = cand->flow,
                                 .reason = to_spec
@@ -263,7 +257,6 @@ LoftSourceUnit::forwardData(Cycle now)
         --dnNonspecFree_;
     --queuedFlits_;
     ++cand->sent;
-    ++flitsSent_;
     lastForward_ = now;
 
     if (cand->sent == cand->flits.size()) {
@@ -277,16 +270,9 @@ LoftSourceUnit::maybeLocalReset(Cycle now)
 {
     if (!params_.localStatusReset)
         return;
-    if (!sched_.dirty())
+    if (!sched_.dirty() || !sched_.canLocalReset() ||
+        dnNonspecFree_ != params_.centralBufferFlits)
         return;
-    if (!sched_.canLocalReset()) {
-        ++rbBookings_;
-        return;
-    }
-    if (dnNonspecFree_ != params_.centralBufferFlits) {
-        ++rbNonspec_;
-        return;
-    }
     sched_.localReset(now);
     ++localResets_;
 }

@@ -65,14 +65,7 @@ class LoftSourceUnit final : public Clocked
     NodeId node() const { return node_; }
     std::uint64_t queuedFlits() const { return queuedFlits_; }
     OutputScheduler &scheduler() { return sched_; }
-    std::uint64_t throttleStalls() const { return throttles_; }
     std::uint64_t localResets() const { return localResets_; }
-    std::uint64_t stallNoLaCredit() const { return stallNoLaCredit_; }
-    std::uint64_t stallSpecCredit() const { return stallSpecCredit_; }
-    std::uint64_t stallNonspecCredit() const { return stallNonspecCredit_; }
-    std::uint64_t flitsSent() const { return flitsSent_; }
-    std::uint64_t resetBlockedBookings() const { return rbBookings_; }
-    std::uint64_t resetBlockedNonspec() const { return rbNonspec_; }
     /** Corrupted credit messages discarded by the CRC model. */
     std::uint64_t creditsDiscarded() const { return creditsDiscarded_; }
 
@@ -150,14 +143,7 @@ class LoftSourceUnit final : public Clocked
     };
     std::unordered_map<FlowId, FlowCounters> counters_;
 
-    std::uint64_t throttles_ = 0;
     std::uint64_t localResets_ = 0;
-    std::uint64_t stallNoLaCredit_ = 0;
-    std::uint64_t stallSpecCredit_ = 0;
-    std::uint64_t stallNonspecCredit_ = 0;
-    std::uint64_t flitsSent_ = 0;
-    std::uint64_t rbBookings_ = 0;
-    std::uint64_t rbNonspec_ = 0;
     std::uint64_t creditsDiscarded_ = 0;
     Cycle lastForward_ = 0;
     std::size_t queueCapacityFlits_;

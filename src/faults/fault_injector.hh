@@ -21,7 +21,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "faults/fault_plan.hh"
@@ -63,7 +62,10 @@ class FaultInjector
         shared_.stopCycle = plan.stopCycle;
     }
 
-    /** Observer announced to on every injection (may be set late). */
+    /**
+     * Observer announced to on every injection (may be set late): the
+     * one the network got, so fault events merge with the network's.
+     */
     void setObserver(NetObserver *obs) { shared_.observer = obs; }
 
     /** Attach a fault site to @p ch if the plan faults its class. */
@@ -92,23 +94,7 @@ class FaultInjector
 #endif
     }
 
-    const FaultPlan &plan() const { return plan_; }
-    Cycle resyncLatency() const { return shared_.resyncLatency; }
     std::size_t faultedLinks() const { return sites_.size(); }
-
-    /** Faults applied so far, by kind (index = FaultKind value). */
-    const std::array<std::uint64_t, kNumFaultKinds> &
-    injectedCounts() const
-    {
-        return shared_.injected;
-    }
-
-    std::uint64_t
-    totalInjected() const
-    {
-        return std::accumulate(shared_.injected.begin(),
-                               shared_.injected.end(), std::uint64_t{0});
-    }
 
   private:
     /** Fault classes that physically apply to a link class. */

@@ -1,7 +1,5 @@
 #include "faults/fault_monitor.hh"
 
-#include <numeric>
-
 namespace noc
 {
 
@@ -50,27 +48,6 @@ void
 FaultMonitor::onPacketDelivered(NodeId, FlowId, PacketId, Cycle)
 {
     ++packetsDelivered_;
-}
-
-std::uint64_t
-FaultMonitor::totalInjected() const
-{
-    return std::accumulate(injected_.begin(), injected_.end(),
-                           std::uint64_t{0});
-}
-
-std::uint64_t
-FaultMonitor::totalDetected() const
-{
-    return std::accumulate(detected_.begin(), detected_.end(),
-                           std::uint64_t{0});
-}
-
-std::uint64_t
-FaultMonitor::totalRecovered() const
-{
-    return std::accumulate(recovered_.begin(), recovered_.end(),
-                           std::uint64_t{0});
 }
 
 } // namespace noc

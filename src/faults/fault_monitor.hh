@@ -39,15 +39,10 @@ class FaultMonitor : public NetObserver
     {
         return recovered_;
     }
-    std::uint64_t totalInjected() const;
-    std::uint64_t totalDetected() const;
-    std::uint64_t totalRecovered() const;
     std::uint64_t flitsDropped() const { return flitsDropped_; }
 
     /// @name Whole-run packet accounting (survival under faults)
     /// @{
-    std::uint64_t packetsAccepted() const { return packetsAccepted_; }
-    std::uint64_t packetsDelivered() const { return packetsDelivered_; }
     /** Delivered / accepted over the whole run (1.0 when idle). */
     double survivalRate() const
     {

@@ -7,10 +7,17 @@
  * event stream per fault class. Events are drawn with geometric
  * inter-arrival times (mean 1/rate link-cycles) and "arm" the link; the
  * next send consumes the armed fault (drop / corrupt / delay), while
- * stall events gate ready() for stallCycles. Streams advance lazily on
- * send/ready queries, are idempotent within a cycle, and depend only on
- * (seed, link id, cycle) — never on query frequency — so fault
- * sequences are bit-reproducible.
+ * stall events gate ready() for stallCycles. Streams advance lazily,
+ * are idempotent within a cycle, and depend only on (seed, link id,
+ * cycle) — never on query frequency — so fault sequences are
+ * bit-reproducible.
+ *
+ * Each half of a site has one owner, so a partitioned run needs no
+ * lock: the send-side streams (drop, credit loss/corruption, payload
+ * corruption) advance only in processSend(), inside the sender's tick,
+ * and hand their results to Channel::deliverAt(), which buffers like
+ * any other send; the stall stream and the stall window advance only
+ * in stalled(), i.e. on the receiver's ready() queries inside its tick.
  *
  * The whole mechanism is compiled out together with the observer hooks
  * under -DLOFT_AUDIT=OFF.
@@ -46,13 +53,12 @@ faultGap(Rng &rng, double rate)
 
 /**
  * Injector-owned state shared by all fault sites of a run: the observer
- * to announce events to, the global injected counters, and the plan
- * knobs every site needs.
+ * to announce events to and the plan knobs every site needs. Read-only
+ * while the simulation runs.
  */
 struct FaultSiteShared
 {
     NetObserver *observer = nullptr;
-    std::array<std::uint64_t, kNumFaultKinds> injected{};
     Cycle resyncLatency = 256;
     Cycle stallCycles = 32;
     Cycle startCycle = 0;
@@ -97,7 +103,6 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     void
     processSend(Channel<T> &ch, Cycle now, T value) override
     {
-        advanceStall(now);
         using Traits = FaultTraits<T>;
         if constexpr (Traits::droppable) {
             if (Cycle at; consumeArmed(FaultKind::LookaheadDrop, now, at)) {
@@ -244,7 +249,6 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     void
     noteInjected(FaultKind kind, Cycle now)
     {
-        ++shared_->injected[static_cast<std::size_t>(kind)];
         NOC_OBSERVE(shared_->observer,
                     {.kind = NetEvent::Kind::FaultInjected, .fault = kind,
                      .node = receiver_, .now = now});

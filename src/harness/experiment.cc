@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <cstdlib>
+#include <ostream>
 #include <thread>
 
 #include "audit/network_auditor.hh"
@@ -30,6 +31,26 @@ RunConfig::applyEnvScale()
         static_cast<double>(warmupCycles) * scale);
     measureCycles = static_cast<Cycle>(
         static_cast<double>(measureCycles) * scale);
+}
+
+const char *
+netKindName(NetKind kind)
+{
+    switch (kind) {
+      case NetKind::Loft:
+        return "loft";
+      case NetKind::Gsf:
+        return "gsf";
+      case NetKind::Wormhole:
+        return "wormhole";
+    }
+    return "?";
+}
+
+void
+PrintTo(NetKind kind, std::ostream *os)
+{
+    *os << netKindName(kind);
 }
 
 std::vector<FlowRate>
@@ -85,19 +106,13 @@ namespace
 
 /** Resolve RunConfig::intraRunWorkers (0 = hardware concurrency). */
 unsigned
-resolveWorkers(const RunConfig &config, bool faults_active)
+resolveWorkers(const RunConfig &config)
 {
     unsigned workers = config.intraRunWorkers;
     if (workers == 0) {
         workers = std::thread::hardware_concurrency();
         if (workers == 0)
             workers = 1;
-    }
-    if (faults_active && workers > 1) {
-        warn("fault plan active: forcing intraRunWorkers %u -> 1 "
-             "(fault hooks mutate channel state on the send path)",
-             workers);
-        workers = 1;
     }
     return workers;
 }
@@ -159,15 +174,12 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
         TraceConfig tc = cfg.trace;
         if (tc.seed == 0)
             tc.seed = cfg.seed;
-        const char *kind_name = cfg.kind == NetKind::Loft ? "loft"
-                                : cfg.kind == NetKind::Gsf ? "gsf"
-                                                           : "wormhole";
         // Only LOFT books absolute slots; 0 routes all hop residency
         // to switch_stall on the other fabrics.
         const std::uint32_t cycles_per_slot =
             cfg.kind == NetKind::Loft ? cfg.loft.quantumFlits : 0;
         trace = std::make_shared<TraceCollector>(mesh, std::move(tc),
-                                                 kind_name,
+                                                 netKindName(cfg.kind),
                                                  cycles_per_slot);
     }
 
@@ -187,15 +199,15 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
             pattern.groupNames);
     }
 
-    const unsigned workers = resolveWorkers(cfg, plan.active());
+    const unsigned workers = resolveWorkers(cfg);
 
     // The network holds a single observer pointer; with more than one
-    // consumer, fan out through a mux. The injector announces its
-    // injections to the same sink so the monitor, auditor and
-    // telemetry all see onFaultInjected. A partitioned run interposes
+    // consumer, fan out through a mux. A partitioned run interposes
     // the DeferredObserver so concurrent hook calls are buffered and
-    // replayed downstream in the exact serial order (the injector
-    // cannot coexist with workers > 1, so it keeps the raw sink).
+    // replayed downstream in the exact serial order. The injector
+    // announces through the same observer as the network, so the
+    // monitor, auditor and telemetry see fault events merged in serial
+    // order with every other event.
     ObserverMux mux;
     std::unique_ptr<DeferredObserver> defer;
     {
@@ -220,10 +232,10 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
         }
         if (sink && workers > 1) {
             defer = std::make_unique<DeferredObserver>(sink);
-            net->setObserver(defer.get());
-        } else if (sink) {
-            net->setObserver(sink);
+            sink = defer.get();
         }
+        if (sink)
+            net->setObserver(sink);
         if (injector)
             injector->setObserver(sink);
     }

@@ -9,6 +9,7 @@
 #define NOC_HARNESS_EXPERIMENT_HH
 
 #include <array>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +34,12 @@ enum class NetKind
     Wormhole,
 };
 
+/** "loft", "gsf" or "wormhole": bench JSON keys and trace dumps. */
+const char *netKindName(NetKind kind);
+
+/** gtest value printer: parameterized test names show netKindName. */
+void PrintTo(NetKind kind, std::ostream *os);
+
 struct RunConfig
 {
     NetKind kind = NetKind::Loft;
@@ -52,9 +59,7 @@ struct RunConfig
      * Worker threads advancing the mesh inside this single run
      * (spatial partitioning; see docs/PARALLEL.md). 1 = serial
      * (default), 0 = hardware concurrency. Results are bit-identical
-     * to a serial run for any worker count. Forced to 1 when a fault
-     * plan is active: fault hooks mutate per-channel state on the send
-     * path and are not domain-buffered.
+     * to a serial run for any worker count, fault plans included.
      */
     unsigned intraRunWorkers = 1;
 

@@ -7,17 +7,18 @@
  * cycle t+1, which makes the per-cycle tick order of components
  * irrelevant (synchronous-hardware semantics).
  *
- * That same property is what makes partitioned execution exact: in
- * deferred mode (a Simulator window, see sim/parallel.hh) sends are
- * buffered into a pending list owned by the sending thread and
- * published at the per-cycle barrier. Since delivery cycles are
- * stamped at send time and are always in the future, receivers cannot
- * tell buffered-then-flushed sends from direct ones through
- * tryReceive(); and because empty() then reflects start-of-cycle state
- * for every channel, quiescence decisions stop depending on the
- * per-cycle tick order too. The Simulator therefore runs deferred mode
- * for ANY worker count (a serial run is the one-domain case), which is
- * what makes every worker count bit-identical by construction.
+ * That same property is what makes partitioned execution exact. Inside
+ * a Simulator run every registered channel is in deferred mode (see
+ * sim/parallel.hh): sends are buffered into a pending list owned by the
+ * sending thread and published at the per-cycle barrier. Since delivery
+ * cycles are stamped at send time and are always in the future,
+ * receivers cannot tell buffered-then-flushed sends from direct ones
+ * through tryReceive(); and because empty() then reflects
+ * start-of-cycle state for every channel, quiescence decisions stop
+ * depending on the per-cycle tick order too. A serial run is the
+ * one-domain case, which is what makes every worker count
+ * bit-identical by construction. Channels driven by hand outside a
+ * Simulator run (unit tests) stay in direct mode.
  */
 
 #ifndef NOC_NET_CHANNEL_HH
@@ -94,11 +95,24 @@ class Channel : public PendingPort
             return;
         }
 #endif
+        deliverAt(now + latency_, std::move(value));
+    }
+
+    /**
+     * Enqueue @p value for delivery at absolute cycle @p when (after
+     * the current cycle). The one enqueue point: send() stamps
+     * now + latency, fault hooks also stamp late re-deliveries. In
+     * concurrent mode the value is buffered on the sending thread and
+     * published by flushPending() at the cycle barrier.
+     */
+    // loft-tidy: steady-state-hot
+    void
+    deliverAt(Cycle when, T value)
+    {
         if (concurrent_) {
-            // Buffer on the sending thread; the simulator flushes at
-            // the cycle barrier. Register in the thread's dirty list on
-            // the first pending send so the flush walks only channels
-            // that carried traffic this cycle.
+            // Register in the thread's dirty list on the first pending
+            // send so the flush walks only channels that carried
+            // traffic this cycle.
             LOFT_PSAN_CHANNEL_SEND(psan_);
             std::vector<PendingPort *> *dirty = par::ctx().dirty;
             if (!dirty)
@@ -108,11 +122,10 @@ class Channel : public PendingPort
                 // loft-tidy: pooled(reserved in Simulator::preparePlan)
                 dirty->push_back(this);
             // loft-tidy: pooled(kPendingReserve in the constructor)
-            pending_.emplace_back(now + latency_, std::move(value));
+            pending_.emplace_back(when, std::move(value));
             return;
         }
-        // loft-tidy: pooled(ring reserved to latency + 2 in the ctor)
-        inFlight_.emplace_back(now + latency_, std::move(value));
+        enqueue(when, std::move(value));
     }
 
     /** True if a value is deliverable at cycle @p now. */
@@ -166,27 +179,14 @@ class Channel : public PendingPort
     // PendingPort (called by the Simulator, between cycles / at the
     // per-cycle barrier only).
 
-    bool
+    void
     setConcurrent(bool on) override
     {
         if (!pending_.empty())
             panic("Channel::setConcurrent with unflushed pending sends");
         LOFT_PSAN_BARRIER_SEAM("Channel::setConcurrent");
         LOFT_PSAN_PORT_RESET(psan_);
-#if LOFT_AUDIT_ENABLED
-        // Fault hooks mutate channel state on the send path and may
-        // re-deliver out of band (deliverAt), neither of which is
-        // domain-buffered: decline, keeping this channel direct. The
-        // Simulator treats a declined port as fatal when it actually
-        // has concurrent workers (the harness forces fault plans to a
-        // single worker, where direct operation is safe).
-        if (on && faults_) {
-            concurrent_ = false;
-            return false;
-        }
-#endif
         concurrent_ = on;
-        return true;
     }
 
     // loft-tidy: steady-state-hot
@@ -194,32 +194,38 @@ class Channel : public PendingPort
     flushPending() override
     {
         LOFT_PSAN_BARRIER_SEAM("Channel::flushPending");
-        // Same-latency sends deliver in send order, and everything
-        // already in flight was sent in an earlier cycle, so appending
-        // keeps the queue sorted by delivery time.
         for (auto &entry : pending_)
-            // loft-tidy: pooled(ring plateaus at latency-bounded peak)
-            inFlight_.push_back(std::move(entry));
+            enqueue(entry.first, std::move(entry.second));
         pending_.clear();
     }
 
 #if LOFT_AUDIT_ENABLED
     /** Install (or clear) the fault-injection hook. */
     void setFaultHook(ChannelFaultHook<T> *hook) { faults_ = hook; }
+#endif
+
+  private:
+    /** Per-cycle send burst covered without growth (sends per cycle
+     *  per channel are 1 on every wire; credit recovery can burst). */
+    static constexpr std::size_t kPendingReserve = 4;
 
     /**
-     * Enqueue @p value for delivery at absolute cycle @p when,
-     * preserving delivery-time order. Fault-injection support (late
-     * re-delivery of lost messages); not part of the normal send path.
+     * Insert into the in-flight queue, keeping it sorted by delivery
+     * time and equal times in enqueue order. Same-latency sends arrive
+     * in order and everything already in flight was enqueued earlier,
+     * so this appends; only a fault hook's late re-delivery can be
+     * overtaken and make a later value land in the middle.
      */
+    // loft-tidy: steady-state-hot
     void
-    deliverAt(Cycle when, T value)
+    enqueue(Cycle when, T value)
     {
-        if (concurrent_)
-            panic("Channel::deliverAt in concurrent mode");
-        // Binary search for the first entry with delivery time > when
-        // (upper bound), then shift-insert. Cold path: late re-delivery
-        // of a faulted message only.
+        if (inFlight_.empty() || inFlight_.back().first <= when) {
+            // loft-tidy: pooled(ring reserved to latency + 2 in the ctor)
+            inFlight_.emplace_back(when, std::move(value));
+            return;
+        }
+        // Upper bound: first entry due strictly after @p when.
         std::size_t lo = 0;
         std::size_t hi = inFlight_.size();
         while (lo < hi) {
@@ -229,14 +235,9 @@ class Channel : public PendingPort
             else
                 lo = mid + 1;
         }
+        // loft-tidy: pooled(ring plateaus at latency-bounded peak)
         inFlight_.insertAt(lo, {when, std::move(value)});
     }
-#endif
-
-  private:
-    /** Per-cycle send burst covered without growth (sends per cycle
-     *  per channel are 1 on every wire; credit recovery can burst). */
-    static constexpr std::size_t kPendingReserve = 4;
 
     Cycle latency_;
     /**

@@ -63,8 +63,6 @@ class MetricsCollector : public DomainMerged
     /** End the measurement window at cycle @p now. */
     void stopMeasurement(Cycle now);
 
-    bool measuring() const { return measuring_; }
-
     /** A data flit of @p flow was ejected. */
     void onFlitEjected(FlowId flow);
 
@@ -75,7 +73,6 @@ class MetricsCollector : public DomainMerged
     Cycle windowCycles() const;
 
     const FlowMetrics &flow(FlowId f) const { return flows_.at(f); }
-    std::size_t numFlows() const { return flows_.size(); }
 
     std::uint64_t totalFlits() const { return totalFlits_; }
     std::uint64_t totalPackets() const { return totalPackets_; }
@@ -88,9 +85,6 @@ class MetricsCollector : public DomainMerged
 
     /** Latency percentile of one flow's packets (cycles). */
     double flowLatencyPercentile(FlowId f, double p) const;
-
-    /** The network-wide latency distribution (log-bucketed). */
-    const LogHistogram &latencyHistogram() const { return latencyHist_; }
 
     /** Max packet latency seen in the window (cycles). */
     double maxPacketLatency() const;

@@ -54,7 +54,6 @@ SinkUnit::tick(Cycle now)
     if (creditReturn_)
         creditReturn_->send(now, Credit{wf->vc});
 
-    ++flitsEjected_;
     if (metrics_)
         metrics_->onFlitEjected(flit.flow);
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitEjected,

@@ -35,8 +35,6 @@ class SinkUnit final : public Clocked
     /** Idle whenever the ejection wire is empty. */
     bool quiescent() const override { return in_->empty(); }
 
-    std::uint64_t flitsEjected() const { return flitsEjected_; }
-
     /** Flits whose payload failed the end-to-end check on ejection. */
     std::uint64_t corruptedDeliveries() const
     {
@@ -45,12 +43,6 @@ class SinkUnit final : public Clocked
 
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }
-
-    /** Bucket count of the partial-packet table (no-rehash probe). */
-    std::size_t pendingBucketCount() const
-    {
-        return pending_.bucket_count();
-    }
 
   private:
     /** Bucket reserve for pending_ (pinned; rehash would allocate). */
@@ -66,7 +58,6 @@ class SinkUnit final : public Clocked
     std::function<void(const Flit &, Cycle)> onEject_;
     /** Received flit count per partially received packet. */
     PoolUMap<PacketId, std::uint32_t> pending_;
-    std::uint64_t flitsEjected_ = 0;
     std::uint64_t corruptedDeliveries_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;

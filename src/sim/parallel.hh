@@ -23,17 +23,16 @@ namespace noc
 
 /**
  * Type-erased side of a Channel that buffers sends while the simulator
- * executes domains in parallel. In concurrent mode a send appends to a
- * pending list touched only by the sending thread; the simulator calls
- * flushPending() at the cycle barrier (single-threaded) to publish the
- * buffered values into the in-flight queue, in send order. Because
- * channel latency is >= 1, a value flushed at the end of cycle t is
- * deliverable no earlier than t+1 — exactly when a serial run would
- * first deliver it — so buffering is invisible to receivers. It also
+ * runs. In concurrent mode a send appends to a pending list touched
+ * only by the sending thread; the simulator calls flushPending() at the
+ * cycle barrier (single-threaded) to publish the buffered values into
+ * the in-flight queue, sorted by delivery time. Because channel latency
+ * is >= 1, a value flushed at the end of cycle t is deliverable no
+ * earlier than t+1, so buffering is invisible to receivers. It also
  * pins quiescence probes (empty()) to start-of-cycle state, removing
  * the tick-order dependence a direct same-cycle append would create;
- * the simulator therefore defers sends for any worker count, not just
- * concurrent ones.
+ * the simulator therefore puts every registered port in concurrent
+ * mode for every run, whatever the worker count.
  */
 class PendingPort
 {
@@ -41,14 +40,12 @@ class PendingPort
     virtual ~PendingPort() = default;
 
     /**
-     * Enter/leave deferred (concurrent-safe) mode. Returns false if the
-     * port must stay direct (e.g. a fault-instrumented channel); the
-     * caller decides whether that is fatal. @pre no unflushed pending
-     * sends (the simulator toggles this only between cycles).
+     * Enter/leave deferred (concurrent-safe) mode. @pre no unflushed
+     * pending sends (the simulator toggles this only between cycles).
      */
-    virtual bool setConcurrent(bool on) = 0;
+    virtual void setConcurrent(bool on) = 0;
 
-    /** Publish pending sends into the in-flight queue, in send order. */
+    /** Publish pending sends into the in-flight queue. */
     virtual void flushPending() = 0;
 };
 

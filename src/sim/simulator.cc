@@ -111,53 +111,24 @@ Simulator::setWorkers(unsigned workers)
 }
 
 void
-Simulator::step()
-{
-    // Poll-based active set: quiescent components skip their tick but
-    // are re-examined every cycle. quiescent() is a cheap state probe
-    // (a few empty() checks) while tick() walks ports, VCs and
-    // reservation tables, so the poll pays for itself whenever any
-    // component idles for more than a handful of cycles.
-    for (const Entry &e : components_) {
-        if (e.component->quiescent()) {
-            ++ticksSkipped_;
-            continue;
-        }
-        e.component->tick(now_);
-        ++ticksExecuted_;
-    }
-    ++now_;
-}
-
-void
 Simulator::preparePlan()
 {
     plan_ = std::make_unique<Plan>();
     Plan &plan = *plan_;
 
-    const std::size_t none = components_.size();
-    std::size_t first_keyed = none;
-    std::size_t last_keyed = none;
+    // Keyed components span [prologueEnd, epilogueBegin); with none,
+    // everything is prologue and every domain is empty.
+    plan.prologueEnd = components_.size();
+    plan.epilogueBegin = components_.size();
     NodeId max_key = 0;
     for (std::size_t i = 0; i < components_.size(); ++i) {
         if (!components_[i].keyed)
             continue;
-        if (first_keyed == none)
-            first_keyed = i;
-        last_keyed = i;
+        if (plan.prologueEnd == components_.size())
+            plan.prologueEnd = i;
+        plan.epilogueBegin = i + 1;
         max_key = std::max(max_key, components_[i].key);
     }
-
-    if (first_keyed == none) {
-        // Nothing partitionable: everything is prologue.
-        plan.prologueEnd = components_.size();
-        plan.epilogueBegin = components_.size();
-        planDirty_ = false;
-        return;
-    }
-
-    plan.prologueEnd = first_keyed;
-    plan.epilogueBegin = last_keyed + 1;
     for (std::size_t i = plan.prologueEnd; i < plan.epilogueBegin; ++i) {
         if (!components_[i].keyed)
             panic("Simulator: component %zu has no spatial key but is "
@@ -189,54 +160,31 @@ Simulator::preparePlan()
     planDirty_ = false;
 }
 
-bool
+void
 Simulator::beginParallelWindow()
 {
     if (planDirty_) {
         teardownPool();
         preparePlan();
     }
-    if (plan_->epilogueBegin <= plan_->prologueEnd)
-        return false; // no keyed components: run serially
-
-    // Deferred mode is the canonical semantics whenever the network
-    // registered its channels: even a one-worker run buffers sends and
-    // flushes them at end-of-cycle, so quiescence probes always see
-    // start-of-cycle state and every worker count is bit-identical.
-    deferredPorts_.clear();
-    deferredPorts_.reserve(ports_.size());
-    for (PendingPort *p : ports_) {
-        if (p->setConcurrent(true))
-            deferredPorts_.push_back(p);
-    }
-    if (deferredPorts_.size() != ports_.size()) {
-        // Some channel declined (fault-instrumented). Safe on a single
-        // thread — fall back to the legacy direct step — but fatal with
-        // concurrent workers.
-        for (PendingPort *p : deferredPorts_)
-            p->setConcurrent(false);
-        deferredPorts_.clear();
-        if (workers_ > 1)
-            panic("Simulator: fault-instrumented channels cannot run "
-                  "concurrently; use a single worker");
-        return false;
-    }
-    if (deferredPorts_.empty() && workers_ <= 1)
-        return false; // nothing to defer: the direct step is identical
+    // Deferred visibility is the only cycle semantics: even a
+    // one-worker run buffers sends and flushes them at end-of-cycle, so
+    // quiescence probes always see start-of-cycle state and every
+    // worker count is bit-identical.
+    for (PendingPort *p : ports_)
+        p->setConcurrent(true);
     if (workers_ > 1)
         ensurePool();
     for (DomainMerged *m : merged_)
         m->beginParallel(workers_);
     par::ctx().dirty = &plan_->dirty[workers_];
-    return true;
 }
 
 void
 Simulator::endParallelWindow()
 {
-    for (PendingPort *p : deferredPorts_)
+    for (PendingPort *p : ports_)
         p->setConcurrent(false);
-    deferredPorts_.clear();
     for (DomainMerged *m : merged_)
         m->endParallel();
     par::ctx().dirty = nullptr;
@@ -288,6 +236,11 @@ Simulator::runDomain(unsigned domain)
     cx.dirty = &plan_->dirty[domain];
     LOFT_PSAN_SET_PHASE(SimPhase::Partitioned, now_);
     Plan::Counters &ctr = plan_->counters[domain];
+    // Poll-based active set: quiescent components skip their tick but
+    // are re-examined every cycle. quiescent() is a cheap state probe
+    // (a few empty() checks) while tick() walks ports, VCs and
+    // reservation tables, so the poll pays for itself whenever any
+    // component idles for more than a handful of cycles.
     for (const Plan::Item &item : plan_->domains[domain]) {
         cx.component = item.index;
         if (item.component->quiescent()) {
@@ -303,14 +256,14 @@ Simulator::runDomain(unsigned domain)
 }
 
 void
-Simulator::stepParallel()
+Simulator::runCycle()
 {
     Plan &plan = *plan_;
     par::DomainContext &cx = par::ctx();
 
     // Prologue: keyless components before the mesh (the traffic
-    // generator), serially, exactly as in a serial step. Sends land on
-    // the serial dirty list and flush with everything else.
+    // generator), serially, in registration order. Sends land on the
+    // serial dirty list and flush with everything else.
     cx.dirty = &plan.dirty[workers_];
     LOFT_PSAN_SET_PHASE(SimPhase::Prologue, now_);
     for (std::size_t i = 0; i < plan.prologueEnd; ++i) {
@@ -333,8 +286,9 @@ Simulator::stepParallel()
         pool_->barrier.arriveAndWait();
 
     // Barrier work, single-threaded: publish buffered channel sends
-    // (delivery cycles are stamped at send time, so flush order cannot
-    // reorder deliveries), then replay buffered cross-domain mutations.
+    // (delivery cycles are stamped at send time and each channel keeps
+    // its queue sorted by them, so flush order cannot reorder
+    // deliveries), then replay buffered cross-domain mutations.
     cx.dirty = &plan.dirty[workers_];
     LOFT_PSAN_SET_PHASE(SimPhase::Barrier, now_);
     for (std::vector<PendingPort *> &list : plan.dirty) {
@@ -386,15 +340,10 @@ Simulator::run(Cycle cycles)
 {
     const Cycle end = runEnd(cycles);
     const std::uint64_t allocs0 = heapAllocCount();
-    if (beginParallelWindow()) {
-        while (now_ < end)
-            stepParallel();
-        endParallelWindow();
-        lastRunAllocs_ = heapAllocCount() - allocs0;
-        return;
-    }
+    beginParallelWindow();
     while (now_ < end)
-        step();
+        runCycle();
+    endParallelWindow();
     lastRunAllocs_ = heapAllocCount() - allocs0;
 }
 
@@ -403,28 +352,13 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
 {
     const Cycle end = runEnd(max_cycles);
     const std::uint64_t allocs0 = heapAllocCount();
-    if (beginParallelWindow()) {
-        bool fired = false;
-        while (now_ < end) {
-            if (done()) {
-                fired = true;
-                break;
-            }
-            stepParallel();
-        }
-        endParallelWindow();
-        lastRunAllocs_ = heapAllocCount() - allocs0;
-        return fired || done();
-    }
-    while (now_ < end) {
-        if (done()) {
-            lastRunAllocs_ = heapAllocCount() - allocs0;
-            return true;
-        }
-        step();
-    }
+    beginParallelWindow();
+    bool fired = false;
+    while (now_ < end && !(fired = done()))
+        runCycle();
+    endParallelWindow();
     lastRunAllocs_ = heapAllocCount() - allocs0;
-    return done();
+    return fired || done();
 }
 
 std::size_t

@@ -10,14 +10,13 @@
  * during the phase and flushed/merged deterministically at a per-cycle
  * barrier.
  *
- * Deferred channel visibility is the canonical semantics, not a
- * parallel-only trick: whenever deferrable ports are registered the
- * run loop defers sends even with a single worker (no pool, no
- * barriers — just the same three-phase cycle on one thread). Every
- * cycle then executes against start-of-cycle channel state for every
- * worker count, so quiescence decisions cannot depend on the per-cycle
- * tick order and any worker count is bit-identical to any other by
- * construction (see docs/PARALLEL.md).
+ * Deferred channel visibility is the only cycle semantics, not a
+ * parallel-only trick: the run loop defers sends even with a single
+ * worker (no pool, no barriers — just the same three-phase cycle on one
+ * thread). Every cycle then executes against start-of-cycle channel
+ * state for every worker count, so quiescence decisions cannot depend
+ * on the per-cycle tick order and any worker count is bit-identical to
+ * any other by construction (see docs/PARALLEL.md).
  */
 
 #ifndef NOC_SIM_SIMULATOR_HH
@@ -68,10 +67,9 @@ class Simulator
 
     /**
      * Register a channel endpoint for deferred buffering. Every channel
-     * of the simulated network must be registered before a parallel
-     * run; a port that declines deferral (fault-instrumented) keeps the
-     * whole run on the legacy direct step when workers() == 1 and is
-     * fatal otherwise.
+     * of the simulated network must be registered: each run puts all
+     * registered ports in concurrent mode and flushes their sends at
+     * the end of every cycle, fault-instrumented channels included.
      */
     void addPort(PendingPort *port);
 
@@ -86,9 +84,8 @@ class Simulator
      * Worker threads for partitioned execution; 1 = single-threaded
      * (default), 0 = hardware concurrency. The worker count changes
      * wall-clock behaviour only: results are bit-identical for every
-     * count because even a one-worker run uses the same deferred-
-     * visibility cycle (runs without registered ports keep the legacy
-     * direct step).
+     * count because a one-worker run uses the same deferred-visibility
+     * cycle, with domain 0 holding the whole mesh.
      */
     void setWorkers(unsigned workers);
     unsigned workers() const { return workers_; }
@@ -104,7 +101,7 @@ class Simulator
 
     /**
      * Advance until @p done returns true or @p max_cycles elapse. The
-     * predicate is evaluated before every step (including the first).
+     * predicate is evaluated before every cycle (including the first).
      * Panics if now() + max_cycles would overflow the cycle counter.
      * @return true if the predicate fired, false on timeout.
      */
@@ -145,14 +142,14 @@ class Simulator
     struct Plan; ///< Domain assignment + per-domain scratch (simulator.cc).
     struct Pool; ///< Worker threads and their barrier (simulator.cc).
 
-    void step();
-    void stepParallel();
+    /** One cycle: prologue, partitioned phase, barrier, epilogue. */
+    void runCycle();
 
     /** Build the domain plan from the current registrations. */
     void preparePlan();
 
-    /** True (and pool running) if this run executes partitioned. */
-    bool beginParallelWindow();
+    /** Put the ports in concurrent mode and start the pool, if any. */
+    void beginParallelWindow();
     void endParallelWindow();
 
     /** Tick/skip the keyed components of @p domain (phase body). */
@@ -163,13 +160,11 @@ class Simulator
     void teardownPool();
     void workerLoop(unsigned domain);
 
-    /** End of the current run window (exclusive); checked by step(). */
+    /** End of the current run window (exclusive). */
     Cycle runEnd(Cycle cycles) const;
 
     std::vector<Entry> components_;
     std::vector<PendingPort *> ports_;
-    /** Ports that accepted deferral for the current window. */
-    std::vector<PendingPort *> deferredPorts_;
     std::vector<DomainMerged *> merged_;
     std::unique_ptr<Plan> plan_;
     std::unique_ptr<Pool> pool_;

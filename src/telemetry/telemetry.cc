@@ -84,27 +84,6 @@ TelemetryCollector::lane(NodeId node, std::size_t lane) const
     return cur_.at(laneIndex(node, lane));
 }
 
-std::uint64_t
-TelemetryCollector::windowFlits(FlowId flow) const
-{
-    return flow < windowFlits_.size() ? windowFlits_[flow] : 0;
-}
-
-std::uint64_t
-TelemetryCollector::windowPackets(FlowId flow) const
-{
-    return flow < windowPackets_.size() ? windowPackets_[flow] : 0;
-}
-
-const LogHistogram &
-TelemetryCollector::flowLatency(FlowId flow) const
-{
-    static const LogHistogram empty{kLatencyHistLo, kLatencyHistHi,
-                                    kLatencyHistBuckets};
-    auto it = flowHist_.find(flow);
-    return it == flowHist_.end() ? empty : it->second;
-}
-
 const LogHistogram &
 TelemetryCollector::classLatency(std::uint32_t cls) const
 {
@@ -112,26 +91,17 @@ TelemetryCollector::classLatency(std::uint32_t cls) const
 }
 
 void
-TelemetryCollector::startMeasurement(Cycle now)
+TelemetryCollector::startMeasurement(Cycle)
 {
     measuring_ = true;
-    windowStart_ = now;
-    windowEnd_ = now;
-    windowTotalFlits_ = 0;
-    windowTotalPackets_ = 0;
-    windowFlits_.clear();
-    windowPackets_.clear();
-    flowHist_.clear();
-    allLatency_.reset();
     for (auto &h : classHist_)
         h.reset();
 }
 
 void
-TelemetryCollector::stopMeasurement(Cycle now)
+TelemetryCollector::stopMeasurement(Cycle)
 {
     measuring_ = false;
-    windowEnd_ = now;
 }
 
 std::size_t
@@ -246,17 +216,9 @@ TelemetryCollector::onFlitForwarded(NodeId node, Port out,
 }
 
 void
-TelemetryCollector::onFlitEjected(NodeId node, const Flit &flit,
-                                  Cycle now)
+TelemetryCollector::onFlitEjected(NodeId node, const Flit &, Cycle)
 {
-    (void)now;
     ++ejected_[node];
-    if (measuring_) {
-        if (flit.flow >= windowFlits_.size())
-            windowFlits_.resize(flit.flow + 1, 0);
-        ++windowFlits_[flit.flow];
-        ++windowTotalFlits_;
-    }
 }
 
 void
@@ -266,23 +228,9 @@ TelemetryCollector::onPacketDelivered(NodeId node, FlowId flow,
     ++delivered_[node];
     auto it = live_.find(pkt);
     const bool known = it != live_.end();
-    if (measuring_) {
-        if (flow >= windowPackets_.size())
-            windowPackets_.resize(flow + 1, 0);
-        ++windowPackets_[flow];
-        ++windowTotalPackets_;
-        if (known) {
-            const double latency =
-                static_cast<double>(now - it->second.accepted);
-            allLatency_.sample(latency);
-            classHist_[classOfFlow(flow)].sample(latency);
-            auto [fh, inserted] = flowHist_.try_emplace(
-                flow, LogHistogram(kLatencyHistLo, kLatencyHistHi,
-                                   kLatencyHistBuckets));
-            (void)inserted;
-            fh->second.sample(latency);
-        }
-    }
+    if (measuring_ && known)
+        classHist_[classOfFlow(flow)].sample(
+            static_cast<double>(now - it->second.accepted));
     if (known) {
         if (cfg_.tracePackets) {
             traceEvent(csprintf(

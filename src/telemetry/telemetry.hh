@@ -10,9 +10,10 @@
  *    grants, virtual-credit returns, FRS skipped(i) yields, local
  *    status resets, and reservation-table / input-buffer occupancy
  *    gauges;
- *  - per-flow and per-QoS-class packet-latency histograms
- *    (log-bucketed, p50/p90/p99/max) gated to the same measurement
- *    window as MetricsCollector so the two agree packet for packet;
+ *  - per-QoS-class packet-latency histograms (log-bucketed,
+ *    p50/p90/p99/max) gated to the same measurement window as
+ *    MetricsCollector, which owns the per-flow and network-wide
+ *    window statistics;
  *  - a Chrome trace-event JSON (loadable in Perfetto / about:tracing)
  *    of packet lifecycle spans keyed by packet id, optionally with
  *    per-flit hop instants;
@@ -30,7 +31,6 @@
 #define NOC_TELEMETRY_TELEMETRY_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -165,19 +165,11 @@ class TelemetryCollector final : public NetObserver, public Clocked
     /** Full-run cumulative counters of one lane. */
     const LaneCounters &lane(NodeId node, std::size_t lane) const;
 
-    /** In-window per-flow ejection counts (conservation checks). */
-    std::uint64_t windowFlits(FlowId flow) const;
-    std::uint64_t windowPackets(FlowId flow) const;
-    std::uint64_t windowTotalFlits() const { return windowTotalFlits_; }
-    std::uint64_t windowTotalPackets() const
-    {
-        return windowTotalPackets_;
-    }
-
-    /** In-window latency distribution of one flow / one class / all. */
-    const LogHistogram &flowLatency(FlowId flow) const;
+    /**
+     * In-window latency distribution of one QoS class. Per-flow and
+     * whole-network window statistics live in the MetricsCollector.
+     */
     const LogHistogram &classLatency(std::uint32_t cls) const;
-    const LogHistogram &allLatency() const { return allLatency_; }
     std::size_t numClasses() const { return classHist_.size(); }
     const std::string &className(std::uint32_t cls) const
     {
@@ -304,21 +296,11 @@ class TelemetryCollector final : public NetObserver, public Clocked
     std::vector<std::pair<const OutputScheduler *, std::size_t>>
         schedByLane_;
 
-    /// Measurement window state (latency + conservation).
+    /// Measurement window state (per-class latency).
     bool measuring_ = false;
-    Cycle windowStart_ = 0;
-    Cycle windowEnd_ = 0;
     std::vector<std::uint32_t> classOf_;
     std::vector<std::string> classNames_;
     std::vector<LogHistogram> classHist_;
-    std::map<FlowId, LogHistogram> flowHist_;
-    LogHistogram allLatency_{kLatencyHistLo, kLatencyHistHi,
-                             kLatencyHistBuckets};
-    /// Flow-indexed, grown on demand (flow ids are small and dense).
-    std::vector<std::uint64_t> windowFlits_;
-    std::vector<std::uint64_t> windowPackets_;
-    std::uint64_t windowTotalFlits_ = 0;
-    std::uint64_t windowTotalPackets_ = 0;
 
     /// Packet lifecycle tracking (latency source + trace spans).
     std::unordered_map<PacketId, LivePacket> live_;

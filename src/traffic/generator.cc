@@ -79,11 +79,8 @@ TrafficGenerator::tick(Cycle now)
             }
             break;
         }
-        if (create) {
+        if (create)
             fs.pending.push_back(makePacket(fs, now));
-            ++packetsOffered_;
-            flitsOffered_ += packetSize_;
-        }
         // Drain the pending queue into the NI, preserving flow order.
         // Latency is accounted from source-queue entry (enqueuedAt), as
         // in the paper: GSF's large source queues are charged to the

@@ -66,9 +66,6 @@ class TrafficGenerator final : public Clocked
      */
     bool quiescent() const override { return flows_.empty(); }
 
-    std::uint64_t packetsOffered() const { return packetsOffered_; }
-    std::uint64_t flitsOffered() const { return flitsOffered_; }
-
     /** Packets created but not yet accepted by an NI. */
     std::uint64_t packetsPending() const;
 
@@ -89,8 +86,6 @@ class TrafficGenerator final : public Clocked
     Rng rng_;
     std::vector<FlowState> flows_;
     PacketId nextPacketId_ = 1;
-    std::uint64_t packetsOffered_ = 0;
-    std::uint64_t flitsOffered_ = 0;
 };
 
 } // namespace noc

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/channel.hh"
 
 namespace noc
@@ -77,6 +79,36 @@ TEST(Channel, ReceiveWithoutReadyPanics)
     Channel<int> ch(2);
     ch.send(0, 9);
     EXPECT_DEATH((void)ch.receive(1), "nothing deliverable");
+}
+
+TEST(Channel, ConcurrentDeliverAtIsBufferedThenFlushedInDeliveryOrder)
+{
+    // A fault hook's late re-delivery can be overtaken by later sends.
+    // In concurrent mode it must stay invisible like any buffered send
+    // until the barrier flush, which slots every value in by delivery
+    // time (equal times keep enqueue order).
+    Channel<int> ch(2);
+    ch.deliverAt(20, 100); // in flight from an earlier cycle
+    std::vector<PendingPort *> dirty;
+    ch.setConcurrent(true);
+    par::ctx().dirty = &dirty;
+    ch.send(10, 1);          // due 12
+    ch.deliverAt(30, 2);     // late re-delivery
+    ch.deliverAt(12, 3);     // on-time copy, after the send
+    ch.send(10, 4);          // due 12, overtakes the re-delivery
+    par::ctx().dirty = nullptr;
+    EXPECT_EQ(ch.inFlightCount(), 1u);
+    EXPECT_FALSE(ch.ready(12));
+    ASSERT_EQ(dirty.size(), 1u) << "one enlistment per cycle";
+    EXPECT_EQ(dirty.front(), &ch);
+
+    ch.flushPending();
+    ch.setConcurrent(false);
+    std::vector<int> got;
+    for (Cycle t = 12; t <= 30; ++t)
+        while (auto v = ch.tryReceive(t))
+            got.push_back(*v);
+    EXPECT_EQ(got, (std::vector<int>{1, 3, 4, 100, 2}));
 }
 
 } // namespace

@@ -125,8 +125,7 @@ TEST(FaultingChannel, CreditLossResynchronizesLate)
     EXPECT_FALSE(msg->fault.corrupted);
     EXPECT_EQ(msg->fault.kind, FaultKind::CreditLoss);
     EXPECT_EQ(msg->fault.faultAt, 10u);
-    EXPECT_EQ(inj.injectedCounts()[static_cast<std::size_t>(
-                  FaultKind::CreditLoss)],
+    EXPECT_EQ(obs.injected[static_cast<std::size_t>(FaultKind::CreditLoss)],
               1u);
 
     // The receiver-side CRC check applies the resync and reports the
@@ -240,8 +239,7 @@ TEST(FaultingChannel, LinkStallGatesReadinessAndIsDetectedOnce)
     EXPECT_FALSE(ch.ready(5)) << "stalled until cycle 17";
     EXPECT_FALSE(ch.ready(16));
     EXPECT_TRUE(ch.ready(17));
-    EXPECT_EQ(inj.injectedCounts()[static_cast<std::size_t>(
-                  FaultKind::LinkStall)],
+    EXPECT_EQ(obs.injected[static_cast<std::size_t>(FaultKind::LinkStall)],
               1u);
     ASSERT_EQ(obs.detected.size(), 1u);
     EXPECT_EQ(obs.detected[0].kind, FaultKind::LinkStall);

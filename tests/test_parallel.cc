@@ -2,7 +2,7 @@
  * @file
  * Intra-run parallelism tests: the partitioned Simulator must be
  * bit-identical to the serial one for every worker count, network
- * architecture and observer configuration; cross-domain channel
+ * architecture, observer configuration and fault plan; cross-domain channel
  * delivery must land at exactly send + latency regardless of the
  * partition shape; quiescent domains must wake on cross-domain
  * arrivals; GSF's time-driven frame barrier must keep its cadence when
@@ -60,8 +60,8 @@ smallPattern()
 
 /// ---------------------------------------------------------------
 /// Bit-identity matrix: {1, 2, 4, 8} intra-run workers x network
-/// kind x {audit, telemetry} on/off, including byte-identical
-/// telemetry exports.
+/// kind x {audit, telemetry} on/off, plus a fault plan arming every
+/// class, including byte-identical telemetry exports.
 /// ---------------------------------------------------------------
 
 struct MatrixCase
@@ -69,6 +69,7 @@ struct MatrixCase
     NetKind kind;
     bool audit;
     bool telemetry;
+    bool faults = false;
 };
 
 std::string
@@ -88,6 +89,8 @@ matrixName(const MatrixCase &c)
     }
     name += c.audit ? "_AuditOn" : "_AuditOff";
     name += c.telemetry ? "_TelemetryOn" : "_TelemetryOff";
+    if (c.faults)
+        name += "_AllFaults";
     return name;
 }
 
@@ -110,12 +113,33 @@ TEST_P(ParallelBitIdentity, AnyWorkerCountMatchesSerial)
     base.audit = p.audit;
     base.telemetry.enabled = p.telemetry;
     base.telemetry.epochCycles = 500;
+    if (p.faults) {
+        // The harness strips the LOFT-only classes on GSF/wormhole.
+        base.faults.enabled = true;
+        base.faults.lookaheadDropRate = 2e-3;
+        base.faults.creditLossRate = 2e-3;
+        base.faults.creditCorruptRate = 2e-3;
+        base.faults.dataCorruptRate = 2e-3;
+        base.faults.linkStallRate = 2e-3;
+    }
     const TrafficPattern pattern = smallPattern();
 
     RunConfig serial_cfg = base;
     serial_cfg.intraRunWorkers = 1;
     const RunResult serial = runExperiment(serial_cfg, pattern, 0.15);
     ASSERT_GT(serial.totalFlits, 0u);
+    if (p.faults && kAuditCompiledIn) {
+        // Every class that applies to the network fired.
+        for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+            const auto kind = static_cast<FaultKind>(k);
+            const bool fabric = kind == FaultKind::DataCorrupt ||
+                                kind == FaultKind::LinkStall;
+            if (fabric || p.kind == NetKind::Loft) {
+                EXPECT_GT(serial.faultsInjected[k], 0u)
+                    << faultKindName(kind);
+            }
+        }
+    }
     const std::string want = sweepFingerprint(serial);
 
     for (unsigned workers : {2u, 4u, 8u}) {
@@ -154,7 +178,10 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{NetKind::Gsf, false, false},
         MatrixCase{NetKind::Wormhole, true, true},
         MatrixCase{NetKind::Wormhole, true, false},
-        MatrixCase{NetKind::Wormhole, false, false}),
+        MatrixCase{NetKind::Wormhole, false, false},
+        MatrixCase{NetKind::Loft, true, true, true},
+        MatrixCase{NetKind::Gsf, true, true, true},
+        MatrixCase{NetKind::Wormhole, true, true, true}),
     [](const auto &info) { return matrixName(info.param); });
 
 /// ---------------------------------------------------------------

@@ -276,6 +276,13 @@ struct OracleCase
     std::uint32_t windowFrames;
 };
 
+// Without a PrintTo gtest appends the case's raw bytes to the ctest name.
+void
+PrintTo(const OracleCase &oc, std::ostream *os)
+{
+    *os << "q" << oc.quantumFlits << " WF" << oc.windowFrames;
+}
+
 class SchedulerOracle : public ::testing::TestWithParam<OracleCase>
 {
 };

@@ -76,6 +76,14 @@ struct FrameCase
     std::uint32_t quantumFlits;
 };
 
+// Without a PrintTo gtest names each case by its raw bytes.
+void
+PrintTo(const FrameCase &fc, std::ostream *os)
+{
+    *os << "F" << fc.frameFlits << " WF" << fc.windowFrames << " q"
+        << fc.quantumFlits;
+}
+
 class FrameSweep : public ::testing::TestWithParam<FrameCase>
 {
 };
