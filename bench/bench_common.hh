@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "harness/sweep.hh"
 #include "qos/allocation.hh"
 #include "qos/group_metrics.hh"
+#include "sim/parallel.hh"
 
 namespace noc::bench
 {
@@ -67,8 +67,7 @@ benchThreads()
         if (v >= 1)
             return static_cast<unsigned>(v);
     }
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc ? hc : 1;
+    return hardwareThreads();
 }
 
 /**

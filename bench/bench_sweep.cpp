@@ -174,8 +174,7 @@ main(int argc, char **argv)
     if (intra_workers < 1)
         intra_workers = 1;
 
-    const unsigned hw_threads =
-        std::max(1u, std::thread::hardware_concurrency());
+    const unsigned hw_threads = hardwareThreads();
 
     // ---- Sweep section -------------------------------------------
     Mesh2D mesh(4, 4);

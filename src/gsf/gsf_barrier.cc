@@ -2,13 +2,13 @@
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "sim/phase_sanitizer.hh"
 
 namespace noc
 {
 
 GsfBarrier::GsfBarrier(std::uint32_t window_frames, Cycle barrier_delay)
-    : window_(window_frames), delay_(barrier_delay),
+    : DomainLog("GsfBarrier"), window_(window_frames),
+      delay_(barrier_delay),
       inFlight_(
           PoolAlloc<std::pair<const std::uint64_t, std::uint64_t>>(&pool_))
 {
@@ -22,34 +22,8 @@ GsfBarrier::GsfBarrier(std::uint32_t window_frames, Cycle barrier_delay)
 void
 GsfBarrier::onPacketAdmitted(std::uint64_t frame, std::uint32_t flits)
 {
-    const int d = par::currentDomain();
-    if (d >= 0 && !deferred_.empty()) {
-        LOFT_PSAN_DEFERRED_BUFFER("GsfBarrier::onPacketAdmitted");
-        deferred_[static_cast<std::size_t>(d)].push_back(
-            {frame, flits, true});
+    if (defer("onPacketAdmitted", {frame, flits, true}))
         return;
-    }
-    LOFT_PSAN_DIRECT_DELIVERY("GsfBarrier::onPacketAdmitted");
-    admitNow(frame, flits);
-}
-
-void
-GsfBarrier::onFlitEjected(std::uint64_t frame)
-{
-    const int d = par::currentDomain();
-    if (d >= 0 && !deferred_.empty()) {
-        LOFT_PSAN_DEFERRED_BUFFER("GsfBarrier::onFlitEjected");
-        deferred_[static_cast<std::size_t>(d)].push_back(
-            {frame, 0, false});
-        return;
-    }
-    LOFT_PSAN_DIRECT_DELIVERY("GsfBarrier::onFlitEjected");
-    ejectNow(frame);
-}
-
-void
-GsfBarrier::admitNow(std::uint64_t frame, std::uint32_t flits)
-{
     if (frame < head_ || frame > newestFrame())
         panic("GsfBarrier: admission into inactive frame %llu "
               "(head %llu)", static_cast<unsigned long long>(frame),
@@ -59,8 +33,10 @@ GsfBarrier::admitNow(std::uint64_t frame, std::uint32_t flits)
 }
 
 void
-GsfBarrier::ejectNow(std::uint64_t frame)
+GsfBarrier::onFlitEjected(std::uint64_t frame)
 {
+    if (defer("onFlitEjected", {frame, 0, false}))
+        return;
     auto it = inFlight_.find(frame);
     if (it == inFlight_.end() || it->second == 0)
         panic("GsfBarrier: ejection from empty frame %llu",
@@ -72,47 +48,13 @@ GsfBarrier::ejectNow(std::uint64_t frame)
 }
 
 void
-GsfBarrier::beginParallel(unsigned domains)
+GsfBarrier::replay(const FrameEvent &e)
 {
-    LOFT_PSAN_BARRIER_SEAM("GsfBarrier::beginParallel");
-    // Grow-only, like MetricsCollector::beginParallel: buffer capacity
-    // survives across run windows so the measurement window never pays
-    // for first-time growth.
-    if (deferred_.size() < domains)
-        deferred_.resize(domains);
-    if (deferredReserve_ != 0) {
-        for (std::vector<FrameEvent> &buf : deferred_)
-            if (buf.capacity() < deferredReserve_)
-                buf.reserve(deferredReserve_);
-    }
-}
-
-void
-GsfBarrier::mergeDomains()
-{
-    LOFT_PSAN_BARRIER_SEAM("GsfBarrier::mergeDomains");
-    // Commutative counter updates: domain order is as good as the
-    // serial interleaving. Ejections can only drain flits admitted in
-    // earlier cycles (channel latency >= 1), so replaying a domain's
-    // ejections before another domain's same-cycle admissions cannot
-    // underflow a count the serial run would not have underflowed.
-    for (std::vector<FrameEvent> &buf : deferred_) {
-        for (const FrameEvent &e : buf) {
-            if (e.admit)
-                admitNow(e.frame, e.flits);
-            else
-                ejectNow(e.frame);
-        }
-        buf.clear();
-    }
-}
-
-void
-GsfBarrier::endParallel()
-{
-    LOFT_PSAN_BARRIER_SEAM("GsfBarrier::endParallel");
-    for (std::vector<FrameEvent> &buf : deferred_)
-        buf.clear();
+    // Runs at the barrier, outside any domain: the hooks apply directly.
+    if (e.admit)
+        onPacketAdmitted(e.frame, e.flits);
+    else
+        onFlitEjected(e.frame);
 }
 
 void

@@ -9,7 +9,6 @@
 #define NOC_GSF_GSF_BARRIER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/clocked.hh"
 #include "sim/parallel.hh"
@@ -19,25 +18,32 @@
 namespace noc
 {
 
+/** One frame event, as buffered by a domain. */
+struct FrameEvent
+{
+    std::uint64_t frame = 0;
+    /** Flits admitted (admissions only). */
+    std::uint32_t flits = 0;
+    /** True for an admission, false for an ejection. */
+    bool admit = false;
+};
+
 /**
  * Always active: the barrier advances the frame window on a timer even
  * when the network is empty (an idle network recycles every delay+1
  * cycles), and source quotas replenish on those advances. It therefore
  * keeps Clocked's default quiescent() == false.
  *
- * In a partitioned run (DomainMerged) sources and sinks of several
- * domains report admissions/ejections concurrently; the events are
- * buffered per domain and replayed at the per-cycle barrier, before
- * this component's own tick (it is keyless, so it runs in the serial
- * epilogue). The per-frame counters are sums of commutative +-1/+n
- * updates and the head frame only moves inside tick(), so a
- * domain-order replay is state-identical to the serial interleaving,
- * and the admission-range/underflow panics fire under exactly the same
- * conditions.
+ * Sources and sinks of several domains report admissions/ejections
+ * concurrently; the events go through a DomainLog and are replayed in
+ * serial order at the per-cycle barrier, before this component's own
+ * tick (it is keyless, so it runs in the serial epilogue). The
+ * admission-range and underflow panics therefore fire exactly where a
+ * serial run's would.
  */
 // loft-tidy: phase-serial — keyless: ticked in the serial epilogue
 //     after mergeDomains() has replayed the per-domain frame events.
-class GsfBarrier final : public Clocked, public DomainMerged
+class GsfBarrier final : public Clocked, public DomainLog<FrameEvent>
 {
   public:
     GsfBarrier(std::uint32_t window_frames, Cycle barrier_delay);
@@ -68,33 +74,8 @@ class GsfBarrier final : public Clocked, public DomainMerged
 
     void tick(Cycle now) override;
 
-    // DomainMerged
-    void beginParallel(unsigned domains) override;
-    void mergeDomains() override;
-    void endParallel() override;
-
-    /**
-     * Pre-size each per-domain event buffer to @p per_domain entries
-     * (2 x node count bounds a cycle's events: at most one admission
-     * per source and one ejection per sink per cycle). Keeps first-time
-     * buffer growth out of the measurement window.
-     */
-    void setDeferredReserve(std::size_t per_domain)
-    {
-        deferredReserve_ = per_domain;
-    }
-
   private:
-    /** One buffered admission (flits > 0) or ejection (admit false). */
-    struct FrameEvent
-    {
-        std::uint64_t frame = 0;
-        std::uint32_t flits = 0;
-        bool admit = false;
-    };
-
-    void admitNow(std::uint64_t frame, std::uint32_t flits);
-    void ejectNow(std::uint64_t frame);
+    void replay(const FrameEvent &e) override;
 
     std::uint32_t window_;
     Cycle delay_;
@@ -109,14 +90,6 @@ class GsfBarrier final : public Clocked, public DomainMerged
     /** Cycle at which a pending advance completes (kNeverCycle: none). */
     Cycle advanceAt_ = kNeverCycle;
     std::uint64_t recycles_ = 0;
-    /**
-     * Per-domain event buffers. Only written inside a partitioned
-     * phase (currentDomain() >= 0); kept allocated between run windows
-     * so their capacity plateaus after warm-up.
-     */
-    std::vector<std::vector<FrameEvent>> deferred_;
-    /** Reserve applied to each domain buffer (0 = grow on demand). */
-    std::size_t deferredReserve_ = 0;
 };
 
 } // namespace noc

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <ostream>
-#include <thread>
 
 #include "audit/network_auditor.hh"
 #include "faults/fault_injector.hh"
@@ -104,19 +103,6 @@ effectiveFaultPlan(const RunConfig &config)
 namespace
 {
 
-/** Resolve RunConfig::intraRunWorkers (0 = hardware concurrency). */
-unsigned
-resolveWorkers(const RunConfig &config)
-{
-    unsigned workers = config.intraRunWorkers;
-    if (workers == 0) {
-        workers = std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-    }
-    return workers;
-}
-
 /** Cycles per data frame of the configured network (resync horizon). */
 Cycle
 frameCyclesOf(const RunConfig &config)
@@ -199,7 +185,8 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
             pattern.groupNames);
     }
 
-    const unsigned workers = resolveWorkers(cfg);
+    Simulator sim;
+    sim.setWorkers(cfg.intraRunWorkers);
 
     // The network holds a single observer pointer; with more than one
     // consumer, fan out through a mux. A partitioned run interposes
@@ -230,7 +217,7 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
                 mux.add(o);
             sink = &mux;
         }
-        if (sink && workers > 1) {
+        if (sink && sim.workers() > 1) {
             defer = std::make_unique<DeferredObserver>(sink);
             sink = defer.get();
         }
@@ -252,14 +239,12 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
     TrafficGenerator gen(*net, cfg.packetSizeFlits, cfg.seed);
     gen.configure(pattern.flows, rates);
 
-    Simulator sim;
     sim.add(&gen);
     net->attach(sim);
     if (auditor)
         auditor->attach(sim);
     if (telemetry)
         sim.add(telemetry.get()); // last: samples end-of-cycle state
-    sim.setWorkers(workers);
     if (defer)
         sim.addMerged(defer.get());
 

@@ -38,22 +38,10 @@ percentile(std::vector<double> sorted, double p)
 unsigned
 effectiveThreads(unsigned requested, std::size_t cases)
 {
-    unsigned t = requested;
-    if (t == 0) {
-        t = std::thread::hardware_concurrency();
-        if (t == 0)
-            t = 1;
-    }
+    unsigned t = requested == 0 ? hardwareThreads() : requested;
     if (cases < t)
         t = static_cast<unsigned>(cases);
     return std::max(1u, t);
-}
-
-unsigned
-hardwareThreads()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
 }
 
 } // namespace

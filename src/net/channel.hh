@@ -184,7 +184,7 @@ class Channel : public PendingPort
     {
         if (!pending_.empty())
             panic("Channel::setConcurrent with unflushed pending sends");
-        LOFT_PSAN_BARRIER_SEAM("Channel::setConcurrent");
+        LOFT_PSAN_BARRIER_SEAM("Channel", "setConcurrent");
         LOFT_PSAN_PORT_RESET(psan_);
         concurrent_ = on;
     }
@@ -193,7 +193,7 @@ class Channel : public PendingPort
     void
     flushPending() override
     {
-        LOFT_PSAN_BARRIER_SEAM("Channel::flushPending");
+        LOFT_PSAN_BARRIER_SEAM("Channel", "flushPending");
         for (auto &entry : pending_)
             enqueue(entry.first, std::move(entry.second));
         pending_.clear();

@@ -1,13 +1,12 @@
 #include "net/metrics.hh"
 
 #include "sim/logging.hh"
-#include "sim/phase_sanitizer.hh"
 
 namespace noc
 {
 
 MetricsCollector::MetricsCollector(std::size_t num_flows)
-    : flows_(num_flows)
+    : DomainLog("MetricsCollector"), flows_(num_flows)
 {
 }
 
@@ -42,15 +41,8 @@ MetricsCollector::stopMeasurement(Cycle now)
 void
 MetricsCollector::onFlitEjected(FlowId flow)
 {
-    const int d = par::currentDomain();
-    if (d >= 0 && !deferred_.empty()) {
-        LOFT_PSAN_DEFERRED_BUFFER("MetricsCollector::onFlitEjected");
-        // loft-tidy: pooled(setDeferredReserve sizes each buffer)
-        deferred_[static_cast<std::size_t>(d)].push_back(
-            {flow, 0, 0, false});
+    if (defer("onFlitEjected", {flow, 0, 0, false}))
         return;
-    }
-    LOFT_PSAN_DIRECT_DELIVERY("MetricsCollector::onFlitEjected");
     if (!measuring_)
         return;
     if (flow >= flows_.size())
@@ -63,15 +55,8 @@ MetricsCollector::onFlitEjected(FlowId flow)
 void
 MetricsCollector::onPacketEjected(FlowId flow, Cycle created_at, Cycle now)
 {
-    const int d = par::currentDomain();
-    if (d >= 0 && !deferred_.empty()) {
-        LOFT_PSAN_DEFERRED_BUFFER("MetricsCollector::onPacketEjected");
-        // loft-tidy: pooled(setDeferredReserve sizes each buffer)
-        deferred_[static_cast<std::size_t>(d)].push_back(
-            {flow, created_at, now, true});
+    if (defer("onPacketEjected", {flow, created_at, now, true}))
         return;
-    }
-    LOFT_PSAN_DIRECT_DELIVERY("MetricsCollector::onPacketEjected");
     if (!measuring_)
         return;
     if (flow >= flows_.size())
@@ -86,47 +71,13 @@ MetricsCollector::onPacketEjected(FlowId flow, Cycle created_at, Cycle now)
 }
 
 void
-MetricsCollector::beginParallel(unsigned domains)
+MetricsCollector::replay(const EjectionSample &s)
 {
-    LOFT_PSAN_BARRIER_SEAM("MetricsCollector::beginParallel");
-    // Grow-only: per-domain buffer capacity survives across run
-    // windows, so the warm-up window's growth pays for the
-    // measurement window. The hook guard requires currentDomain() >= 0,
-    // which only holds inside a partitioned phase, so keeping the
-    // buffers alive between windows never re-routes a direct sample.
-    if (deferred_.size() < domains)
-        deferred_.resize(domains);
-    if (deferredReserve_ != 0) {
-        for (std::vector<DeferredSample> &buf : deferred_)
-            if (buf.capacity() < deferredReserve_)
-                buf.reserve(deferredReserve_);
-    }
-}
-
-void
-MetricsCollector::mergeDomains()
-{
-    LOFT_PSAN_BARRIER_SEAM("MetricsCollector::mergeDomains");
-    // Replay in domain order; see the class comment for why this is
-    // exactly the serial sample order. The replay runs on the main
-    // thread outside any domain, so the hooks take their direct path.
-    for (std::vector<DeferredSample> &buf : deferred_) {
-        for (const DeferredSample &s : buf) {
-            if (s.packet)
-                onPacketEjected(s.flow, s.createdAt, s.now);
-            else
-                onFlitEjected(s.flow);
-        }
-        buf.clear();
-    }
-}
-
-void
-MetricsCollector::endParallel()
-{
-    LOFT_PSAN_BARRIER_SEAM("MetricsCollector::endParallel");
-    for (std::vector<DeferredSample> &buf : deferred_)
-        buf.clear();
+    // Runs at the barrier, outside any domain: the hooks apply directly.
+    if (s.packet)
+        onPacketEjected(s.flow, s.createdAt, s.now);
+    else
+        onFlitEjected(s.flow);
 }
 
 Cycle

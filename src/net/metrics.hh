@@ -38,19 +38,26 @@ struct FlowMetrics
                              kLatencyHistBuckets};
 };
 
+/** One ejection-side sample, as buffered by a domain. */
+struct EjectionSample
+{
+    FlowId flow = kInvalidFlow;
+    Cycle createdAt = 0;
+    Cycle now = 0;
+    /** True for a packet (tail) sample, false for a flit sample. */
+    bool packet = false;
+};
+
 /**
  * Collects ejection-side measurements. Sinks call the onXxx hooks; the
  * harness turns on measurement after warmup and reads the results.
  *
- * In a partitioned run (DomainMerged) sinks of several domains call the
- * hooks concurrently, so samples are buffered per domain and replayed
- * at the per-cycle barrier. Only sinks emit samples and sinks are
- * registered in ascending node-id order while domains are contiguous
- * id ranges, so replaying domain 0's buffer, then domain 1's, and so
- * on reproduces the serial sample order exactly — including the
- * floating-point accumulation order of the latency statistics.
+ * Sinks of several domains call the hooks concurrently, so the samples
+ * go through a DomainLog and are replayed at the per-cycle barrier in
+ * serial order — including the floating-point accumulation order of
+ * the latency statistics.
  */
-class MetricsCollector : public DomainMerged
+class MetricsCollector : public DomainLog<EjectionSample>
 {
   public:
     explicit MetricsCollector(std::size_t num_flows = 0);
@@ -98,33 +105,8 @@ class MetricsCollector : public DomainMerged
     /** Network-wide accepted throughput in flits/cycle/node. */
     double networkThroughput(std::size_t num_nodes) const;
 
-    // DomainMerged
-    void beginParallel(unsigned domains) override;
-    void mergeDomains() override;
-    void endParallel() override;
-
-    /**
-     * Pre-size each per-domain sample buffer to @p per_domain entries
-     * (2 x node count bounds a cycle's ejection events: at most one
-     * flit and one packet sample per sink per cycle). Keeps first-time
-     * buffer growth out of the measurement window so the steady state
-     * stays allocation-free.
-     */
-    void setDeferredReserve(std::size_t per_domain)
-    {
-        deferredReserve_ = per_domain;
-    }
-
   private:
-    /** One buffered ejection-side sample. */
-    struct DeferredSample
-    {
-        FlowId flow = kInvalidFlow;
-        Cycle createdAt = 0;
-        Cycle now = 0;
-        /** True for a packet (tail) sample, false for a flit sample. */
-        bool packet = false;
-    };
+    void replay(const EjectionSample &s) override;
 
     std::vector<FlowMetrics> flows_;
     RunningStat allLatency_;
@@ -135,14 +117,6 @@ class MetricsCollector : public DomainMerged
     bool measuring_ = false;
     Cycle windowStart_ = 0;
     Cycle windowEnd_ = 0;
-    /**
-     * Per-domain sample buffers. Only written inside a partitioned
-     * phase (currentDomain() >= 0); kept allocated between run windows
-     * so their capacity plateaus after warm-up.
-     */
-    std::vector<std::vector<DeferredSample>> deferred_;
-    /** Reserve applied to each domain buffer (0 = grow on demand). */
-    std::size_t deferredReserve_ = 0;
 };
 
 } // namespace noc

@@ -13,10 +13,13 @@
 #ifndef NOC_SIM_PARALLEL_HH
 #define NOC_SIM_PARALLEL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
+
+#include "sim/phase_sanitizer.hh"
 
 namespace noc
 {
@@ -55,7 +58,7 @@ class PendingPort
  * the deferred observer). While a domain executes, its mutations are
  * recorded into a per-domain buffer; the simulator calls mergeDomains()
  * at the cycle barrier (single-threaded) to replay them in a
- * deterministic order.
+ * deterministic order. DomainLog is the implementation.
  */
 class DomainMerged
 {
@@ -122,6 +125,151 @@ currentDomain()
 }
 
 } // namespace par
+
+/** Hardware threads of the host, or 1 when the count is unknown. */
+inline unsigned
+hardwareThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
+/**
+ * The per-domain record log behind every DomainMerged consumer. Each
+ * hook of the consumer starts with `if (defer(hook, record)) return;`
+ * and the consumer implements replay(), which the barrier merge calls
+ * once per buffered record.
+ *
+ * A record is buffered only while the calling thread runs a domain
+ * inside an open window; it is stamped with the serial registration
+ * index of the component ticking (par::ctx().component). Components
+ * run in registration order within their domain and domains partition
+ * the index space, so every domain's log is sorted by stamp, and
+ * mergeDomains() — a k-way merge by stamp — replays the records in
+ * exactly the order a serial run would have applied them. Outside a
+ * domain (serial runs, prologue/epilogue components, the replay
+ * itself) defer() returns false and the hook applies the record at
+ * once.
+ *
+ * The logs are grow-only: endParallel() clears their contents but
+ * keeps their capacity, so the warm-up window's growth pays for the
+ * measurement window, and setDeferredReserve() sizes them up front.
+ */
+template <typename Record>
+class DomainLog : public DomainMerged
+{
+  public:
+    /** @p owner names the consumer in phase-sanitizer reports. */
+    explicit DomainLog(const char *owner) : owner_(owner) {}
+
+    void
+    beginParallel(unsigned domains) override
+    {
+        LOFT_PSAN_BARRIER_SEAM(owner_, "beginParallel");
+        if (logs_.size() < domains) {
+            logs_.resize(domains);
+            cursors_.resize(domains);
+        }
+        for (std::vector<Stamped> &log : logs_)
+            if (log.capacity() < reserve_)
+                log.reserve(reserve_);
+        open_ = true;
+    }
+
+    void
+    mergeDomains() override
+    {
+        LOFT_PSAN_BARRIER_SEAM(owner_, "mergeDomains");
+        std::fill(cursors_.begin(), cursors_.end(), 0);
+        for (;;) {
+            std::size_t best = logs_.size();
+            std::uint32_t best_comp = 0;
+            for (std::size_t d = 0; d < logs_.size(); ++d) {
+                if (cursors_[d] >= logs_[d].size())
+                    continue;
+                const std::uint32_t comp =
+                    logs_[d][cursors_[d]].component;
+                if (best == logs_.size() || comp < best_comp) {
+                    best = d;
+                    best_comp = comp;
+                }
+            }
+            if (best == logs_.size())
+                break;
+            // Drain the chosen component's consecutive records in one go.
+            const std::vector<Stamped> &log = logs_[best];
+            std::size_t &cur = cursors_[best];
+            do {
+                replay(log[cur].record);
+                ++cur;
+            } while (cur < log.size() && log[cur].component == best_comp);
+        }
+        clearLogs();
+    }
+
+    void
+    endParallel() override
+    {
+        LOFT_PSAN_BARRIER_SEAM(owner_, "endParallel");
+        clearLogs();
+        open_ = false;
+    }
+
+    /**
+     * Reserve @p per_domain records in each domain log from the next
+     * beginParallel() on, so first-time growth stays out of the
+     * measurement window (0 = grow on demand).
+     */
+    void setDeferredReserve(std::size_t per_domain) { reserve_ = per_domain; }
+
+  protected:
+    /**
+     * Buffer @p r in the calling thread's domain and return true, or
+     * return false when the caller must apply it now. @p hook names
+     * the calling hook in phase-sanitizer reports.
+     */
+    // loft-tidy: steady-state-hot
+    bool
+    defer([[maybe_unused]] const char *hook, const Record &r)
+    {
+        const int d = par::currentDomain();
+        if (d == par::kDirect || !open_) {
+            LOFT_PSAN_DIRECT_DELIVERY(owner_, hook);
+            return false;
+        }
+        LOFT_PSAN_DEFERRED_BUFFER(owner_, hook);
+        // loft-tidy: pooled(grow-only logs; setDeferredReserve sizes them)
+        logs_[static_cast<std::size_t>(d)].push_back(
+            {par::ctx().component, r});
+        return true;
+    }
+
+  private:
+    /** A buffered record and the serial index of its component. */
+    struct Stamped
+    {
+        std::uint32_t component;
+        Record record;
+    };
+
+    /** Apply one buffered record (called by mergeDomains()). */
+    virtual void replay(const Record &r) = 0;
+
+    void
+    clearLogs()
+    {
+        for (std::vector<Stamped> &log : logs_)
+            log.clear();
+    }
+
+    const char *owner_;
+    /** Between beginParallel() and endParallel(). */
+    bool open_ = false;
+    std::size_t reserve_ = 0;
+    std::vector<std::vector<Stamped>> logs_;
+    /** Merge position in each log (sized with logs_). */
+    std::vector<std::size_t> cursors_;
+};
 
 /**
  * Sense-reversing barrier separating the phases of a parallel cycle.

@@ -52,24 +52,25 @@ setEnabledForTest(int v)
 #if LOFT_AUDIT_ENABLED
 
 void
-violation(const char *seam, const char *rule)
+violation(const char *owner, const char *method, const char *rule)
 {
     const par::DomainContext &cx = par::ctx();
-    panic("PhaseSanitizer: %s: %s "
+    panic("PhaseSanitizer: %s::%s: %s "
           "(component %u, cycle %llu, phase %s, domain %d)",
-          seam, rule, cx.component,
+          owner, method, rule, cx.component,
           static_cast<unsigned long long>(tlPhase.cycle),
           simPhaseName(tlPhase.phase), cx.domain);
 }
 
 void
-checkBarrierSeam(const char *seam)
+checkBarrierSeam(const char *owner, const char *method)
 {
     const SimPhase p = tlPhase.phase;
     if (p == SimPhase::Prologue || p == SimPhase::Partitioned ||
         p == SimPhase::Epilogue)
-        violation(seam, "barrier-owned seam entered from inside a "
-                        "simulation phase");
+        violation(owner, method,
+                  "barrier-owned seam entered from inside a "
+                  "simulation phase");
 }
 
 void
@@ -77,13 +78,13 @@ checkChannelSend(PortState &st)
 {
     const SimPhase p = tlPhase.phase;
     if (p == SimPhase::Barrier)
-        violation("Channel::send",
+        violation("Channel", "send",
                   "send while the barrier publishes channel state");
     if (p != SimPhase::Partitioned)
         return;
     const void *self = &tlPhase;
     if (st.sendCycle == tlPhase.cycle && st.sendOwner != self)
-        violation("Channel::send",
+        violation("Channel", "send",
                   "pending buffer written from a foreign domain "
                   "(two threads sent on one channel in one cycle)");
     st.sendCycle = tlPhase.cycle;
@@ -95,7 +96,7 @@ checkChannelReceive(PortState &st)
 {
     const SimPhase p = tlPhase.phase;
     if (p == SimPhase::Barrier)
-        violation("Channel::receive",
+        violation("Channel", "receive",
                   "receive while the barrier publishes channel state");
     if (p != SimPhase::Partitioned)
         return;
@@ -103,25 +104,27 @@ checkChannelReceive(PortState &st)
     if (st.recvOwner == nullptr)
         st.recvOwner = self;
     else if (st.recvOwner != self)
-        violation("Channel::receive",
+        violation("Channel", "receive",
                   "in-flight queue popped from a foreign domain");
 }
 
 void
-checkDeferredBuffer(const char *seam)
+checkDeferredBuffer(const char *owner, const char *hook)
 {
     if (tlPhase.phase != SimPhase::Partitioned)
-        violation(seam, "per-domain deferred buffering outside the "
-                        "partitioned phase (leaked domain context)");
+        violation(owner, hook,
+                  "per-domain deferred buffering outside the "
+                  "partitioned phase (leaked domain context)");
 }
 
 void
-checkDirectDelivery(const char *seam)
+checkDirectDelivery(const char *owner, const char *hook)
 {
     if (tlPhase.phase == SimPhase::Partitioned)
-        violation(seam, "shared consumer state mutated directly from "
-                        "the partitioned phase (must be buffered "
-                        "per domain and merged at the barrier)");
+        violation(owner, hook,
+                  "shared consumer state mutated directly from "
+                  "the partitioned phase (must be buffered "
+                  "per domain and merged at the barrier)");
 }
 
 void
@@ -135,16 +138,17 @@ resetPort(PortState &st)
 #else // !LOFT_AUDIT_ENABLED: keep the API linkable in audit-off builds
 
 void
-violation(const char *seam, const char *rule)
+violation(const char *owner, const char *method, const char *rule)
 {
-    panic("PhaseSanitizer: %s: %s (compiled out)", seam, rule);
+    panic("PhaseSanitizer: %s::%s: %s (compiled out)", owner, method,
+          rule);
 }
 
-void checkBarrierSeam(const char *) {}
+void checkBarrierSeam(const char *, const char *) {}
 void checkChannelSend(PortState &) {}
 void checkChannelReceive(PortState &) {}
-void checkDeferredBuffer(const char *) {}
-void checkDirectDelivery(const char *) {}
+void checkDeferredBuffer(const char *, const char *) {}
+void checkDirectDelivery(const char *, const char *) {}
 void resetPort(PortState &) {}
 
 #endif // LOFT_AUDIT_ENABLED

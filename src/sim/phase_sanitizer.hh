@@ -111,14 +111,18 @@ struct PortState
     const void *recvOwner = nullptr; ///< receiving thread this window
 };
 
-/** Abort with the (component, cycle, phase, domain) report. */
-[[noreturn]] void violation(const char *seam, const char *rule);
+/**
+ * Abort with the (component, cycle, phase, domain) report for the seam
+ * "@p owner::@p method" (e.g. "MetricsCollector::mergeDomains").
+ */
+[[noreturn]] void violation(const char *owner, const char *method,
+                            const char *rule);
 
-void checkBarrierSeam(const char *seam);
+void checkBarrierSeam(const char *owner, const char *method);
 void checkChannelSend(PortState &st);
 void checkChannelReceive(PortState &st);
-void checkDeferredBuffer(const char *seam);
-void checkDirectDelivery(const char *seam);
+void checkDeferredBuffer(const char *owner, const char *hook);
+void checkDirectDelivery(const char *owner, const char *hook);
 void resetPort(PortState &st);
 
 } // namespace psan
@@ -136,10 +140,10 @@ void resetPort(PortState &st);
     } while (0)
 
 /** Barrier-owned seam (flushPending / mergeDomains / ...). */
-#define LOFT_PSAN_BARRIER_SEAM(seam_)                                    \
+#define LOFT_PSAN_BARRIER_SEAM(owner_, method_)                          \
     do {                                                                 \
         if (::noc::psan::enabled())                                      \
-            ::noc::psan::checkBarrierSeam(seam_);                        \
+            ::noc::psan::checkBarrierSeam(owner_, method_);              \
     } while (0)
 
 /** A deferred (concurrent-mode) channel send. */
@@ -157,17 +161,17 @@ void resetPort(PortState &st);
     } while (0)
 
 /** A DomainMerged hook buffering into its per-domain scratch. */
-#define LOFT_PSAN_DEFERRED_BUFFER(seam_)                                 \
+#define LOFT_PSAN_DEFERRED_BUFFER(owner_, hook_)                         \
     do {                                                                 \
         if (::noc::psan::enabled())                                      \
-            ::noc::psan::checkDeferredBuffer(seam_);                     \
+            ::noc::psan::checkDeferredBuffer(owner_, hook_);             \
     } while (0)
 
 /** A DomainMerged hook mutating shared state directly. */
-#define LOFT_PSAN_DIRECT_DELIVERY(seam_)                                 \
+#define LOFT_PSAN_DIRECT_DELIVERY(owner_, hook_)                         \
     do {                                                                 \
         if (::noc::psan::enabled())                                      \
-            ::noc::psan::checkDirectDelivery(seam_);                     \
+            ::noc::psan::checkDirectDelivery(owner_, hook_);             \
     } while (0)
 
 /** Clear per-channel scratch at a window boundary. */
@@ -180,11 +184,11 @@ void resetPort(PortState &st);
 #else // !LOFT_AUDIT_ENABLED — zero cost, argument tokens discarded
 
 #define LOFT_PSAN_SET_PHASE(phase_, cycle_) ((void)0)
-#define LOFT_PSAN_BARRIER_SEAM(seam_) ((void)0)
+#define LOFT_PSAN_BARRIER_SEAM(owner_, method_) ((void)0)
 #define LOFT_PSAN_CHANNEL_SEND(st_) ((void)0)
 #define LOFT_PSAN_CHANNEL_RECEIVE(st_) ((void)0)
-#define LOFT_PSAN_DEFERRED_BUFFER(seam_) ((void)0)
-#define LOFT_PSAN_DIRECT_DELIVERY(seam_) ((void)0)
+#define LOFT_PSAN_DEFERRED_BUFFER(owner_, hook_) ((void)0)
+#define LOFT_PSAN_DIRECT_DELIVERY(owner_, hook_) ((void)0)
 #define LOFT_PSAN_PORT_RESET(st_) ((void)0)
 
 #endif // LOFT_AUDIT_ENABLED

@@ -98,11 +98,8 @@ Simulator::addMerged(DomainMerged *consumer)
 void
 Simulator::setWorkers(unsigned workers)
 {
-    if (workers == 0) {
-        workers = std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-    }
+    if (workers == 0)
+        workers = hardwareThreads();
     if (workers == workers_)
         return;
     teardownPool();

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "net/channel.hh"
 #include "net/deferred_observer.hh"
 #include "qos/allocation.hh"
+#include "sim/alloc.hh"
 #include "sim/phase_sanitizer.hh"
 #include "sim/simulator.hh"
 
@@ -412,9 +414,200 @@ TEST(ParallelQuiescence, PartitionedRunDeliversAndDrains)
 }
 
 /// ---------------------------------------------------------------
-/// DeferredObserver on its own: events buffered by fake domains are
-/// replayed in serial component order at the barrier.
+/// DomainLog and its consumers on their own: records made by fake
+/// domains are replayed in serial component order at the barrier.
 /// ---------------------------------------------------------------
+
+/** Run @p body as component @p component of domain @p domain would
+ *  inside the partitioned phase, then return to the barrier. */
+template <typename Body>
+void
+inDomain(int domain, std::uint32_t component, Body &&body)
+{
+    par::ctx().domain = domain;
+    par::ctx().component = component;
+    LOFT_PSAN_SET_PHASE(SimPhase::Partitioned, 1);
+    body();
+    par::ctx().domain = par::kDirect;
+    LOFT_PSAN_SET_PHASE(SimPhase::Barrier, 1);
+}
+
+/** The smallest DomainLog consumer: records are ints, applied by
+ *  appending them to a list. */
+class IntLog final : public DomainLog<int>
+{
+  public:
+    IntLog() : DomainLog("IntLog") {}
+
+    std::vector<int> applied;
+
+    void
+    record(int v)
+    {
+        if (defer("record", v))
+            return;
+        applied.push_back(v);
+    }
+
+  private:
+    void replay(const int &v) override { record(v); }
+};
+
+TEST(DomainLog, InterleavedDomainsReplayInComponentOrder)
+{
+    IntLog log;
+    log.beginParallel(2);
+    // Domain 0 runs components 0 and 2, domain 1 runs 1 and 3; the
+    // domains interleave freely, each in its own component order.
+    inDomain(1, 1, [&] { log.record(10); });
+    inDomain(0, 0, [&] { log.record(0); });
+    inDomain(1, 1, [&] { log.record(11); });
+    inDomain(0, 2, [&] { log.record(20); });
+    inDomain(1, 3, [&] { log.record(30); });
+    inDomain(0, 2, [&] { log.record(21); });
+    EXPECT_TRUE(log.applied.empty());
+
+    log.mergeDomains();
+    EXPECT_EQ(log.applied, (std::vector<int>{0, 10, 11, 20, 21, 30}));
+    log.mergeDomains(); // the logs were drained
+    EXPECT_EQ(log.applied.size(), 6u);
+    log.endParallel();
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
+}
+
+TEST(DomainLog, RecordOutsideAnyDomainAppliesAtOnce)
+{
+    IntLog log;
+    log.record(1); // no window has opened yet
+    log.beginParallel(2);
+    log.record(2); // a serial prologue or epilogue component
+    EXPECT_EQ(log.applied, (std::vector<int>{1, 2}));
+    log.endParallel();
+
+    // A domain context with the window closed buffers nothing either.
+    par::ctx().domain = 0;
+    log.record(3);
+    par::ctx().domain = par::kDirect;
+    EXPECT_EQ(log.applied, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(DomainLog, SecondWindowWithTheSameBurstDoesNotAllocate)
+{
+    IntLog log;
+    log.applied.reserve(256);
+    auto window = [&] {
+        log.beginParallel(2);
+        for (int i = 0; i < 64; ++i)
+            inDomain(i % 2, static_cast<std::uint32_t>(i),
+                     [&] { log.record(i); });
+        log.mergeDomains();
+        log.endParallel();
+    };
+    window(); // grows the logs
+    const std::uint64_t before = heapAllocCount();
+    window();
+    EXPECT_EQ(heapAllocCount() - before, 0u);
+    ASSERT_EQ(log.applied.size(), 128u);
+    for (int i = 0; i < 128; ++i)
+        EXPECT_EQ(log.applied[static_cast<std::size_t>(i)], i % 64);
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
+}
+
+TEST(DomainLog, ReservedLogTakesAFirstBurstWithoutAllocating)
+{
+    IntLog log;
+    log.applied.reserve(64);
+    log.setDeferredReserve(64);
+    log.beginParallel(1);
+    const std::uint64_t before = heapAllocCount();
+    for (int i = 0; i < 64; ++i)
+        inDomain(0, static_cast<std::uint32_t>(i), [&] { log.record(i); });
+    log.mergeDomains();
+    EXPECT_EQ(heapAllocCount() - before, 0u);
+    EXPECT_EQ(log.applied.size(), 64u);
+    log.endParallel();
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
+}
+
+/** One admission or ejection reported to a GsfBarrier. */
+struct FrameCall
+{
+    int domain;
+    std::uint32_t component;
+    bool admit;
+    std::uint64_t frame;
+    std::uint32_t flits;
+};
+
+void
+applyCall(GsfBarrier &b, const FrameCall &c)
+{
+    if (c.admit)
+        b.onPacketAdmitted(c.frame, c.flits);
+    else
+        b.onFlitEjected(c.frame);
+}
+
+TEST(GsfBarrierDeferred, DomainBufferedEventsMatchSerialCalls)
+{
+    // Per cycle, in serial component order. Components 1-2 sit in
+    // domain 0 and 3-4 in domain 1.
+    const std::vector<std::vector<FrameCall>> script = {
+        {{0, 1, true, 0, 2}, {1, 3, true, 0, 1}, {1, 4, true, 1, 2}},
+        {{0, 2, false, 0, 0}, {1, 3, false, 0, 0}},
+        {{0, 2, false, 0, 0}, {1, 4, true, 1, 1}},
+        {{0, 1, false, 1, 0}, {1, 4, false, 1, 0}, {1, 4, false, 1, 0}},
+    };
+    GsfBarrier serial(2, 3);
+    GsfBarrier deferred(2, 3);
+    deferred.beginParallel(2);
+    std::vector<Cycle> serialAdvances;
+    std::vector<Cycle> deferredAdvances;
+    for (Cycle now = 0; now < 16; ++now) {
+        if (now < script.size()) {
+            const std::vector<FrameCall> &calls = script[now];
+            for (const FrameCall &c : calls)
+                applyCall(serial, c);
+            // Domain 1 happens to run ahead of domain 0 this time.
+            const std::uint64_t held = deferred.inFlightFlits();
+            for (int d : {1, 0})
+                for (const FrameCall &c : calls)
+                    if (c.domain == d)
+                        inDomain(d, c.component,
+                                 [&] { applyCall(deferred, c); });
+            EXPECT_EQ(deferred.inFlightFlits(), held) << "cycle " << now;
+            deferred.mergeDomains();
+        }
+        EXPECT_EQ(serial.inFlightFlits(), deferred.inFlightFlits())
+            << "cycle " << now;
+        const std::uint64_t serialHead = serial.headFrame();
+        const std::uint64_t deferredHead = deferred.headFrame();
+        serial.tick(now);
+        deferred.tick(now);
+        if (serial.headFrame() != serialHead)
+            serialAdvances.push_back(now);
+        if (deferred.headFrame() != deferredHead)
+            deferredAdvances.push_back(now);
+    }
+    EXPECT_FALSE(serialAdvances.empty());
+    EXPECT_EQ(serialAdvances, deferredAdvances);
+    deferred.endParallel();
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
+}
+
+TEST(GsfBarrierDeferredDeathTest, BufferedEjectionFromEmptyFramePanicsAtMerge)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            GsfBarrier b(2, 3);
+            b.beginParallel(2);
+            inDomain(1, 4, [&] { b.onFlitEjected(0); });
+            std::fputs("buffered\n", stderr);
+            b.mergeDomains();
+        },
+        "buffered.*GsfBarrier: ejection from empty frame 0");
+}
 
 /** Records the node and flit payload of every event it consumes. */
 class EventLog final : public NetObserver
@@ -434,15 +627,12 @@ void
 emitFromDomain(NetObserver &obs, int domain, std::uint32_t component,
                NodeId node)
 {
-    par::ctx().domain = domain;
-    par::ctx().component = component;
-    LOFT_PSAN_SET_PHASE(SimPhase::Partitioned, 1);
     Flit flit;
     flit.payload = 1000 + node;
-    obs.consume({.kind = NetEvent::Kind::FlitEjected, .node = node,
-                 .flit = flit, .now = 1});
-    par::ctx().domain = par::kDirect;
-    LOFT_PSAN_SET_PHASE(SimPhase::Barrier, 1);
+    inDomain(domain, component, [&] {
+        obs.consume({.kind = NetEvent::Kind::FlitEjected, .node = node,
+                     .flit = flit, .now = 1});
+    });
 }
 
 using Logged = std::vector<std::pair<NodeId, std::uint64_t>>;
