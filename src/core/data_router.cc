@@ -71,6 +71,7 @@ LoftDataRouter::connectInput(Port p, Channel<DataWireFlit> *data_in,
     in.dataIn = data_in;
     in.actualCreditOut = actual_credit_out;
     in.virtualCreditOut = virtual_credit_out;
+    data_in->setReader(this);
 }
 
 void
@@ -82,6 +83,8 @@ LoftDataRouter::connectOutput(Port p, Channel<DataWireFlit> *data_out,
     out.dataOut = data_out;
     out.actualCreditIn = actual_credit_in;
     out.virtualCreditIn = virtual_credit_in;
+    actual_credit_in->setReader(this);
+    virtual_credit_in->setReader(this);
 }
 
 bool
@@ -642,6 +645,10 @@ LoftDataRouter::tick(Cycle now)
         nextScrubAt_ = now + params_.scrubPeriod();
         scrubStaleRecords(now);
     }
+    // The look-ahead router's quiescent() reads this router's pending
+    // and unclaimed quanta, which this tick may have changed.
+    if (lookahead_)
+        lookahead_->wake();
 }
 
 bool

@@ -104,6 +104,12 @@ class LoftDataRouter final : public Clocked
      */
     void recoverLostLookaheads(Cycle now);
 
+    /**
+     * Bind the co-located look-ahead router, which this router's tick
+     * wakes (it sleeps on this router's pending and unclaimed quanta).
+     */
+    void pairLookahead(Clocked *lookahead) { lookahead_ = lookahead; }
+
     void tick(Cycle now) override;
 
     bool quiescent() const override;
@@ -379,6 +385,8 @@ class LoftDataRouter final : public Clocked
     std::uint64_t duplicateLookaheads_ = 0;
     std::uint64_t creditsDiscarded_ = 0;
     Cycle nextScrubAt_ = 0;
+    /** Co-located look-ahead router (null when driven without one). */
+    Clocked *lookahead_ = nullptr;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
 };

@@ -15,6 +15,7 @@ LoftSink::LoftSink(NodeId node, const LoftParams &params,
       virtualCreditOut_(virtual_credit_out), metrics_(metrics),
       pending_(PoolAlloc<std::pair<const PacketId, std::uint32_t>>(&pool_))
 {
+    in->setReader(this);
     // Pin the bucket array: only a handful of packets are ever
     // partially received at once, so this never rehashes (asserted by
     // the zero-allocation tests).

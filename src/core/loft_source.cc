@@ -31,6 +31,8 @@ LoftSourceUnit::connectData(Channel<DataWireFlit> *data_out,
     dataOut_ = data_out;
     actualCreditIn_ = actual_credit_in;
     virtualCreditIn_ = virtual_credit_in;
+    actual_credit_in->setReader(this);
+    virtual_credit_in->setReader(this);
 }
 
 void
@@ -39,6 +41,7 @@ LoftSourceUnit::connectLookahead(Channel<LaWireFlit> *la_out,
 {
     laOut_ = la_out;
     laCreditIn_ = la_credit_in;
+    la_credit_in->setReader(this);
 }
 
 void
@@ -65,6 +68,7 @@ LoftSourceUnit::enqueue(const Packet &pkt)
         panic("LoftSourceUnit %u: packet from node %u", node_, pkt.src);
     queue_.push_back(pkt);
     queuedFlits_ += pkt.sizeFlits;
+    wake();
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::PacketAccepted,
                             .node = node_, .pkt = pkt,
                             .now = pkt.enqueuedAt});

@@ -13,6 +13,7 @@ LookaheadRouter::LookaheadRouter(NodeId id, const Mesh2D &mesh,
                                  LoftDataRouter *data)
     : id_(id), mesh_(mesh), params_(params), data_(data)
 {
+    data_->pairLookahead(this);
     for (auto &ip : inputs_) {
         ip.store.resize(static_cast<std::size_t>(params.laNumVCs) *
                         params.laVcDepth);
@@ -31,6 +32,7 @@ LookaheadRouter::connectInput(Port p, Channel<LaWireFlit> *in,
 {
     inputs_[portIndex(p)].in = in;
     inputs_[portIndex(p)].creditReturn = credit_return;
+    in->setReader(this);
 }
 
 void
@@ -39,6 +41,7 @@ LookaheadRouter::connectOutput(Port p, Channel<LaWireFlit> *out,
 {
     outputs_[portIndex(p)].out = out;
     outputs_[portIndex(p)].creditIn = credit_in;
+    credit_in->setReader(this);
 }
 
 void
@@ -170,6 +173,9 @@ LookaheadRouter::tick(Cycle now)
     // the same cycle.
     data_->recoverLostLookaheads(now);
     allocateAndSchedule(now);
+    // This tick writes the data router's reservation tables; it runs
+    // later in the same cycle, so the wake is served this cycle.
+    data_->wake();
 }
 
 bool

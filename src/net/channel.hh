@@ -197,6 +197,8 @@ class Channel : public PendingPort
         for (auto &entry : pending_)
             enqueue(entry.first, std::move(entry.second));
         pending_.clear();
+        if (Clocked *r = reader())
+            r->wake();
     }
 
 #if LOFT_AUDIT_ENABLED

@@ -11,6 +11,7 @@ SinkUnit::SinkUnit(NodeId node, Channel<WireFlit> *in,
     : node_(node), in_(in), creditReturn_(credit_return), metrics_(metrics),
       pending_(PoolAlloc<std::pair<const PacketId, std::uint32_t>>(&pool_))
 {
+    in->setReader(this);
     // Pin the bucket array: out-of-order delivery under speculative
     // switching keeps at most a handful of packets partially received,
     // so 256 buckets never rehash in practice (asserted by tests).

@@ -11,6 +11,7 @@ SourceUnit::SourceUnit(NodeId node, const WormholeParams &params,
     : node_(node), params_(params), out_(out), creditIn_(credit_in),
       queueCapacityFlits_(queue_capacity_flits)
 {
+    credit_in->setReader(this);
     vcs_.resize(params.numVCs);
     for (auto &vc : vcs_)
         vc.credits = params.vcDepthFlits;
@@ -34,6 +35,7 @@ SourceUnit::enqueue(const Packet &pkt)
               node_, pkt.src);
     queue_.push_back(pkt);
     queuedFlits_ += pkt.sizeFlits;
+    wake();
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::PacketAccepted,
                             .node = node_, .pkt = pkt,
                             .now = pkt.enqueuedAt});

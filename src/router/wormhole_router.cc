@@ -37,6 +37,7 @@ WormholeRouter::connectInput(Port p, Channel<WireFlit> *in,
 {
     in_[portIndex(p)] = in;
     creditReturn_[portIndex(p)] = credit_return;
+    in->setReader(this);
 }
 
 void
@@ -45,6 +46,7 @@ WormholeRouter::connectOutput(Port p, Channel<WireFlit> *out,
 {
     out_[portIndex(p)] = out;
     creditIn_[portIndex(p)] = credit_in;
+    credit_in->setReader(this);
 }
 
 WormholeRouter::InputVC &

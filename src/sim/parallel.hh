@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/clocked.hh"
 #include "sim/phase_sanitizer.hh"
 
 namespace noc
@@ -36,11 +37,20 @@ namespace noc
  * the tick-order dependence a direct same-cycle append would create;
  * the simulator therefore puts every registered port in concurrent
  * mode for every run, whatever the worker count.
+ *
+ * Each port names the component that reads it: a flush wakes that
+ * reader (Clocked::wake), which is how an arrival reaches a sleeping
+ * component. The reader binds itself where it connects the channel,
+ * and the simulator refuses to run a registered port without one.
  */
 class PendingPort
 {
   public:
     virtual ~PendingPort() = default;
+
+    /** Bind the component that receives from this port. */
+    void setReader(Clocked *reader) { reader_ = reader; }
+    Clocked *reader() const { return reader_; }
 
     /**
      * Enter/leave deferred (concurrent-safe) mode. @pre no unflushed
@@ -48,8 +58,12 @@ class PendingPort
      */
     virtual void setConcurrent(bool on) = 0;
 
-    /** Publish pending sends into the in-flight queue. */
+    /** Publish pending sends into the in-flight queue and wake the
+     *  reader. */
     virtual void flushPending() = 0;
+
+  private:
+    Clocked *reader_ = nullptr;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -128,6 +129,19 @@ checkDirectDelivery(const char *owner, const char *hook)
 }
 
 void
+checkWake(int domain)
+{
+    if (tlPhase.phase != SimPhase::Partitioned ||
+        par::currentDomain() == domain)
+        return;
+    const std::string rule = csprintf(
+        "cross-domain wake of a domain-%d component (its bitset "
+        "belongs to another thread until the barrier)",
+        domain);
+    violation("Clocked", "wake", rule.c_str());
+}
+
+void
 resetPort(PortState &st)
 {
     st.sendOwner = nullptr;
@@ -149,6 +163,7 @@ void checkChannelSend(PortState &) {}
 void checkChannelReceive(PortState &) {}
 void checkDeferredBuffer(const char *, const char *) {}
 void checkDirectDelivery(const char *, const char *) {}
+void checkWake(int) {}
 void resetPort(PortState &) {}
 
 #endif // LOFT_AUDIT_ENABLED

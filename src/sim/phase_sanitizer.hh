@@ -21,6 +21,12 @@
  *   - a DomainMerged consumer buffers outside the partitioned phase or
  *     is mutated directly from inside it (the PR-6 bug class).
  *
+ * The same switch guards the wake-up protocol: it aborts when a
+ * component wakes a component of another domain during the partitioned
+ * phase (Clocked::wake), and when a sleeping component is not quiescent
+ * as its domain's phase starts, i.e. some mutation from outside its
+ * tick skipped wake() (the missed-wake oracle in Simulator::runDomain).
+ *
  * Cost model: compiled out entirely with the audit layer
  * (-DLOFT_AUDIT=OFF — every macro below expands to nothing); when
  * compiled in, disabled shims cost one relaxed atomic load and a
@@ -123,6 +129,7 @@ void checkChannelSend(PortState &st);
 void checkChannelReceive(PortState &st);
 void checkDeferredBuffer(const char *owner, const char *hook);
 void checkDirectDelivery(const char *owner, const char *hook);
+void checkWake(int domain);
 void resetPort(PortState &st);
 
 } // namespace psan
@@ -181,6 +188,13 @@ void resetPort(PortState &st);
             ::noc::psan::resetPort(st_);                                 \
     } while (0)
 
+/** Clocked::wake() of a component planned into domain @p domain_. */
+#define LOFT_PSAN_WAKE(domain_)                                          \
+    do {                                                                 \
+        if (::noc::psan::enabled())                                      \
+            ::noc::psan::checkWake(domain_);                             \
+    } while (0)
+
 #else // !LOFT_AUDIT_ENABLED — zero cost, argument tokens discarded
 
 #define LOFT_PSAN_SET_PHASE(phase_, cycle_) ((void)0)
@@ -190,6 +204,7 @@ void resetPort(PortState &st);
 #define LOFT_PSAN_DEFERRED_BUFFER(owner_, hook_) ((void)0)
 #define LOFT_PSAN_DIRECT_DELIVERY(owner_, hook_) ((void)0)
 #define LOFT_PSAN_PORT_RESET(st_) ((void)0)
+#define LOFT_PSAN_WAKE(domain_) ((void)0)
 
 #endif // LOFT_AUDIT_ENABLED
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <thread>
 
 #include "sim/alloc.hh"
@@ -32,12 +33,37 @@ struct Simulator::Plan
         std::uint64_t skipped = 0;
     };
 
+    /** One cache line of awake bits; no two domains share one. */
+    struct alignas(64) AwakeLine
+    {
+        std::uint64_t word[8] = {};
+    };
+
+    struct Domain
+    {
+        /** Keyed components of the domain, in registration order. */
+        std::vector<Item> items;
+        /** Awake bitset: bit i of word i / 64 is items[i]. */
+        AwakeLine *lines = nullptr;
+        std::size_t words = 0;
+
+        std::uint64_t &
+        word(std::size_t w)
+        {
+            return lines[w / 8].word[w % 8];
+        }
+    };
+
     /** components_[0 .. prologueEnd) run serially before the phase. */
     std::size_t prologueEnd = 0;
     /** components_[epilogueBegin .. size) run serially after it. */
     std::size_t epilogueBegin = 0;
-    /** Keyed components by domain, in registration order. */
-    std::vector<std::vector<Item>> domains;
+    std::vector<Domain> domains;
+    /**
+     * Every domain's awake lines. Each bound component shares
+     * ownership, so wake() stays safe after the Simulator is gone.
+     */
+    std::shared_ptr<AwakeLine[]> awake;
     /** Dirty channel lists: one per domain + one for the serial phases. */
     std::vector<std::vector<PendingPort *>> dirty;
     std::vector<Counters> counters;
@@ -151,8 +177,41 @@ Simulator::preparePlan()
         const std::uint64_t d =
             static_cast<std::uint64_t>(components_[i].key) * workers_ /
             num_keys;
-        plan.domains[static_cast<std::size_t>(d)].push_back(
+        plan.domains[static_cast<std::size_t>(d)].items.push_back(
             {components_[i].component, static_cast<std::uint32_t>(i)});
+    }
+
+    for (std::size_t i = 0; i < ports_.size(); ++i) {
+        if (!ports_[i]->reader())
+            panic("Simulator: port %zu has no reader; the component "
+                  "that receives from it must call setReader() where "
+                  "it connects the channel, or no flush can wake it",
+                  i);
+    }
+
+    // Awake bitsets: each domain's words start on a cache line of
+    // their own, so a worker setting its bits never contends with
+    // another's. Keyless components are polled and stay unbound.
+    std::size_t num_lines = 0;
+    for (Plan::Domain &dom : plan.domains) {
+        dom.words = (dom.items.size() + 63) / 64;
+        num_lines += (dom.words + 7) / 8;
+    }
+    plan.awake.reset(new Plan::AwakeLine[num_lines]);
+    for (Entry &e : components_)
+        e.component->awake_.reset();
+    std::size_t line = 0;
+    for (std::size_t d = 0; d < plan.domains.size(); ++d) {
+        Plan::Domain &dom = plan.domains[d];
+        dom.lines = plan.awake.get() + line;
+        line += (dom.words + 7) / 8;
+        for (std::size_t j = 0; j < dom.items.size(); ++j) {
+            Clocked &c = *dom.items[j].component;
+            c.awake_ = std::shared_ptr<std::uint64_t>(plan.awake,
+                                                      &dom.word(j / 64));
+            c.awakeBit_ = std::uint64_t{1} << (j % 64);
+            c.awakeDomain_ = static_cast<int>(d);
+        }
     }
     planDirty_ = false;
 }
@@ -170,6 +229,14 @@ Simulator::beginParallelWindow()
     // worker count is bit-identical.
     for (PendingPort *p : ports_)
         p->setConcurrent(true);
+    // Wake everything: injections, flow registrations and channel
+    // traffic from between runs reach components without wake().
+    for (Plan::Domain &dom : plan_->domains) {
+        for (std::size_t w = 0; w < dom.words; ++w)
+            dom.word(w) = ~std::uint64_t{0};
+        if (const std::size_t tail = dom.items.size() % 64)
+            dom.word(dom.words - 1) = (std::uint64_t{1} << tail) - 1;
+    }
     if (workers_ > 1)
         ensurePool();
     for (DomainMerged *m : merged_)
@@ -226,26 +293,59 @@ Simulator::workerLoop(unsigned domain)
 }
 
 void
+Simulator::checkSleepers(unsigned domain)
+{
+    Plan::Domain &dom = plan_->domains[domain];
+    for (std::size_t j = 0; j < dom.items.size(); ++j) {
+        if (dom.word(j / 64) & (std::uint64_t{1} << (j % 64)))
+            continue;
+        if (dom.items[j].component->quiescent())
+            continue;
+        par::ctx().component = dom.items[j].index;
+        psan::violation("Simulator", "runDomain",
+                        "sleeping component is not quiescent (a "
+                        "mutation from outside its tick did not call "
+                        "wake())");
+    }
+}
+
+void
 Simulator::runDomain(unsigned domain)
 {
     par::DomainContext &cx = par::ctx();
     cx.domain = static_cast<int>(domain);
     cx.dirty = &plan_->dirty[domain];
     LOFT_PSAN_SET_PHASE(SimPhase::Partitioned, now_);
+    if (psan::enabled())
+        checkSleepers(domain);
     Plan::Counters &ctr = plan_->counters[domain];
-    // Poll-based active set: quiescent components skip their tick but
-    // are re-examined every cycle. quiescent() is a cheap state probe
-    // (a few empty() checks) while tick() walks ports, VCs and
-    // reservation tables, so the poll pays for itself whenever any
-    // component idles for more than a handful of cycles.
-    for (const Plan::Item &item : plan_->domains[domain]) {
-        cx.component = item.index;
-        if (item.component->quiescent()) {
-            ++ctr.skipped;
-            continue;
+    Plan::Domain &dom = plan_->domains[domain];
+    // Event-driven active set: only awake components are probed, in
+    // ascending index order (the serial order DomainLog's merge relies
+    // on). A probe that finds the component quiescent puts it to
+    // sleep; a tick keeps it awake for the next cycle's probe. The
+    // word is re-read after every tick, so a same-cycle wake() of a
+    // later component is served this cycle and one of an earlier
+    // component next cycle — exactly when polling every component
+    // would have seen the change.
+    for (std::size_t w = 0; w < dom.words; ++w) {
+        std::uint64_t &word = dom.word(w);
+        const Plan::Item *items = dom.items.data() + w * 64;
+        std::uint64_t visited = 0;
+        for (std::uint64_t left; (left = word & ~visited) != 0;) {
+            const int b = std::countr_zero(left);
+            const std::uint64_t bit = std::uint64_t{1} << b;
+            visited = (bit << 1) - 1;
+            const Plan::Item &item = items[b];
+            cx.component = item.index;
+            if (item.component->quiescent()) {
+                word &= ~bit;
+                ++ctr.skipped;
+                continue;
+            }
+            item.component->tick(now_);
+            ++ctr.executed;
         }
-        item.component->tick(now_);
-        ++ctr.executed;
     }
     cx.domain = par::kDirect;
     cx.dirty = nullptr;

@@ -38,9 +38,14 @@ namespace noc
  * Owns the global cycle counter and drives registered Clocked components.
  * Does not own component lifetimes; networks register their parts.
  *
- * Components that report quiescent() (see Clocked) are skipped instead
- * of ticked; they are re-polled every cycle, so a message landing on an
- * inbound channel wakes the receiver before the message is deliverable.
+ * Keyed components are event-driven: each domain keeps an awake bitset
+ * over its components and probes only the awake ones, in registration
+ * order. A probe that finds quiescent() (see Clocked) puts the
+ * component to sleep instead of ticking it; it is probed again once
+ * something calls its wake() — a channel flush for the channel's
+ * reader, a packet injection for its source, a co-located block for
+ * its partner — and every run window starts with all of them awake.
+ * Keyless (prologue/epilogue) components are polled every cycle.
  */
 class Simulator
 {
@@ -50,7 +55,10 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Register a component; it will be ticked every cycle. */
+    /**
+     * Register a keyless component; it is polled (quiescent() or
+     * tick()) every cycle.
+     */
     void add(Clocked *component);
 
     /**
@@ -70,6 +78,8 @@ class Simulator
      * of the simulated network must be registered: each run puts all
      * registered ports in concurrent mode and flushes their sends at
      * the end of every cycle, fault-instrumented channels included.
+     * A run panics if a registered port has no reader
+     * (PendingPort::setReader), since nothing could wake it.
      */
     void addPort(PendingPort *port);
 
@@ -117,7 +127,8 @@ class Simulator
     /// @{
     /** tick() calls actually dispatched. */
     std::uint64_t ticksExecuted() const { return ticksExecuted_; }
-    /** tick() calls skipped because the component was quiescent. */
+    /** Probes that found the component quiescent (awake keyed
+     *  components and polled keyless ones). */
     std::uint64_t ticksSkipped() const { return ticksSkipped_; }
     /// @}
 
@@ -152,8 +163,12 @@ class Simulator
     void beginParallelWindow();
     void endParallelWindow();
 
-    /** Tick/skip the keyed components of @p domain (phase body). */
+    /** Tick/skip the awake keyed components of @p domain (phase body). */
     void runDomain(unsigned domain);
+
+    /** Missed-wake oracle (phase sanitizer): every sleeping component
+     *  of @p domain must be quiescent. */
+    void checkSleepers(unsigned domain);
 
     /** Spawn the worker pool for the current plan, if not running. */
     void ensurePool();

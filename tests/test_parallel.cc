@@ -216,7 +216,10 @@ class PeriodicSender final : public Clocked
 class LoggingReceiver final : public Clocked
 {
   public:
-    explicit LoggingReceiver(Channel<int> *in) : in_(in) {}
+    explicit LoggingReceiver(Channel<int> *in) : in_(in)
+    {
+        in->setReader(this);
+    }
 
     void
     tick(Cycle now) override

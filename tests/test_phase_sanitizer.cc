@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "harness/sweep.hh"
@@ -17,6 +18,7 @@
 #include "qos/allocation.hh"
 #include "sim/parallel.hh"
 #include "sim/phase_sanitizer.hh"
+#include "sim/simulator.hh"
 
 namespace noc
 {
@@ -151,6 +153,81 @@ TEST(PhaseSanitizerDeathTest, LeakedDomainContextAborts)
         "\\(leaked domain context\\)");
 }
 
+/** A keyed component that sleeps while it has no work. */
+class Napper final : public Clocked
+{
+  public:
+    void
+    tick(Cycle now) override
+    {
+        if (work != 0)
+            --work;
+        if (onTick)
+            onTick(now);
+    }
+
+    bool quiescent() const override { return work == 0; }
+
+    std::uint32_t work = 0;
+    std::function<void(Cycle)> onTick;
+};
+
+TEST(PhaseSanitizerDeathTest, MutationWithoutWakeAborts)
+{
+    if (!psan::kCompiledIn)
+        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A hands b work from its tick but forgets b.wake(): b stays
+    // asleep though no longer quiescent, and the next phase start
+    // catches it.
+    EXPECT_DEATH(
+        {
+            psan::setEnabledForTest(1);
+            Simulator sim;
+            Napper a;
+            Napper b;
+            sim.add(&a, 0);
+            sim.add(&b, 0);
+            a.work = 5;
+            a.onTick = [&](Cycle now) {
+                if (now == 2)
+                    b.work = 1;
+            };
+            sim.run(5);
+        },
+        "PhaseSanitizer: Simulator::runDomain: sleeping component is "
+        "not quiescent .*\\(component 1, cycle 3, phase partitioned, "
+        "domain 0\\)");
+}
+
+TEST(PhaseSanitizerDeathTest, CrossDomainWakeAborts)
+{
+    if (!psan::kCompiledIn)
+        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Keys 0 and 3 split into domains 0 and 1 at two workers; domain
+    // 1's bitset belongs to the worker thread during the phase.
+    EXPECT_DEATH(
+        {
+            psan::setEnabledForTest(1);
+            Simulator sim;
+            Napper near;
+            Napper far;
+            sim.add(&near, 0);
+            sim.add(&far, 3);
+            sim.setWorkers(2);
+            near.work = 5;
+            near.onTick = [&](Cycle now) {
+                if (now == 2)
+                    far.wake();
+            };
+            sim.run(5);
+        },
+        "PhaseSanitizer: Clocked::wake: cross-domain wake of a "
+        "domain-1 component .*\\(component 0, cycle 2, phase "
+        "partitioned, domain 0\\)");
+}
+
 /// ---------------------------------------------------------------
 /// Gating: every shim sits behind the enable check, so a disabled
 /// sanitizer never inspects (or aborts on) anything.
@@ -177,7 +254,9 @@ TEST(PhaseSanitizer, DisabledShimsAreInert)
 /// ---------------------------------------------------------------
 /// The sanitizer only reads simulation state: enabling it must keep
 /// the fingerprint bit-identical to a sanitizer-off run, serial and
-/// partitioned alike.
+/// partitioned alike. Without speculative switching a LOFT data router
+/// idles between a look-ahead's admission and its quantum's arrival,
+/// so the missed-wake oracle also checks the co-located block wakes.
 /// ---------------------------------------------------------------
 
 TEST(PhaseSanitizer, FingerprintIdenticalWithSanitizerEnabled)
@@ -185,19 +264,24 @@ TEST(PhaseSanitizer, FingerprintIdenticalWithSanitizerEnabled)
     if (!psan::kCompiledIn)
         GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     const TrafficPattern pattern = smallPattern();
-    for (NetKind kind : {NetKind::Loft, NetKind::Wormhole}) {
+    RunConfig nonspec = smallConfig(NetKind::Loft);
+    nonspec.loft.speculativeSwitching = false;
+    nonspec.loft.specBufferFlits = 0;
+    for (const RunConfig &base :
+         {smallConfig(NetKind::Loft), nonspec,
+          smallConfig(NetKind::Wormhole)}) {
         psan::setEnabledForTest(0);
-        const RunResult ref =
-            runExperiment(smallConfig(kind), pattern, 0.15);
+        const RunResult ref = runExperiment(base, pattern, 0.15);
         const std::string want = sweepFingerprint(ref);
 
         psan::setEnabledForTest(1);
         for (unsigned workers : {1u, 4u}) {
-            RunConfig cfg = smallConfig(kind);
+            RunConfig cfg = base;
             cfg.intraRunWorkers = workers;
             const RunResult got = runExperiment(cfg, pattern, 0.15);
             EXPECT_EQ(want, sweepFingerprint(got))
-                << "kind=" << (kind == NetKind::Loft ? "loft" : "wh")
+                << "kind=" << (base.kind == NetKind::Loft ? "loft" : "wh")
+                << " spec=" << base.loft.speculativeSwitching
                 << " workers=" << workers;
         }
         psan::setEnabledForTest(-1);
