@@ -1,7 +1,5 @@
 #include "core/lookahead_router.hh"
 
-#include <map>
-
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 

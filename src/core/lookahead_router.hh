@@ -128,9 +128,6 @@ class LookaheadRouter final : public Clocked
     std::array<InputPort, kNumPorts> inputs_;
     std::array<OutputPort, kNumPorts> outputs_;
 
-    /** Per-output round-robin pointer over flows. */
-    std::array<FlowId, kNumPorts> flowPointer_{};
-
     std::uint64_t retries_ = 0;
     std::uint64_t creditsDiscarded_ = 0;
     std::uint64_t lookaheadsLost_ = 0;

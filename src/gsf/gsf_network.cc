@@ -14,9 +14,8 @@ GsfNetwork::GsfNetwork(const Mesh2D &mesh, const GsfParams &params,
       barrier_(params.windowFrames, params.barrierDelay),
       fabric_(mesh, params.router, &metrics_, faults)
 {
-    // Oldest-frame-first arbitration everywhere.
-    fabric_.setPriorityFn(
-        [](const Flit &f) -> std::uint64_t { return f.frame; });
+    // Oldest-frame-first arbitration comes from the fabric: its
+    // routers allocate by the frame GsfSourceUnit stamps on each flit.
 
     // Each node admits at most one packet and ejects at most one flit
     // per cycle, so 2 x nodes bounds a cycle's barrier events.

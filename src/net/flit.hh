@@ -43,7 +43,10 @@ struct Flit
     std::uint32_t pktSize = 1;
     /** Cycle the owning packet was created (for latency accounting). */
     Cycle createdAt = 0;
-    /** Frame tag used by GSF (unused by LOFT). */
+    /**
+     * GSF frame tag, and the key the wormhole fabric allocates by
+     * (lowest first). Plain wormhole sources leave it 0; LOFT ignores it.
+     */
     std::uint64_t frame = 0;
     /** Quantum sequence number within the flow (LOFT). */
     std::uint64_t quantum = 0;

@@ -1,7 +1,5 @@
 #include "router/arbiter.hh"
 
-#include <limits>
-
 #include "sim/logging.hh"
 
 namespace noc
@@ -19,43 +17,8 @@ RoundRobinArbiter::resize(std::size_t num_inputs)
     pointer_ = 0;
 }
 
-std::size_t
-RoundRobinArbiter::grantAfter(const std::vector<bool> &requests,
-                              std::size_t start) const
-{
-    for (std::size_t i = 0; i < numInputs_; ++i) {
-        const std::size_t idx = (start + i) % numInputs_;
-        if (requests[idx])
-            return idx;
-    }
-    return npos;
-}
-
-std::size_t
-RoundRobinArbiter::arbitrate(const std::vector<bool> &requests)
-{
-    if (requests.size() != numInputs_)
-        panic("RoundRobinArbiter: request vector size mismatch");
-    if (numInputs_ == 0)
-        return npos;
-    const std::size_t winner = grantAfter(requests, pointer_);
-    if (winner != npos)
-        pointer_ = (winner + 1) % numInputs_;
-    return winner;
-}
-
-std::size_t
-RoundRobinArbiter::grantAfterMask(std::uint64_t request_mask,
-                                  std::size_t start) const
-{
-    if (request_mask == 0)
-        return npos;
-    // Requests at or after the pointer win first; wrap otherwise.
-    const std::uint64_t upper = request_mask >> start;
-    const std::uint64_t pick = upper ? upper << start : request_mask;
-    return static_cast<std::size_t>(__builtin_ctzll(pick));
-}
-
+// Runs per port per cycle in every router and NI.
+// loft-tidy: steady-state-hot
 std::size_t
 RoundRobinArbiter::arbitrate(std::uint64_t request_mask)
 {
@@ -65,43 +28,12 @@ RoundRobinArbiter::arbitrate(std::uint64_t request_mask)
         panic("RoundRobinArbiter: mask arbitration beyond 64 inputs");
     if (numInputs_ < 64 && request_mask >> numInputs_)
         panic("RoundRobinArbiter: request mask exceeds input count");
-    const std::size_t winner = grantAfterMask(request_mask, pointer_);
-    if (winner != npos)
-        pointer_ = (winner + 1) % numInputs_;
-    return winner;
-}
-
-// Runs per output port per cycle in the wormhole fabric.
-// loft-tidy: steady-state-hot
-std::size_t
-RoundRobinArbiter::arbitrate(const std::vector<bool> &requests,
-                             const std::vector<std::uint64_t> &keys)
-{
-    if (requests.size() != numInputs_ || keys.size() != numInputs_)
-        panic("RoundRobinArbiter: vector size mismatch");
-    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    bool any = false;
-    for (std::size_t i = 0; i < numInputs_; ++i) {
-        if (requests[i] && keys[i] < best) {
-            best = keys[i];
-            any = true;
-        }
-    }
-    if (!any)
+    if (request_mask == 0)
         return npos;
-    // Round-robin among the best-key requestors: first match at or
-    // after the pointer, wrapping. Equivalent to masking down to the
-    // best-key set and running the plain arbiter, but without its
-    // scratch vector — this runs per output port per cycle, and the
-    // steady state must not allocate.
-    std::size_t winner = npos;
-    for (std::size_t i = 0; i < numInputs_; ++i) {
-        const std::size_t idx = (pointer_ + i) % numInputs_;
-        if (requests[idx] && keys[idx] == best) {
-            winner = idx;
-            break;
-        }
-    }
+    // Requests at or after the pointer win first; wrap otherwise.
+    const std::uint64_t upper = request_mask >> pointer_;
+    const std::uint64_t pick = upper ? upper << pointer_ : request_mask;
+    const auto winner = static_cast<std::size_t>(__builtin_ctzll(pick));
     pointer_ = (winner + 1) % numInputs_;
     return winner;
 }

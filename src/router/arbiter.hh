@@ -1,14 +1,16 @@
 /**
  * @file
- * Arbiters used by router allocators: plain round-robin and a
- * priority-first variant (lowest key wins, round-robin tie-break).
+ * The one arbiter used by every router allocator and NI: round-robin
+ * over a request mask of at most 64 inputs. Priority arbitration
+ * (lowest key wins, round-robin tie-break) is the same arbiter fed the
+ * lowestKeyMask() of its requests.
  */
 
 #ifndef NOC_ROUTER_ARBITER_HH
 #define NOC_ROUTER_ARBITER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace noc
 {
@@ -29,38 +31,42 @@ class RoundRobinArbiter
     std::size_t size() const { return numInputs_; }
 
     /**
-     * Pick a winner among the requesting inputs.
-     * @param requests bitmap of requesting inputs (size numInputs).
+     * Pick a winner among the requesting inputs: bit i of
+     * @p request_mask set means input i requests (at most 64 inputs).
      * @return winner index, or npos if no requests.
      */
-    std::size_t arbitrate(const std::vector<bool> &requests);
-
-    /**
-     * Allocation-free variant for arbiters of at most 64 inputs: bit i
-     * of @p request_mask set means input i requests. Semantically
-     * identical to the vector overload (same pointer update).
-     */
     std::size_t arbitrate(std::uint64_t request_mask);
-
-    /**
-     * Priority arbitration: among requestors, grant the one with the
-     * smallest key; break ties round-robin. Keys for non-requestors are
-     * ignored.
-     */
-    std::size_t arbitrate(const std::vector<bool> &requests,
-                          const std::vector<std::uint64_t> &keys);
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   private:
-    std::size_t grantAfter(const std::vector<bool> &requests,
-                           std::size_t start) const;
-    std::size_t grantAfterMask(std::uint64_t request_mask,
-                               std::size_t start) const;
-
     std::size_t numInputs_;
     std::size_t pointer_ = 0;
 };
+
+/**
+ * The requestors of @p request_mask whose @p key (indexed by input) is
+ * the smallest. Arbitrating over this mask grants the lowest key and
+ * breaks ties round-robin; keys of non-requestors are never read.
+ */
+template <typename Keys>
+std::uint64_t
+lowestKeyMask(std::uint64_t request_mask, const Keys &key)
+{
+    std::uint64_t lowest = 0;
+    std::uint64_t best = 0;
+    for (std::uint64_t m = request_mask; m != 0; m &= m - 1) {
+        const auto i = static_cast<std::size_t>(__builtin_ctzll(m));
+        const std::uint64_t k = key[i];
+        if (lowest == 0 || k < best) {
+            best = k;
+            lowest = 0;
+        }
+        if (k == best)
+            lowest |= std::uint64_t(1) << i;
+    }
+    return lowest;
+}
 
 } // namespace noc
 

@@ -69,13 +69,6 @@ MeshFabric::MeshFabric(const Mesh2D &mesh, const WormholeParams &params,
 }
 
 void
-MeshFabric::setPriorityFn(const FlitPriorityFn &fn)
-{
-    for (auto &r : routers_)
-        r->setPriorityFn(fn);
-}
-
-void
 MeshFabric::setObserver(NetObserver *obs)
 {
     for (auto &r : routers_)

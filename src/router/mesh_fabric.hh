@@ -47,9 +47,6 @@ class MeshFabric
         return localInCredit_.at(n).get();
     }
 
-    /** Install a flit priority function on every router. */
-    void setPriorityFn(const FlitPriorityFn &fn);
-
     /** Attach an event observer to every router and sink. */
     void setObserver(NetObserver *obs);
 

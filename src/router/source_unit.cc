@@ -9,7 +9,7 @@ SourceUnit::SourceUnit(NodeId node, const WormholeParams &params,
                        Channel<WireFlit> *out, Channel<Credit> *credit_in,
                        std::size_t queue_capacity_flits)
     : node_(node), params_(params), out_(out), creditIn_(credit_in),
-      queueCapacityFlits_(queue_capacity_flits)
+      queueCapacityFlits_(queue_capacity_flits), vcPick_(params.numVCs)
 {
     credit_in->setReader(this);
     vcs_.resize(params.numVCs);
@@ -71,32 +71,29 @@ SourceUnit::tick(Cycle now)
 
     // Start a new packet if idle. A usable VC must be secured before
     // allowStart() is consulted: allowStart has side effects (GSF frame
-    // quota accounting), so it must run at most once per packet.
+    // quota accounting), so it must run at most once per packet. The VC
+    // itself is picked only after allowStart succeeds, so the arbiter's
+    // pointer advances once per started packet.
     if (!sending_ && !queue_.empty()) {
-        std::uint32_t chosen = params_.numVCs;
-        for (std::uint32_t i = 0; i < params_.numVCs; ++i) {
-            const std::uint32_t vc = (vcPointer_ + i) % params_.numVCs;
-            if (vcUsable(vc)) {
-                chosen = vc;
-                break;
-            }
+        std::uint64_t usable = 0;
+        for (std::uint32_t vc = 0; vc < params_.numVCs; ++vc) {
+            if (vcUsable(vc))
+                usable |= std::uint64_t(1) << vc;
         }
-        if (chosen == params_.numVCs) {
+        if (usable == 0) {
             NOC_OBSERVE(observer_,
                         {.kind = NetEvent::Kind::SourceThrottled,
                          .node = node_, .flow = queue_.front().flow,
                          .reason = StallReason::NoVc, .now = now});
         }
         std::uint64_t frame_tag = 0;
-        if (chosen < params_.numVCs &&
-            allowStart(queue_.front(), now, frame_tag)) {
+        if (usable != 0 && allowStart(queue_.front(), now, frame_tag)) {
             sending_ = true;
             current_ = queue_.front();
             queue_.pop_front();
             sentFlits_ = 0;
-            currentVC_ = chosen;
+            currentVC_ = static_cast<std::uint32_t>(vcPick_.arbitrate(usable));
             currentFrame_ = frame_tag;
-            vcPointer_ = (chosen + 1) % params_.numVCs;
         }
     }
 

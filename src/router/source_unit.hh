@@ -13,6 +13,7 @@
 
 #include "net/channel.hh"
 #include "net/packet.hh"
+#include "router/arbiter.hh"
 #include "router/wormhole_router.hh"
 #include "sim/clocked.hh"
 #include "sim/ring_deque.hh"
@@ -111,8 +112,8 @@ class SourceUnit : public Clocked
     std::uint64_t queuedFlits_ = 0;
 
     std::vector<VcState> vcs_;
-    /** Round-robin pointer for picking the next injection VC. */
-    std::uint32_t vcPointer_ = 0;
+    /** Picks the next injection VC round-robin among the usable ones. */
+    RoundRobinArbiter vcPick_;
 
     /** Transmission state of the in-progress packet. */
     bool sending_ = false;

@@ -13,6 +13,9 @@ WormholeRouter::WormholeRouter(NodeId id, const Mesh2D &mesh,
         fatal("WormholeRouter: numVCs and vcDepthFlits must be positive");
     if (params.routerStages == 0)
         fatal("WormholeRouter: routerStages must be >= 1");
+    if (kNumPorts * params.numVCs > kMaxInputVCs)
+        fatal("WormholeRouter: %zu ports x %u VCs exceed the %zu-input "
+              "allocation mask", kNumPorts, params.numVCs, kMaxInputVCs);
 
     inputVCs_.resize(kNumPorts * params.numVCs);
     outputVCs_.resize(kNumPorts * params.numVCs);
@@ -65,12 +68,6 @@ WormholeRouter::OutputVC &
 WormholeRouter::ovc(std::size_t port, std::uint32_t vc)
 {
     return outputVCs_[port * params_.numVCs + vc];
-}
-
-std::uint64_t
-WormholeRouter::flitKey(const Flit &f) const
-{
-    return priority_ ? priority_(f) : 0;
 }
 
 void
@@ -130,63 +127,50 @@ WormholeRouter::receiveFlits(Cycle now)
     }
 }
 
+// Switch and VC allocation grant the lowest flit frame first, ties
+// round-robin: requests are gathered into per-port masks in one pass
+// over the input VCs, then each arbiter picks from the lowestKeyMask
+// of its requests, keyed by their head flits' frames.
+// loft-tidy: steady-state-hot
 void
 WormholeRouter::switchAllocAndTraverse(Cycle now)
 {
     // Stage 1: each input port nominates one eligible VC.
-    std::array<std::uint32_t, kNumPorts> candidate{};
-    std::array<bool, kNumPorts> hasCandidate{};
-    hasCandidate.fill(false);
-
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        std::vector<bool> &req = reqScratch_;
-        std::vector<std::uint64_t> &keys = keyScratch_;
-        req.assign(params_.numVCs, false);
-        keys.assign(params_.numVCs, 0);
-        for (std::uint32_t vc = 0; vc < params_.numVCs; ++vc) {
-            const InputVC &v = ivc(p, vc);
+    const std::uint32_t nvc = params_.numVCs;
+    std::array<std::uint64_t, kNumPorts> vcReq{};
+    for (std::size_t p = 0, i = 0; p < kNumPorts; ++p) {
+        for (std::uint32_t vc = 0; vc < nvc; ++vc, ++i) {
+            const InputVC &v = inputVCs_[i];
             if (v.state != VCState::Active || v.count == 0)
                 continue;
             if (vcFront(v).readyAt > now)
                 continue;
-            const OutputVC &o =
-                outputVCs_[portIndex(v.outPort) * params_.numVCs + v.outVC];
-            if (o.credits == 0)
+            if (ovc(portIndex(v.outPort), v.outVC).credits == 0)
                 continue;
-            req[vc] = true;
-            keys[vc] = flitKey(vcFront(v).flit);
+            vcReq[p] |= std::uint64_t(1) << vc;
         }
-        const std::size_t win = priority_
-            ? inputArb_[p].arbitrate(req, keys)
-            : inputArb_[p].arbitrate(req);
-        if (win != RoundRobinArbiter::npos) {
-            candidate[p] = static_cast<std::uint32_t>(win);
-            hasCandidate[p] = true;
-        }
+    }
+
+    std::array<std::uint32_t, kNumPorts> candidate{};
+    std::array<std::uint64_t, kNumPorts> portReq{};
+    std::array<std::uint64_t, kNumPorts> portFrame{};
+    for (std::size_t p = 0; p < kNumPorts; ++p) {
+        if (vcReq[p] == 0)
+            continue;
+        const HeadFrames key{*this, p * nvc};
+        const auto vc = static_cast<std::uint32_t>(
+            inputArb_[p].arbitrate(lowestKeyMask(vcReq[p], key)));
+        candidate[p] = vc;
+        portReq[portIndex(ivc(p, vc).outPort)] |= std::uint64_t(1) << p;
+        portFrame[p] = key[vc];
     }
 
     // Stage 2: each output port grants one input port.
     for (std::size_t outp = 0; outp < kNumPorts; ++outp) {
-        if (!out_[outp])
+        if (!out_[outp] || portReq[outp] == 0)
             continue;
-        std::vector<bool> &req = reqScratch_;
-        std::vector<std::uint64_t> &keys = keyScratch_;
-        req.assign(kNumPorts, false);
-        keys.assign(kNumPorts, 0);
-        for (std::size_t p = 0; p < kNumPorts; ++p) {
-            if (!hasCandidate[p])
-                continue;
-            const InputVC &v = ivc(p, candidate[p]);
-            if (portIndex(v.outPort) != outp)
-                continue;
-            req[p] = true;
-            keys[p] = flitKey(vcFront(v).flit);
-        }
-        const std::size_t win = priority_
-            ? outputArb_[outp].arbitrate(req, keys)
-            : outputArb_[outp].arbitrate(req);
-        if (win == RoundRobinArbiter::npos)
-            continue;
+        const std::size_t win = outputArb_[outp].arbitrate(
+            lowestKeyMask(portReq[outp], portFrame));
 
         InputVC &v = ivc(win, candidate[win]);
         OutputVC &o = ovc(outp, v.outVC);
@@ -216,46 +200,31 @@ WormholeRouter::switchAllocAndTraverse(Cycle now)
     }
 }
 
+// loft-tidy: steady-state-hot
 void
 WormholeRouter::vcAlloc(Cycle now)
 {
     (void)now;
+    // Requestors per output port, bit p * numVCs + vc. A waiting VC
+    // always holds its head flit (it leaves only once Active).
+    std::array<std::uint64_t, kNumPorts> req{};
+    for (std::size_t i = 0; i < inputVCs_.size(); ++i) {
+        if (inputVCs_[i].state == VCState::VCWait)
+            req[portIndex(inputVCs_[i].outPort)] |= std::uint64_t(1) << i;
+    }
+    const HeadFrames frame{*this, 0};
+    // Grant free output VCs to waiting inputs, oldest frame first.
     for (std::size_t outp = 0; outp < kNumPorts; ++outp) {
         if (!out_[outp])
             continue;
-        // Collect requestors targeting this output port.
-        std::vector<bool> &req = reqScratch_;
-        std::vector<std::uint64_t> &keys = keyScratch_;
-        req.assign(kNumPorts * params_.numVCs, false);
-        keys.assign(kNumPorts * params_.numVCs, 0);
-        bool any = false;
-        for (std::size_t p = 0; p < kNumPorts; ++p) {
-            for (std::uint32_t vc = 0; vc < params_.numVCs; ++vc) {
-                const InputVC &v = ivc(p, vc);
-                if (v.state != VCState::VCWait ||
-                    portIndex(v.outPort) != outp) {
-                    continue;
-                }
-                const std::size_t idx = p * params_.numVCs + vc;
-                req[idx] = true;
-                keys[idx] = v.count == 0
-                    ? 0 : flitKey(vcFront(v).flit);
-                any = true;
-            }
-        }
-        if (!any)
-            continue;
-        // Grant free output VCs to waiting inputs, best priority first.
-        for (std::uint32_t ovcIdx = 0; ovcIdx < params_.numVCs; ++ovcIdx) {
+        for (std::uint32_t ovcIdx = 0;
+             ovcIdx < params_.numVCs && req[outp] != 0; ++ovcIdx) {
             OutputVC &o = ovc(outp, ovcIdx);
             if (o.allocated || o.draining)
                 continue;
-            const std::size_t win = priority_
-                ? vcArb_[outp].arbitrate(req, keys)
-                : vcArb_[outp].arbitrate(req);
-            if (win == RoundRobinArbiter::npos)
-                break;
-            req[win] = false;
+            const std::size_t win =
+                vcArb_[outp].arbitrate(lowestKeyMask(req[outp], frame));
+            req[outp] &= ~(std::uint64_t(1) << win);
             InputVC &v = inputVCs_[win];
             v.state = VCState::Active;
             v.outVC = ovcIdx;

@@ -3,9 +3,10 @@
  * A generic virtual-channel wormhole router with credit-based flow
  * control and a 3-stage pipeline (RC/VA, SA, ST).
  *
- * Two hooks support the GSF baseline:
- *  - a flit priority function (lower key = higher priority) applied in
- *    VC and switch allocation (GSF uses the flit's frame number), and
+ * Two rules support the GSF baseline:
+ *  - VC and switch allocation grant the lowest flit frame first and
+ *    break ties round-robin (GSF's oldest-frame-first). Wormhole
+ *    sources stamp frame 0, so there allocation is plain round-robin;
  *  - atomic VC reuse: an output VC is reallocated only after the
  *    downstream buffer for that VC has fully drained, modelling GSF's
  *    rule that flits of different packets never share a virtual channel.
@@ -15,7 +16,6 @@
 #define NOC_ROUTER_WORMHOLE_ROUTER_HH
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "net/channel.hh"
@@ -52,18 +52,15 @@ struct WormholeParams
 };
 
 /**
- * Priority key for allocation decisions; lower value wins. The default
- * (always 0) reduces allocation to plain round-robin.
- */
-using FlitPriorityFn = std::function<std::uint64_t(const Flit &)>;
-
-/**
  * One mesh router. The owner wires up the channel endpoints; ports
  * without a neighbour keep null channels and are skipped.
  */
 class WormholeRouter final : public Clocked
 {
   public:
+    /** Allocation masks span every input VC: kNumPorts * numVCs <= 64. */
+    static constexpr std::size_t kMaxInputVCs = 64;
+
     WormholeRouter(NodeId id, const Mesh2D &mesh,
                    const WormholeParams &params);
 
@@ -76,9 +73,6 @@ class WormholeRouter final : public Clocked
     /** Wire an output port: outgoing flits, incoming credits. */
     void connectOutput(Port p, Channel<WireFlit> *out,
                        Channel<Credit> *credit_in);
-
-    /** Install the allocation priority function (default: none). */
-    void setPriorityFn(FlitPriorityFn fn) { priority_ = std::move(fn); }
 
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }
@@ -149,13 +143,30 @@ class WormholeRouter final : public Clocked
         std::uint32_t credits = 0;
     };
 
+    /**
+     * Allocation keys of the input VCs from index `first` on, indexed
+     * like a request mask: entry i is the frame of VC first + i's head
+     * flit.
+     * lowestKeyMask() reads it only for requesting VCs, which always
+     * hold a head flit, so no key array is built per cycle.
+     */
+    struct HeadFrames
+    {
+        const WormholeRouter &router;
+        std::size_t first = 0;
+
+        std::uint64_t
+        operator[](std::size_t i) const
+        {
+            return router.vcFront(router.inputVCs_[first + i]).flit.frame;
+        }
+    };
+
     void receiveCredits(Cycle now);
     void receiveFlits(Cycle now);
     void switchAllocAndTraverse(Cycle now);
     void vcAlloc(Cycle now);
     void routeCompute(Cycle now);
-
-    std::uint64_t flitKey(const Flit &f) const;
 
     InputVC &ivc(std::size_t port, std::uint32_t vc);
     const InputVC &ivc(std::size_t port, std::uint32_t vc) const;
@@ -194,7 +205,6 @@ class WormholeRouter final : public Clocked
     NodeId id_;
     const Mesh2D &mesh_;
     WormholeParams params_;
-    FlitPriorityFn priority_;
 
     std::array<Channel<WireFlit> *, kNumPorts> in_{};
     std::array<Channel<Credit> *, kNumPorts> creditReturn_{};
@@ -213,12 +223,8 @@ class WormholeRouter final : public Clocked
     std::array<RoundRobinArbiter, kNumPorts> inputArb_;
     /** Per-output-port arbitration among input ports. */
     std::array<RoundRobinArbiter, kNumPorts> outputArb_;
-    /** Per-output-port arbitration for VC allocation. */
+    /** Per-output-port arbitration for VC allocation, over input VCs. */
     std::array<RoundRobinArbiter, kNumPorts> vcArb_;
-
-    /** Per-cycle allocation scratch, hoisted out of the tick path. */
-    std::vector<bool> reqScratch_;
-    std::vector<std::uint64_t> keyScratch_;
 
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;

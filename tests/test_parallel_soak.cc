@@ -27,6 +27,20 @@
 #include <unistd.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define LOFT_SOAK_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define LOFT_SOAK_ASAN 1
+#endif
+#endif
+
+#ifdef LOFT_SOAK_ASAN
+// Declared in <sanitizer/allocator_interface.h>, which GCC does not
+// install; libasan exports it under both compilers.
+extern "C" void __sanitizer_purge_allocator();
+#endif
+
 namespace noc
 {
 namespace
@@ -79,6 +93,11 @@ soakPattern()
 std::size_t
 residentBytes()
 {
+#ifdef LOFT_SOAK_ASAN
+    // ASan parks freed blocks in a quarantine that stays resident;
+    // drain it first so the budgets measure growth, not the quarantine.
+    __sanitizer_purge_allocator();
+#endif
     std::ifstream statm("/proc/self/statm");
     std::size_t pages = 0;
     std::size_t resident = 0;
