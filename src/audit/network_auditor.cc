@@ -107,19 +107,6 @@ NetworkAuditor::report() const
     if (violationCount() > recorded_.size())
         os << "  ... " << (violationCount() - recorded_.size())
            << " more not recorded\n";
-    for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
-        if (!faultsInjected_[k] && !faultsDetected_[k] &&
-            !faultsRecovered_[k]) {
-            continue;
-        }
-        os << "  fault " << faultKindName(static_cast<FaultKind>(k))
-           << ": injected " << faultsInjected_[k] << ", detected "
-           << faultsDetected_[k] << ", recovered " << faultsRecovered_[k]
-           << "\n";
-    }
-    if (flitsDropped_)
-        os << "  flits dropped by recovery give-up: " << flitsDropped_
-           << "\n";
     return os.str();
 }
 
@@ -236,7 +223,6 @@ NetworkAuditor::onFlitEjected(NodeId node, const Flit &flit, Cycle now)
                        "addressed to node %u", flit.flow,
                        static_cast<unsigned long long>(flit.flitNo),
                        node, flit.dst));
-    ++deliveredFlits_[flit.flow];
     noteMovement(node, flit.flow, now);
 }
 
@@ -256,33 +242,7 @@ NetworkAuditor::onFlitDropped(NodeId node, const Flit &flit, Cycle now)
     } else {
         ledger_.erase(it);
     }
-    ++flitsDropped_;
     noteMovement(node, flit.flow, now);
-}
-
-void
-NetworkAuditor::onFaultInjected(FaultKind kind, NodeId, Cycle)
-{
-    ++faultsInjected_[static_cast<std::size_t>(kind)];
-}
-
-void
-NetworkAuditor::onFaultDetected(FaultKind kind, NodeId, Cycle, Cycle)
-{
-    ++faultsDetected_[static_cast<std::size_t>(kind)];
-}
-
-void
-NetworkAuditor::onFaultRecovered(FaultKind kind, NodeId, Cycle, Cycle)
-{
-    ++faultsRecovered_[static_cast<std::size_t>(kind)];
-}
-
-void
-NetworkAuditor::onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
-                                  Cycle now)
-{
-    deliveries_.emplace_back(flow, pkt, node, now);
 }
 
 // ---------------------------------------------------------------------
@@ -342,13 +302,14 @@ NetworkAuditor::matureSuspicions(Cycle now)
 NetworkAuditor::SchedShadow &
 NetworkAuditor::shadowOf(const OutputScheduler &sched)
 {
-    auto &sh = shadows_[&sched];
-    if (!sh.sched) {
-        sh.sched = &sched;
+    auto [it, first_seen] =
+        shadowIndex_.try_emplace(&sched, shadows_.size());
+    if (first_seen) {
+        shadows_.emplace_back().sched = &sched;
         if (frameCycles_ == 0)
             frameCycles_ = sched.params().frameSizeFlits;
     }
-    return sh;
+    return shadows_[it->second];
 }
 
 void
@@ -545,10 +506,8 @@ void
 NetworkAuditor::deepAudit(Cycle now)
 {
     matureSuspicions(now);
-    for (auto &[sched, sh] : shadows_) {
-        (void)sched;
+    for (SchedShadow &sh : shadows_)
         auditScheduler(sh, now);
-    }
     if (cfg_.watchdog)
         runWatchdog(now);
 
@@ -567,10 +526,8 @@ void
 NetworkAuditor::finalCheck(Cycle now)
 {
     matureSuspicions(now + cfg_.reservationGrace + 1);
-    for (auto &[sched, sh] : shadows_) {
-        (void)sched;
+    for (SchedShadow &sh : shadows_)
         auditScheduler(sh, now);
-    }
     if (net_->flitsInFlight() == 0 && !ledger_.empty()) {
         const auto &[key, st] = *ledger_.begin();
         record(AuditKind::Conservation, now,

@@ -34,6 +34,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hh"
@@ -59,6 +60,11 @@ namespace noc
 //  - onSourceThrottled: source back-pressure is a performance event;
 //    liveness is watched through the flit movement hooks the watchdog
 //    already consumes.
+//  - onPacketDelivered: packet completion is accounted by the sinks'
+//    MetricsCollector; the ledger retires each flit at onFlitEjected.
+//  - onFaultInjected, onFaultDetected, onFaultRecovered: FaultMonitor
+//    counts fault events for RunResult; faults reach the ledger only
+//    as dropped flits (onFlitDropped).
 // loft-tidy: phase-serial — keyless: ticked in the serial epilogue and
 //     fed through the DeferredObserver merge, never inside the
 //     partitioned phase.
@@ -104,26 +110,7 @@ class NetworkAuditor final : public NetObserver, public Clocked
      */
     void finalCheck(Cycle now);
 
-    /// @}
-    /// @name Delivery log (differential-testing support)
-    /// @{
-
-    /** One completed packet, in global completion order. */
-    struct Delivery
-    {
-        FlowId flow;
-        PacketId packet;
-        NodeId node;
-        Cycle cycle;
-    };
-
-    /** Data flits ejected so far, per flow. */
-    const std::map<FlowId, std::uint64_t> &deliveredFlits() const
-    {
-        return deliveredFlits_;
-    }
-    /** Packet completions in the order the sinks reported them. */
-    const std::vector<Delivery> &deliveries() const { return deliveries_; }
+    /** Flits sourced but not yet ejected or dropped. */
     std::uint64_t flitsInLedger() const { return ledger_.size(); }
 
     /// @}
@@ -140,8 +127,6 @@ class NetworkAuditor final : public NetObserver, public Clocked
     void onFlitForwarded(NodeId node, Port out, const Flit &flit,
                          bool spec, Cycle now) override;
     void onFlitEjected(NodeId node, const Flit &flit, Cycle now) override;
-    void onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
-                           Cycle now) override;
     void onLookaheadAdmitted(NodeId node, Port in, const LookaheadFlit &la,
                              Cycle now) override;
     void onNiQuantumScheduled(NodeId node, const LookaheadFlit &la,
@@ -158,11 +143,6 @@ class NetworkAuditor final : public NetObserver, public Clocked
     void onSchedLocalReset(const OutputScheduler &sched,
                            Cycle now) override;
     void onFlitDropped(NodeId node, const Flit &flit, Cycle now) override;
-    void onFaultInjected(FaultKind kind, NodeId node, Cycle now) override;
-    void onFaultDetected(FaultKind kind, NodeId node, Cycle injected_at,
-                         Cycle now) override;
-    void onFaultRecovered(FaultKind kind, NodeId node, Cycle injected_at,
-                          Cycle now) override;
 
   private:
     /** Ledger state of one live flit. */
@@ -213,19 +193,14 @@ class NetworkAuditor final : public NetObserver, public Clocked
     std::map<QuantumKey, ExpectedQuantum> expected_;
     /** Non-spec arrivals awaiting a (slightly late) reservation. */
     std::map<QuantumKey, Cycle> suspicions_;
-    std::map<const OutputScheduler *, SchedShadow> shadows_;
+    /** Scheduler shadows in first-seen order: deep audits walk them in
+     *  this order, so violations are recorded run-stably. */
+    std::vector<SchedShadow> shadows_;
+    /** Lookup only (pointer order is heap order); never iterated. */
+    std::unordered_map<const OutputScheduler *, std::size_t> shadowIndex_;
 
     std::array<std::uint64_t, kNumAuditKinds> counts_{};
     std::vector<AuditViolation> recorded_;
-
-    std::map<FlowId, std::uint64_t> deliveredFlits_;
-    std::vector<Delivery> deliveries_;
-
-    /// Fault-event accounting, printed by report().
-    std::array<std::uint64_t, kNumFaultKinds> faultsInjected_{};
-    std::array<std::uint64_t, kNumFaultKinds> faultsDetected_{};
-    std::array<std::uint64_t, kNumFaultKinds> faultsRecovered_{};
-    std::uint64_t flitsDropped_ = 0;
 
     bool loftProtocol_ = false; ///< look-ahead events seen
     Cycle frameCycles_ = 0;     ///< cycles per data frame (from params)

@@ -104,7 +104,6 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
             // The original look-ahead survived after all (e.g. stalled
             // long enough for the timeout to re-synthesize it). The
             // reservation exists; absorb the redundant flit.
-            ++duplicateLookaheads_;
             return true;
         }
         panic("router %u: duplicate look-ahead for flow %u quantum %llu",
@@ -215,8 +214,7 @@ LoftDataRouter::receiveCredits(Cycle now)
     for (auto &out : outputs_) {
         if (out.actualCreditIn) {
             while (auto c = out.actualCreditIn->tryReceive(now)) {
-                if (!acceptCredit(*c, observer_, id_, now,
-                                  creditsDiscarded_))
+                if (!acceptCredit(*c, observer_, id_, now))
                     continue;
                 if (c->spec)
                     ++out.dnSpecFree;
@@ -230,8 +228,7 @@ LoftDataRouter::receiveCredits(Cycle now)
         }
         if (out.virtualCreditIn) {
             while (auto c = out.virtualCreditIn->tryReceive(now)) {
-                if (!acceptCredit(*c, observer_, id_, now,
-                                  creditsDiscarded_))
+                if (!acceptCredit(*c, observer_, id_, now))
                     continue;
                 out.sched->onCreditReturn(c->departSlot);
             }
@@ -481,7 +478,6 @@ LoftDataRouter::maybeLocalReset(Cycle now)
         if (op.dnNonspecFree != params_.centralBufferFlits)
             continue;
         op.sched->localReset(now);
-        ++localResets_;
     }
 }
 
@@ -502,7 +498,6 @@ LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
         }
         if (ip.actualCreditOut)
             ip.actualCreditOut->send(now, ActualCreditMsg{bf.spec});
-        ++flitsDropped_;
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitDropped,
                                 .node = id_, .flit = bf.flit,
                                 .now = now});

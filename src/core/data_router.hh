@@ -142,21 +142,11 @@ class LoftDataRouter final : public Clocked
     std::uint64_t emergentForwards() const { return emergentForwards_; }
     std::uint64_t speculativeForwards() const { return specForwards_; }
     std::uint64_t missedSlots() const { return missedSlots_; }
-    std::uint64_t localResets() const { return localResets_; }
     std::uint64_t anomalyViolations() const;
     /** Look-ahead flits re-synthesized after a timeout (recovery). */
     std::uint64_t lookaheadReissues() const { return laReissues_; }
     /** Stale scheduled records reclaimed by the table scrub. */
     std::uint64_t quantaScrubbed() const { return quantaScrubbed_; }
-    /** Data flits dropped after recovery gave up on their quantum. */
-    std::uint64_t flitsDropped() const { return flitsDropped_; }
-    /** Redundant look-ahead flits absorbed (original raced a re-issue). */
-    std::uint64_t duplicateLookaheads() const
-    {
-        return duplicateLookaheads_;
-    }
-    /** Corrupted credit messages discarded by the CRC model. */
-    std::uint64_t creditsDiscarded() const { return creditsDiscarded_; }
     /** Flits transmitted through output port @p p so far. */
     std::uint64_t portFlitsForwarded(Port p) const
     {
@@ -378,12 +368,8 @@ class LoftDataRouter final : public Clocked
     std::uint64_t emergentForwards_ = 0;
     std::uint64_t specForwards_ = 0;
     std::uint64_t missedSlots_ = 0;
-    std::uint64_t localResets_ = 0;
     std::uint64_t laReissues_ = 0;
     std::uint64_t quantaScrubbed_ = 0;
-    std::uint64_t flitsDropped_ = 0;
-    std::uint64_t duplicateLookaheads_ = 0;
-    std::uint64_t creditsDiscarded_ = 0;
     Cycle nextScrubAt_ = 0;
     /** Co-located look-ahead router (null when driven without one). */
     Clocked *lookahead_ = nullptr;

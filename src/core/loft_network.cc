@@ -217,9 +217,10 @@ LoftNetwork::totalLocalResets() const
 {
     std::uint64_t t = 0;
     for (const auto &r : dataRouters_)
-        t += r->localResets();
+        for (std::size_t p = 0; p < kNumPorts; ++p)
+            t += r->scheduler(static_cast<Port>(p)).resets();
     for (const auto &s : sources_)
-        t += s->localResets();
+        t += s->scheduler().resets();
     return t;
 }
 
@@ -229,10 +230,8 @@ LoftNetwork::totalAnomalyViolations() const
     std::uint64_t t = 0;
     for (const auto &r : dataRouters_)
         t += r->anomalyViolations();
-    for (const auto &s : sources_) {
-        auto &sched = const_cast<LoftSourceUnit &>(*s).scheduler();
-        t += sched.anomalyViolations();
-    }
+    for (const auto &s : sources_)
+        t += s->scheduler().anomalyViolations();
     return t;
 }
 
@@ -277,55 +276,6 @@ LoftNetwork::totalQuantaScrubbed() const
     std::uint64_t t = 0;
     for (const auto &r : dataRouters_)
         t += r->quantaScrubbed();
-    return t;
-}
-
-std::uint64_t
-LoftNetwork::totalFlitsDropped() const
-{
-    std::uint64_t t = 0;
-    for (const auto &r : dataRouters_)
-        t += r->flitsDropped();
-    return t;
-}
-
-std::uint64_t
-LoftNetwork::totalDuplicateLookaheads() const
-{
-    std::uint64_t t = 0;
-    for (const auto &r : dataRouters_)
-        t += r->duplicateLookaheads();
-    return t;
-}
-
-std::uint64_t
-LoftNetwork::totalCreditsDiscarded() const
-{
-    std::uint64_t t = 0;
-    for (const auto &r : dataRouters_)
-        t += r->creditsDiscarded();
-    for (const auto &r : laRouters_)
-        t += r->creditsDiscarded();
-    for (const auto &s : sources_)
-        t += s->creditsDiscarded();
-    return t;
-}
-
-std::uint64_t
-LoftNetwork::totalLookaheadsLost() const
-{
-    std::uint64_t t = 0;
-    for (const auto &r : laRouters_)
-        t += r->lookaheadsLost();
-    return t;
-}
-
-std::uint64_t
-LoftNetwork::totalCorruptedDeliveries() const
-{
-    std::uint64_t t = 0;
-    for (const auto &s : sinks_)
-        t += s->corruptedDeliveries();
     return t;
 }
 

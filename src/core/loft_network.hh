@@ -59,11 +59,6 @@ class LoftNetwork : public Network
     /// Recovery counters (all zero in fault-free runs).
     std::uint64_t totalLookaheadReissues() const;
     std::uint64_t totalQuantaScrubbed() const;
-    std::uint64_t totalFlitsDropped() const;
-    std::uint64_t totalDuplicateLookaheads() const;
-    std::uint64_t totalCreditsDiscarded() const;
-    std::uint64_t totalLookaheadsLost() const;
-    std::uint64_t totalCorruptedDeliveries() const;
     /**
      * Link utilization snapshot: flits forwarded per (node, port)
      * divided by @p cycles. Entry order is node-major, port-minor.

@@ -35,8 +35,7 @@ LoftSink::tick(Cycle now)
     if (flit.payload != flitPayload(flit.flow, flit.flitNo)) {
         // End-to-end payload check (the software CRC a real NI would
         // run). Header ECC kept the flit routable, so delivery still
-        // completes — the damage is detected and accounted here.
-        ++corruptedDeliveries_;
+        // completes — the damage is detected and announced here.
         [[maybe_unused]] const Cycle at =
             wf->corruptedAt ? wf->corruptedAt : now;
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FaultDetected,

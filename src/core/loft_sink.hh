@@ -35,12 +35,6 @@ class LoftSink final : public Clocked
      *  counts change only on flit receipt. */
     bool quiescent() const override { return in_->empty(); }
 
-    /** Flits whose payload failed the end-to-end check on ejection. */
-    std::uint64_t corruptedDeliveries() const
-    {
-        return corruptedDeliveries_;
-    }
-
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
@@ -58,7 +52,6 @@ class LoftSink final : public Clocked
     // loft-tidy: deferred-endpoint(MetricsCollector::mergeDomains)
     MetricsCollector *metrics_;
     PoolUMap<PacketId, std::uint32_t> pending_;
-    std::uint64_t corruptedDeliveries_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
 };

@@ -80,8 +80,7 @@ LoftSourceUnit::receiveCredits(Cycle now)
 {
     if (actualCreditIn_) {
         while (auto c = actualCreditIn_->tryReceive(now)) {
-            if (!acceptCredit(*c, observer_, node_, now,
-                              creditsDiscarded_))
+            if (!acceptCredit(*c, observer_, node_, now))
                 continue;
             if (c->spec)
                 ++dnSpecFree_;
@@ -95,16 +94,14 @@ LoftSourceUnit::receiveCredits(Cycle now)
     }
     if (virtualCreditIn_) {
         while (auto c = virtualCreditIn_->tryReceive(now)) {
-            if (!acceptCredit(*c, observer_, node_, now,
-                              creditsDiscarded_))
+            if (!acceptCredit(*c, observer_, node_, now))
                 continue;
             sched_.onCreditReturn(c->departSlot);
         }
     }
     if (laCreditIn_) {
         while (auto c = laCreditIn_->tryReceive(now)) {
-            if (!acceptCredit(*c, observer_, node_, now,
-                              creditsDiscarded_))
+            if (!acceptCredit(*c, observer_, node_, now))
                 continue;
             ++laCredits_.at(c->vc);
             if (laCredits_[c->vc] > params_.laVcDepth)
@@ -278,7 +275,6 @@ LoftSourceUnit::maybeLocalReset(Cycle now)
         dnNonspecFree_ != params_.centralBufferFlits)
         return;
     sched_.localReset(now);
-    ++localResets_;
 }
 
 void

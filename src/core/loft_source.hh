@@ -65,9 +65,6 @@ class LoftSourceUnit final : public Clocked
     NodeId node() const { return node_; }
     std::uint64_t queuedFlits() const { return queuedFlits_; }
     OutputScheduler &scheduler() { return sched_; }
-    std::uint64_t localResets() const { return localResets_; }
-    /** Corrupted credit messages discarded by the CRC model. */
-    std::uint64_t creditsDiscarded() const { return creditsDiscarded_; }
 
   private:
     /** One quantum waiting to depart over the local link. */
@@ -143,8 +140,6 @@ class LoftSourceUnit final : public Clocked
     };
     std::unordered_map<FlowId, FlowCounters> counters_;
 
-    std::uint64_t localResets_ = 0;
-    std::uint64_t creditsDiscarded_ = 0;
     Cycle lastForward_ = 0;
     std::size_t queueCapacityFlits_;
     // loft-tidy: deferred-endpoint(DeferredObserver)

@@ -49,8 +49,7 @@ LookaheadRouter::receiveCredits(Cycle now)
         if (!op.creditIn)
             continue;
         while (auto c = op.creditIn->tryReceive(now)) {
-            if (!acceptCredit(*c, observer_, id_, now,
-                              creditsDiscarded_))
+            if (!acceptCredit(*c, observer_, id_, now))
                 continue;
             ++op.credits.at(c->vc);
             if (op.credits[c->vc] > params_.laVcDepth)
@@ -73,7 +72,6 @@ LookaheadRouter::receiveFlits(Cycle now)
                 // slot, but the reservation it carried is lost — the
                 // co-located data router's unclaimed-quantum timeout
                 // re-issues it.
-                ++lookaheadsLost_;
                 if (ip.creditReturn)
                     ip.creditReturn->send(now, LaCredit{wf->vc});
                 continue;
@@ -147,10 +145,8 @@ LookaheadRouter::allocateAndSchedule(Cycle now)
         LookaheadFlit onward;
         bool terminal = false;
         if (!data_->schedulePending(static_cast<Port>(outp), now,
-                                    onward, terminal)) {
-            ++retries_;
+                                    onward, terminal))
             continue;
-        }
         if (!terminal) {
             op.out->send(now, LaWireFlit{onward,
                          static_cast<std::uint32_t>(fwd_vc)});

@@ -45,11 +45,6 @@ class LookaheadRouter final : public Clocked
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
     std::uint64_t bufferedFlits() const;
-    std::uint64_t scheduleRetries() const { return retries_; }
-    /** Corrupted look-ahead credits discarded by the CRC model. */
-    std::uint64_t creditsDiscarded() const { return creditsDiscarded_; }
-    /** Look-ahead flits that arrived CRC-dead (dropped in flight). */
-    std::uint64_t lookaheadsLost() const { return lookaheadsLost_; }
 
   private:
     struct TimedLa
@@ -128,9 +123,6 @@ class LookaheadRouter final : public Clocked
     std::array<InputPort, kNumPorts> inputs_;
     std::array<OutputPort, kNumPorts> outputs_;
 
-    std::uint64_t retries_ = 0;
-    std::uint64_t creditsDiscarded_ = 0;
-    std::uint64_t lookaheadsLost_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
 };

@@ -85,18 +85,16 @@ struct LaCredit
 
 /**
  * CRC-check a received credit-class message at @p node. Corrupted
- * messages are counted into @p discarded and must be dropped by the
- * caller (return false); resynchronized re-deliveries are announced as
+ * messages are announced as detected and must be dropped by the caller
+ * (return false); resynchronized re-deliveries are announced as
  * detected/recovered and applied normally.
  */
 template <typename Msg>
 inline bool
-acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now,
-             std::uint64_t &discarded)
+acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now)
 {
     const FaultStamp &f = msg.fault;
     if (f.corrupted) {
-        ++discarded;
         NOC_OBSERVE(obs, {.kind = NetEvent::Kind::FaultDetected,
                           .fault = FaultKind::CreditCorrupt, .node = node,
                           .injectedAt = f.faultAt, .now = now});

@@ -3,10 +3,39 @@
 #include <sstream>
 
 #include "audit/network_auditor.hh"
+#include "net/observer_mux.hh"
 #include "sim/simulator.hh"
 
 namespace noc
 {
+
+namespace
+{
+
+/** Logs what the sinks deliver into a ReplayOutcome, as it happens. */
+class DeliveryLog final : public NetObserver
+{
+  public:
+    explicit DeliveryLog(ReplayOutcome &out) : out_(out) {}
+
+  protected:
+    void onFlitEjected(NodeId, const Flit &flit, Cycle) override
+    {
+        ++out_.deliveredFlits[flit.flow];
+    }
+
+    void onPacketDelivered(NodeId, FlowId flow, PacketId pkt,
+                           Cycle) override
+    {
+        out_.packetOrder[flow].push_back(pkt);
+        ++out_.packetsDelivered;
+    }
+
+  private:
+    ReplayOutcome &out_;
+};
+
+} // namespace
 
 ReplayOutcome
 replayTrace(const RunConfig &config, const Trace &trace,
@@ -17,6 +46,11 @@ replayTrace(const RunConfig &config, const Trace &trace,
     Mesh2D mesh(config.meshWidth, config.meshHeight);
     std::unique_ptr<Network> net = buildNetwork(config, mesh);
     NetworkAuditor auditor(*net);
+    DeliveryLog log(out);
+    ObserverMux mux;
+    mux.add(&auditor);
+    mux.add(&log);
+    net->setObserver(&mux);
     net->registerFlows(trace.flowTable());
 
     TraceReplayer replayer(*net, trace);
@@ -29,8 +63,7 @@ replayTrace(const RunConfig &config, const Trace &trace,
     const std::uint64_t expected = trace.size();
     out.drained = sim.runUntil(
         [&] {
-            return replayer.done() &&
-                   auditor.deliveries().size() >= expected;
+            return replayer.done() && out.packetsDelivered >= expected;
         },
         max_cycles);
     // Let in-flight credits and counters settle before the final audit.
@@ -39,10 +72,6 @@ replayTrace(const RunConfig &config, const Trace &trace,
 
     out.cycles = sim.now();
     out.packetsInjected = replayer.injected();
-    out.packetsDelivered = auditor.deliveries().size();
-    out.deliveredFlits = auditor.deliveredFlits();
-    for (const auto &d : auditor.deliveries())
-        out.packetOrder[d.flow].push_back(d.packet);
     out.auditHardViolations = auditor.hardViolationCount();
     if (auditor.violationCount())
         out.auditReport = auditor.report();

@@ -38,8 +38,7 @@ SinkUnit::tick(Cycle now)
 
     if (flit.payload != flitPayload(flit.flow, flit.flitNo)) {
         // End-to-end payload check (fault injection): header ECC kept
-        // the flit routable, so it still arrives and is accounted here.
-        ++corruptedDeliveries_;
+        // the flit routable, so it still arrives and is announced here.
         [[maybe_unused]] const Cycle at =
             wf->corruptedAt ? wf->corruptedAt : now;
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FaultDetected,

@@ -35,12 +35,6 @@ class SinkUnit final : public Clocked
     /** Idle whenever the ejection wire is empty. */
     bool quiescent() const override { return in_->empty(); }
 
-    /** Flits whose payload failed the end-to-end check on ejection. */
-    std::uint64_t corruptedDeliveries() const
-    {
-        return corruptedDeliveries_;
-    }
-
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
@@ -58,7 +52,6 @@ class SinkUnit final : public Clocked
     std::function<void(const Flit &, Cycle)> onEject_;
     /** Received flit count per partially received packet. */
     PoolUMap<PacketId, std::uint32_t> pending_;
-    std::uint64_t corruptedDeliveries_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
 };

@@ -123,7 +123,6 @@ SourceUnit::tick(Cycle now)
         --vcs_[currentVC_].credits;
         --queuedFlits_;
         ++sentFlits_;
-        onFlitInjected(flit, now);
 
         if (tail)
             sending_ = false;

@@ -84,13 +84,6 @@ class SourceUnit : public Clocked
         return true;
     }
 
-    /** GSF hook: called when a flit enters the network. */
-    virtual void onFlitInjected(const Flit &flit, Cycle now)
-    {
-        (void)flit;
-        (void)now;
-    }
-
   private:
     struct VcState
     {

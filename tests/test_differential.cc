@@ -130,6 +130,30 @@ TEST(Differential, SpeculationOffStillMatchesReference)
     EXPECT_TRUE(diff.empty()) << diff;
 }
 
+TEST(Differential, ReplayLogMatchesTrace)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+
+    // The single-VC wormhole reference is a strict per-flow FIFO, so
+    // its log must hold each flow's trace flits and packets in trace
+    // order (the replayer numbers packets 1 + trace index).
+    const Trace trace = randomTrace(9, 80, 2000);
+    std::map<FlowId, std::uint64_t> flits;
+    std::map<FlowId, std::vector<PacketId>> order;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceEvent &ev = trace.events()[i];
+        flits[ev.flow] += ev.sizeFlits;
+        order[ev.flow].push_back(i + 1);
+    }
+
+    const ReplayOutcome worm = replayTrace(wormholeConfig(), trace);
+    ASSERT_TRUE(worm.drained);
+    EXPECT_EQ(worm.deliveredFlits, flits);
+    EXPECT_EQ(worm.packetOrder, order);
+    EXPECT_EQ(worm.packetsDelivered, trace.size());
+}
+
 TEST(Differential, CompareDetectsDivergence)
 {
     ReplayOutcome a;
