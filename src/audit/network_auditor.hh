@@ -12,8 +12,13 @@
  *    look-ahead admission (speculative forwards are exempt by design);
  *  - a shadow copy of every LSF output scheduler's reservation table
  *    (bookings, per-frame/flow grant counts, frame totals) replayed
- *    from grant/clear/reset events;
+ *    from grant/clear/reset events, indexed by the scheduler's
+ *    (node, lane) site;
  *  - a deadlock/starvation watchdog over flit movement.
+ *
+ * Every per-event table is a FlatTable (audit/flat_table.hh), so once
+ * the live populations plateau the auditor stops allocating, and a
+ * scheduler's local reset drops its shadow in O(1).
  *
  * Cheap checks run inline on each event. Once per deep-audit period
  * (one data frame by default) the auditor cross-checks shadow state
@@ -29,15 +34,14 @@
 #define NOC_AUDIT_NETWORK_AUDITOR_HH
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hh"
+#include "audit/flat_table.hh"
 #include "core/output_scheduler.hh"
 #include "net/flit.hh"
 #include "net/instrument.hh"
@@ -145,43 +149,92 @@ class NetworkAuditor final : public NetObserver, public Clocked
     void onFlitDropped(NodeId node, const Flit &flit, Cycle now) override;
 
   private:
+    /** Ledger key: one flit. Ordered (flow, flitNo). */
+    struct FlitKey
+    {
+        FlowId flow = kInvalidFlow;
+        std::uint64_t flitNo = 0;
+
+        auto operator<=>(const FlitKey &) const = default;
+        std::uint64_t
+        hash() const
+        {
+            return mixHash(flitNo + 0x9e3779b97f4a7c15ull * flow);
+        }
+    };
+
     /** Ledger state of one live flit. */
     struct FlitState
     {
         NodeId at = kInvalidNode; ///< last node (source or buffer)
         bool inFlight = false;    ///< on a wire (vs buffered at `at`)
-        bool spec = false;
-        Cycle since = 0;
     };
 
-    /** A look-ahead reservation the data plane may redeem. */
-    struct ExpectedQuantum
+    /** A look-ahead reservation's key. Ordered (node, flow, quantum). */
+    struct QuantumKey
     {
-        std::uint32_t flits = 0;
-        Cycle admitted = 0;
+        NodeId node = kInvalidNode;
+        FlowId flow = kInvalidFlow;
+        std::uint64_t quantum = 0;
+
+        auto operator<=>(const QuantumKey &) const = default;
+        std::uint64_t
+        hash() const
+        {
+            return mixHash(quantum + 0x9e3779b97f4a7c15ull * flow +
+                           0xc2b2ae3d27d4eb4full * node);
+        }
+    };
+
+    /** A non-spec arrival awaiting a (slightly late) reservation. */
+    struct Suspicion
+    {
+        QuantumKey key;
+        Cycle arrived = 0;
+    };
+
+    /**
+     * Key of the shadow tables: a scheduler's site, the generation of
+     * its shadow, and a slot or frame (`at`) and a flow as each table
+     * needs them.
+     */
+    struct ShadowKey
+    {
+        std::uint32_t site = 0;
+        std::uint32_t gen = 0;
+        std::uint64_t at = 0;
+        FlowId flow = 0;
+
+        bool operator==(const ShadowKey &) const = default;
+        std::uint64_t
+        hash() const
+        {
+            return mixHash(at + 0x9e3779b97f4a7c15ull * flow +
+                           0xc2b2ae3d27d4eb4full *
+                               ((std::uint64_t(site) << 32) | gen));
+        }
     };
 
     /** Shadow of one output scheduler, replayed from events. */
     struct SchedShadow
     {
-        const OutputScheduler *sched = nullptr;
-        std::map<FlowId, std::uint32_t> reservations; ///< r (quanta/frame)
-        std::map<Slot, SlotBooking> bookings;         ///< abs slot keyed
-        /** Grants per (injection frame, flow); bounded by r. */
-        std::map<std::pair<std::uint64_t, FlowId>, std::uint32_t>
-            frameGrants;
-        /** Grants per injection frame; bounded by frameSlots. */
-        std::map<std::uint64_t, std::uint32_t> frameTotals;
+        const OutputScheduler *sched = nullptr; ///< null until seen
+        /** Local resets so far: a reset starts a new generation, and
+         *  the entries of older ones are dead. */
+        std::uint32_t gen = 0;
+        /// Prune marks from the last deep audit.
+        Slot windowStart = 0;
+        std::uint64_t headFrame = 0;
     };
 
-    using QuantumKey = std::tuple<NodeId, FlowId, std::uint64_t>;
-    using LedgerKey = std::pair<FlowId, std::uint64_t>;
-
     void record(AuditKind kind, Cycle now, std::string detail);
-    SchedShadow &shadowOf(const OutputScheduler &sched);
+    /** Site index of @p sched; registers its shadow on first sight. */
+    std::uint32_t siteOf(const OutputScheduler &sched);
     Cycle deepAuditPeriod() const;
     void deepAudit(Cycle now);
-    void auditScheduler(SchedShadow &sh, Cycle now);
+    void auditScheduler(std::uint32_t site, Cycle now);
+    /** Drop dead generations and what the schedulers moved past. */
+    void pruneShadows();
     void matureSuspicions(Cycle now);
     void runWatchdog(Cycle now);
     void noteMovement(NodeId node, FlowId flow, Cycle now);
@@ -189,15 +242,27 @@ class NetworkAuditor final : public NetObserver, public Clocked
     Network *net_;
     AuditConfig cfg_;
 
-    std::map<LedgerKey, FlitState> ledger_;
-    std::map<QuantumKey, ExpectedQuantum> expected_;
-    /** Non-spec arrivals awaiting a (slightly late) reservation. */
-    std::map<QuantumKey, Cycle> suspicions_;
-    /** Scheduler shadows in first-seen order: deep audits walk them in
-     *  this order, so violations are recorded run-stably. */
+    FlatTable<FlitKey, FlitState> ledger_;
+    /** Reserved quanta by the cycle their look-ahead was admitted. */
+    FlatTable<QuantumKey, Cycle> expected_;
+    /** Sorted by key: matureSuspicions reports in that order. */
+    std::vector<Suspicion> suspicions_;
+    /** One shadow per (node, lane) site of the network's mesh. */
     std::vector<SchedShadow> shadows_;
-    /** Lookup only (pointer order is heap order); never iterated. */
-    std::unordered_map<const OutputScheduler *, std::size_t> shadowIndex_;
+    /** Sites in first-seen order: deep audits walk them in this
+     *  order, so violations are recorded run-stably. */
+    std::vector<std::uint32_t> seenSites_;
+    /// The shadows' tables, shared by all sites: their summed
+    /// population plateaus in warm-up where one site's would not.
+    /// Reservations r (quanta/frame) by (site, flow); they survive
+    /// resets, so their generation is always 0.
+    FlatTable<ShadowKey, std::uint32_t> reservations_;
+    /** Bookings by (site, gen, abs slot). */
+    FlatTable<ShadowKey, SlotBooking> bookings_;
+    /** Grants by (site, gen, injection frame, flow); bounded by r. */
+    FlatTable<ShadowKey, std::uint32_t> frameGrants_;
+    /** Grants by (site, gen, injection frame); bounded by frameSlots. */
+    FlatTable<ShadowKey, std::uint32_t> frameTotals_;
 
     std::array<std::uint64_t, kNumAuditKinds> counts_{};
     std::vector<AuditViolation> recorded_;
@@ -206,8 +271,8 @@ class NetworkAuditor final : public NetObserver, public Clocked
     Cycle frameCycles_ = 0;     ///< cycles per data frame (from params)
     Cycle nextDeepAudit_ = 0;
     Cycle lastMovement_ = 0;
-    std::map<FlowId, Cycle> flowLastMovement_;
-    std::map<NodeId, Cycle> nodeLastMovement_;
+    FlatTable<FlowId, Cycle> flowLastMovement_;
+    FlatTable<NodeId, Cycle> nodeLastMovement_;
     std::function<std::string(AuditKind, Cycle)> postmortem_;
 };
 

@@ -23,7 +23,7 @@ LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
         outputs_[p].sched = std::make_unique<OutputScheduler>(
             params_, csprintf("router%u.%s.sched", id,
                               portName(static_cast<Port>(p))),
-            &pool_);
+            &pool_, SchedSite{id, static_cast<std::uint32_t>(p)});
         outputs_[p].dnNonspecFree = params_.centralBufferFlits;
         outputs_[p].dnSpecFree = params_.specBufferFlits;
 
@@ -42,11 +42,11 @@ LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
                 &pool_));
         ip.unclaimed.reserve(unclaimed_cap);
         for (auto &idx : ip.schedIdx)
-            idx = PoolMap<Slot, std::uint64_t>(
-                PoolAlloc<std::pair<const Slot, std::uint64_t>>(&pool_));
+            idx = PoolMap<Slot, QuantumRecord *>(
+                PoolAlloc<std::pair<const Slot, QuantumRecord *>>(&pool_));
         pending_[p] = PendingMap(
             PoolAlloc<std::pair<const std::pair<FlowId, std::uint64_t>,
-                                PendingRef>>(&pool_));
+                                QuantumRecord *>>(&pool_));
     }
     // One head entry per distinct flow with pending quanta at an
     // output; every such flow holds a scheduler table entry, so
@@ -110,7 +110,7 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
               id_, la.flow,
               static_cast<unsigned long long>(la.quantumNo));
     }
-    QuantumRecord rec(&pool_);
+    QuantumRecord &rec = ip.records.try_emplace(key, &pool_).first->second;
     rec.flow = la.flow;
     rec.quantumNo = la.quantumNo;
     rec.expectedFlits = la.quantumFlits;
@@ -125,16 +125,13 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
         (params_.quantumFlits - 1 + params_.linkLatency) /
             params_.quantumFlits;
     pending_[portIndex(rec.outPort)].emplace(
-        std::make_pair(la.flow, la.quantumNo),
-        PendingRef{key,
-                   static_cast<std::uint32_t>(portIndex(in))});
+        std::make_pair(la.flow, la.quantumNo), &rec);
     // Claim any data flits that arrived ahead of this admission.
     auto un = ip.unclaimed.find(key);
     if (un != ip.unclaimed.end()) {
         rec.buffered = std::move(un->second.flits);
         ip.unclaimed.erase(un);
     }
-    ip.records.emplace(key, std::move(rec));
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::LookaheadAdmitted,
                             .node = id_, .port = in, .la = la,
                             .now = now});
@@ -172,10 +169,8 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
     for (std::size_t k = 0; k < heads.size(); ++k) {
         auto it = heads[(start + k) % heads.size()];
         const FlowId flow = it->first.first;
-        const std::size_t in = it->second.inPort;
-        const std::uint64_t key = it->second.key;
-        InputPort &ip = inputs_[in];
-        QuantumRecord &rec = ip.records.at(key);
+        QuantumRecord &rec = *it->second;
+        InputPort &ip = inputs_[portIndex(rec.inPort)];
 
         if (rec.schedulableAt > now)
             continue; // still in the look-ahead router pipeline
@@ -189,7 +184,7 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
 
         rec.departSlot = granted;
         rec.scheduled = true;
-        ip.schedIdx[portIndex(outp)].emplace(granted, key);
+        ip.schedIdx[portIndex(outp)].emplace(granted, &rec);
         // Step 4: return a virtual credit (stamped with the onward
         // departure slot) to the upstream output scheduler.
         if (ip.virtualCreditOut)
@@ -279,21 +274,6 @@ LoftDataRouter::receiveData(Cycle now)
             it->second.buffered.push_back(BufferedFlit{flit, wf->spec});
         }
     }
-}
-
-LoftDataRouter::QuantumRecord *
-LoftDataRouter::findRecord(FlowId flow, std::uint64_t quantum,
-                           std::size_t &in_port)
-{
-    const std::uint64_t key = recordKey(flow, quantum);
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        auto it = inputs_[p].records.find(key);
-        if (it != inputs_[p].records.end()) {
-            in_port = p;
-            return &it->second;
-        }
-    }
-    return nullptr;
 }
 
 void
@@ -387,16 +367,15 @@ LoftDataRouter::switchOutputs(Cycle now)
             std::size_t due_in = 0;
             bool due_dataless = false;
             for (std::size_t in = 0; in < kNumPorts; ++in) {
-                for (const auto &[slot, key] : inputs_[in].schedIdx[out]) {
+                for (const auto &[slot, rec] : inputs_[in].schedIdx[out]) {
                     if (slot > now_slot)
                         break;
-                    QuantumRecord &rec = inputs_[in].records.at(key);
-                    if (rec.buffered.empty()) {
+                    if (rec->buffered.empty()) {
                         due_dataless = true; // late data upstream
                         continue;
                     }
-                    if (!due || rec.departSlot < due->departSlot) {
-                        due = &rec;
+                    if (!due || rec->departSlot < due->departSlot) {
+                        due = rec;
                         due_in = in;
                     }
                     break;
@@ -440,25 +419,22 @@ LoftDataRouter::switchOutputs(Cycle now)
         if (op.dnSpecFree == 0)
             continue; // early forwards need speculative buffer space
         std::uint64_t req = 0;
-        std::array<std::uint64_t, kNumPorts> cand_key{};
+        std::array<QuantumRecord *, kNumPorts> cand{};
         for (std::size_t in = 0; in < kNumPorts; ++in) {
-            InputPort &ip = inputs_[in];
-            for (const auto &[slot, key] : ip.schedIdx[out]) {
+            for (const auto &[slot, rec] : inputs_[in].schedIdx[out]) {
                 if (slot <= now_slot)
                     continue; // due or overdue: emergent lane only
-                const QuantumRecord &rec = ip.records.at(key);
-                if (rec.buffered.empty())
+                if (rec->buffered.empty())
                     continue;
                 req |= std::uint64_t(1) << in;
-                cand_key[in] = key;
+                cand[in] = rec;
                 break; // earliest ready record of this input port
             }
         }
         const std::size_t win = op.arb.arbitrate(req);
         if (win == RoundRobinArbiter::npos)
             continue;
-        QuantumRecord &rec = inputs_[win].records.at(cand_key[win]);
-        forwardFlit(win, rec, out, now, false);
+        forwardFlit(win, *cand[win], out, now, false);
     }
 }
 

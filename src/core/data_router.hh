@@ -263,7 +263,7 @@ class LoftDataRouter final : public Clocked
          */
         PoolUMap<std::uint64_t, UnclaimedQuantum> unclaimed;
         /** Scheduled records by departure slot, per output port. */
-        std::array<PoolMap<Slot, std::uint64_t>, kNumPorts> schedIdx;
+        std::array<PoolMap<Slot, QuantumRecord *>, kNumPorts> schedIdx;
         std::uint32_t nonspecUsed = 0;
         std::uint32_t specUsed = 0;
     };
@@ -313,27 +313,14 @@ class LoftDataRouter final : public Clocked
     void forwardFlit(std::size_t in, QuantumRecord &rec, std::size_t out,
                      Cycle now, bool emergent);
 
-    /** Find the record behind a booking, if present on any input. */
-    QuantumRecord *findRecord(FlowId flow, std::uint64_t quantum,
-                              std::size_t &in_port);
-
     void eraseRecord(std::size_t in, QuantumRecord &rec);
 
-    /**
-     * Where the admitted quantum behind a pending entry lives: the
-     * input-table key plus the input port, as explicit fields. The
-     * previous encoding packed `key | (port << 60)` into one word,
-     * which corrupted both fields once the key's flow bits reached
-     * bit 60 (flow id >= 2^16 under the old key layout).
-     */
-    struct PendingRef
-    {
-        std::uint64_t key = 0;
-        std::uint32_t inPort = 0;
-    };
-
+    /** Admitted quanta by (flow, quantum number). Values are the
+     *  records themselves: `records` is node-based, so an entry's
+     *  address is stable until eraseRecord, which only ever sees
+     *  scheduled (no longer pending) records. */
     using PendingMap =
-        PoolMap<std::pair<FlowId, std::uint64_t>, PendingRef>;
+        PoolMap<std::pair<FlowId, std::uint64_t>, QuantumRecord *>;
 
     NodeId id_;
     const Mesh2D &mesh_;

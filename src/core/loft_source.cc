@@ -9,7 +9,8 @@ namespace noc
 
 LoftSourceUnit::LoftSourceUnit(NodeId node, const LoftParams &params)
     : node_(node), params_(params),
-      sched_(params, csprintf("ni%u.sched", node), &pool_),
+      sched_(params, csprintf("ni%u.sched", node), &pool_,
+             SchedSite{node, kNiSchedLane}),
       outbound_(PoolAlloc<std::pair<const Slot, OutboundQuantum>>(&pool_)),
       dnNonspecFree_(params.centralBufferFlits),
       dnSpecFree_(params.specBufferFlits),

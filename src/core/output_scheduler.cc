@@ -33,7 +33,8 @@ forEachRun(std::vector<std::int32_t> &ring, std::size_t at, std::size_t n,
 } // namespace
 
 OutputScheduler::OutputScheduler(const LoftParams &params,
-                                 std::string name, Pool *pool)
+                                 std::string name, Pool *pool,
+                                 SchedSite site)
     : params_(params), name_(std::move(name)),
       frameSlots_(params.frameSlots()),
       windowFrames_(params.windowFrames),
@@ -44,7 +45,8 @@ OutputScheduler::OutputScheduler(const LoftParams &params,
       bookings_(PoolAlloc<std::pair<const std::uint64_t, SlotBooking>>(
           pool)),
       futureReturns_(
-          PoolAlloc<std::pair<const std::uint64_t, std::uint32_t>>(pool))
+          PoolAlloc<std::pair<const std::uint64_t, std::uint32_t>>(pool)),
+      site_(site)
 {
     params_.validate();
 }

@@ -34,6 +34,7 @@
 
 #include "core/loft_params.hh"
 #include "net/instrument.hh"
+#include "net/topology.hh"
 #include "sim/pool.hh"
 #include "sim/types.hh"
 
@@ -47,6 +48,24 @@ struct SlotBooking
     std::uint64_t quantumNo = 0;
 };
 
+/**
+ * Where an output scheduler sits: its owner's node and the lane it
+ * schedules, a router output port (0..kNumPorts-1) or kNiSchedLane for
+ * the NI's local link. Observers index per-scheduler state by it. A
+ * scheduler built outside a router or NI has no site (node is
+ * kInvalidNode).
+ */
+struct SchedSite
+{
+    NodeId node = kInvalidNode;
+    std::uint32_t lane = 0;
+};
+
+/** Lane of the NI's scheduler; router ports take lanes below it. */
+constexpr std::uint32_t kNiSchedLane = kNumPorts;
+/** Lanes per node: every router output port plus the NI. */
+constexpr std::size_t kNumSchedLanes = kNumPorts + 1;
+
 // loft-tidy: phase-pure — not Clocked itself, but every method runs
 //     inside LoftDataRouter::tick and so inside the partitioned phase;
 //     writes must stay within the owning router's component state or
@@ -59,9 +78,10 @@ class OutputScheduler
      *        credit-return maps (node churn recycles through it). The
      *        pool must outlive the scheduler; null keeps the maps on
      *        the global heap (unit tests).
+     * @param site the owner's (node, lane); unsited by default.
      */
     OutputScheduler(const LoftParams &params, std::string name,
-                    Pool *pool = nullptr);
+                    Pool *pool = nullptr, SchedSite site = {});
 
     /**
      * Register a contending flow with reservation R_ij given in flits
@@ -166,6 +186,7 @@ class OutputScheduler
         return skipped_[frame % windowFrames_];
     }
     const std::string &name() const { return name_; }
+    const SchedSite &site() const { return site_; }
     const LoftParams &params() const { return params_; }
     /** First absolute slot of the current frame window. */
     Slot windowStartAbsSlot() const { return toAbs(windowStartSlot()); }
@@ -266,6 +287,7 @@ class OutputScheduler
     Cycle lastAdvance_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
+    SchedSite site_;
 };
 
 } // namespace noc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 
 #include "core/output_scheduler.hh"
 #include "net/flit.hh"
@@ -39,6 +38,7 @@ TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
       lastFaultsInjected_(numNodes_, 0),
       lastFaultsDetected_(numNodes_, 0),
       lastFaultsRecovered_(numNodes_, 0),
+      schedOfLane_(numNodes_ * kNumLanes, nullptr),
       classOf_(std::move(class_of)),
       classNames_(std::move(class_names)),
       trace_(config.maxTraceEvents)
@@ -54,7 +54,6 @@ TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
     while (classNames_.size() < num_classes)
         classNames_.push_back(
             csprintf("class%zu", classNames_.size()));
-    schedLanes_.reserve(numNodes_ * kNumLanes);
     live_.reserve(1024);
     // Trace metadata: one process, one track (tid) per node.
     if (cfg_.tracePackets || cfg_.traceFlits) {
@@ -107,39 +106,14 @@ TelemetryCollector::stopMeasurement(Cycle)
 std::size_t
 TelemetryCollector::schedLane(const OutputScheduler &sched)
 {
-    auto it = schedLanes_.find(&sched);
-    if (it != schedLanes_.end())
-        return it->second;
-
-    const std::string &name = sched.name();
-    unsigned node = 0;
-    std::size_t lane = kNiLane;
-    if (std::sscanf(name.c_str(), "ni%u.", &node) == 1) {
-        lane = kNiLane;
-    } else if (std::sscanf(name.c_str(), "router%u.", &node) == 1) {
-        lane = kNumLanes; // sentinel until the port token matches
-        for (std::size_t p = 0; p < kNumPorts; ++p) {
-            const std::string tok =
-                std::string(".") +
-                portName(static_cast<Port>(p)) + ".";
-            if (name.find(tok) != std::string::npos) {
-                lane = p;
-                break;
-            }
-        }
-        if (lane == kNumLanes)
-            panic("telemetry: unrecognized scheduler port in '%s'",
-                  name.c_str());
-    } else {
-        panic("telemetry: unrecognized scheduler name '%s'",
-              name.c_str());
-    }
-    if (node >= numNodes_)
-        panic("telemetry: scheduler '%s' names node %u of %zu",
-              name.c_str(), node, numNodes_);
-    const std::size_t idx = laneIndex(node, lane);
-    schedLanes_.emplace(&sched, idx);
-    schedByLane_.emplace_back(&sched, idx);
+    static_assert(kNiLane == kNiSchedLane && kNumLanes == kNumSchedLanes,
+                  "telemetry lanes are scheduler sites");
+    const SchedSite &site = sched.site();
+    if (site.node >= numNodes_ || site.lane >= kNumLanes)
+        panic("telemetry: scheduler '%s' has no site in this mesh",
+              sched.name().c_str());
+    const std::size_t idx = laneIndex(site.node, site.lane);
+    schedOfLane_[idx] = &sched;
     return idx;
 }
 
@@ -359,12 +333,13 @@ TelemetryCollector::closeEpoch(Cycle end)
 {
     // Refresh the reservation-table occupancy gauges from the live
     // schedulers (event replay would drift: frame recycling drops
-    // stale bookings without an event). Purely const access, walked in
-    // registration order (schedLanes_ is pointer-keyed, so its own
-    // iteration order would depend on allocation addresses).
-    for (const auto &[sched, idx] : schedByLane_) {
+    // stale bookings without an event). Purely const access.
+    for (std::size_t idx = 0; idx < schedOfLane_.size(); ++idx) {
+        if (!schedOfLane_[idx])
+            continue;
         std::uint64_t n = 0;
-        sched->forEachBooking([&n](Slot, const SlotBooking &) { ++n; });
+        schedOfLane_[idx]->forEachBooking(
+            [&n](Slot, const SlotBooking &) { ++n; });
         cur_[idx].tableOccupancy = n;
     }
 

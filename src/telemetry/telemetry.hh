@@ -259,7 +259,8 @@ class TelemetryCollector final : public NetObserver, public Clocked
         return cur_[laneIndex(node, lane)];
     }
 
-    /** Resolve a scheduler to its (node, lane) from its name; cached. */
+    /** The lane index of @p sched's site; remembers the scheduler
+     *  for the occupancy gauge. */
     std::size_t schedLane(const OutputScheduler &sched);
 
     std::uint32_t classOfFlow(FlowId flow) const;
@@ -289,12 +290,8 @@ class TelemetryCollector final : public NetObserver, public Clocked
     Cycle epochStart_ = 0;
     bool finished_ = false;
 
-    /// Lookup-only (never iterated: the key is a pointer, so iteration
-    /// order would be allocation-dependent); schedByLane_ keeps the
-    /// deterministic registration-order view for epoch sampling.
-    std::unordered_map<const OutputScheduler *, std::size_t> schedLanes_;
-    std::vector<std::pair<const OutputScheduler *, std::size_t>>
-        schedByLane_;
+    /// The scheduler at each lane index, once it has sent an event.
+    std::vector<const OutputScheduler *> schedOfLane_;
 
     /// Measurement window state (per-class latency).
     bool measuring_ = false;

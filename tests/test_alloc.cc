@@ -252,9 +252,10 @@ steadyConfig(NetKind kind)
 }
 
 void
-expectZeroSteadyAllocs(NetKind kind)
+expectZeroSteadyAllocs(NetKind kind, bool audit = false)
 {
-    const RunConfig cfg = steadyConfig(kind);
+    RunConfig cfg = steadyConfig(kind);
+    cfg.audit = audit;
     Mesh2D mesh(cfg.meshWidth, cfg.meshHeight);
     TrafficPattern pattern = uniformPattern(mesh);
     setEqualSharesByMaxFlows(pattern.flows, cfg.loft.maxFlows);
@@ -277,6 +278,31 @@ TEST(SteadyState, GsfMeasurePhaseIsAllocationFree)
 TEST(SteadyState, WormholeMeasurePhaseIsAllocationFree)
 {
     expectZeroSteadyAllocs(NetKind::Wormhole);
+}
+
+// The same window with the auditor on, as RunConfig defaults it: its
+// ledgers and scheduler shadows are flat tables whose capacity stops
+// growing during warm-up.
+
+TEST(SteadyState, LoftWithAuditIsAllocationFree)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    expectZeroSteadyAllocs(NetKind::Loft, true);
+}
+
+TEST(SteadyState, GsfWithAuditIsAllocationFree)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    expectZeroSteadyAllocs(NetKind::Gsf, true);
+}
+
+TEST(SteadyState, WormholeWithAuditIsAllocationFree)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    expectZeroSteadyAllocs(NetKind::Wormhole, true);
 }
 
 } // namespace

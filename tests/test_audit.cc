@@ -370,6 +370,19 @@ TEST(Watchdog, SilentWhileTrafficFlows)
     EXPECT_EQ(r.auditWatchdogs, 0u) << r.auditReport;
 }
 
+TEST(AuditDeathTest, UnsitedSchedulerPanics)
+{
+    Mesh2D mesh(2, 2);
+    WormholeParams wp;
+    WormholeNetwork net(mesh, wp);
+    NetworkAuditor auditor(net);
+    const OutputScheduler unsited(LoftParams{}, "router0.East.sched");
+    EXPECT_DEATH(auditor.consume(
+                     {.kind = NetEvent::Kind::SchedFlowRegistered,
+                      .sched = &unsited, .flow = 1, .quanta = 2}),
+                 "has no site");
+}
+
 /// ---------------------------------------------------------------
 /// Ledger semantics, fed directly.
 /// ---------------------------------------------------------------

@@ -305,6 +305,21 @@ telemetryRun(std::uint64_t seed = 7)
     return runExperiment(telemetryConfig(seed), p, 0.15);
 }
 
+TEST(TelemetryDeathTest, SchedulerEventsAreKeyedBySite)
+{
+    TelemetryCollector tel(Mesh2D(2, 2));
+    const OutputScheduler sited(LoftParams{}, "any name", nullptr,
+                                SchedSite{3, kNiSchedLane});
+    tel.consume({.kind = NetEvent::Kind::SchedGrant, .sched = &sited,
+                 .flow = 1});
+    EXPECT_EQ(tel.lane(3, TelemetryCollector::kNiLane).grants, 1u);
+
+    const OutputScheduler unsited(LoftParams{}, "router0.East.sched");
+    EXPECT_DEATH(tel.consume({.kind = NetEvent::Kind::SchedGrant,
+                              .sched = &unsited, .flow = 1}),
+                 "has no site");
+}
+
 TEST(Telemetry, OffByDefault)
 {
     Mesh2D mesh(4, 4);
