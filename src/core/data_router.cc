@@ -1,12 +1,28 @@
 #include "core/data_router.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace noc
 {
+
+namespace
+{
+
+/** First entry of a slot-sorted list whose slot is not below @p slot. */
+template <typename List>
+auto
+slotPosition(List &list, Slot slot)
+{
+    return std::lower_bound(
+        list.begin(), list.end(), slot,
+        [](const auto *rec, Slot s) { return rec->departSlot < s; });
+}
+
+} // namespace
 
 LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
                                const LoftParams &params)
@@ -41,12 +57,17 @@ LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
             PoolAlloc<std::pair<const std::uint64_t, UnclaimedQuantum>>(
                 &pool_));
         ip.unclaimed.reserve(unclaimed_cap);
-        for (auto &idx : ip.schedIdx)
-            idx = PoolMap<Slot, QuantumRecord *>(
-                PoolAlloc<std::pair<const Slot, QuantumRecord *>>(&pool_));
-        pending_[p] = PendingMap(
-            PoolAlloc<std::pair<const std::pair<FlowId, std::uint64_t>,
-                                QuantumRecord *>>(&pool_));
+        // Each index list starts with room for eight handles: one
+        // 64-byte block, a size class the schedulers' booking-map nodes
+        // already draw from this pool, so pre-sizing adds no size class
+        // to it. Lists that outgrow it (hot spots) grow through the
+        // pool.
+        for (PoolVec<QuantumRecord *> *list :
+             {&outputs_[p].scheduled, &pending_[p]}) {
+            *list = PoolVec<QuantumRecord *>(
+                PoolAlloc<QuantumRecord *>(&pool_));
+            list->reserve(8);
+        }
     }
     // One head entry per distinct flow with pending quanta at an
     // output; every such flow holds a scheduler table entry, so
@@ -124,8 +145,14 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
     rec.arrivalSlot = la.departureSlot +
         (params_.quantumFlits - 1 + params_.linkLatency) /
             params_.quantumFlits;
-    pending_[portIndex(rec.outPort)].emplace(
-        std::make_pair(la.flow, la.quantumNo), &rec);
+    auto &pend = pending_[portIndex(rec.outPort)];
+    pend.insert(std::upper_bound(pend.begin(), pend.end(), &rec,
+                                 [](const QuantumRecord *a,
+                                    const QuantumRecord *b) {
+                                     return std::tie(a->flow, a->quantumNo) <
+                                            std::tie(b->flow, b->quantumNo);
+                                 }),
+                &rec);
     // Claim any data flits that arrived ahead of this admission.
     auto un = ip.unclaimed.find(key);
     if (un != ip.unclaimed.end()) {
@@ -156,20 +183,17 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
     FlowId &ptr = flowPointer_[portIndex(outp)];
     auto &heads = headsScratch_;
     heads.clear();
-    for (auto h = pend.begin(); h != pend.end();
-         h = pend.upper_bound(std::make_pair(
-             h->first.first,
-             std::numeric_limits<std::uint64_t>::max()))) {
-        heads.push_back(h);
-    }
+    for (std::size_t i = 0; i < pend.size(); ++i)
+        if (i == 0 || pend[i]->flow != pend[i - 1]->flow)
+            heads.push_back(i);
     std::size_t start = 0;
-    while (start < heads.size() && heads[start]->first.first <= ptr)
+    while (start < heads.size() && pend[heads[start]]->flow <= ptr)
         ++start;
 
     for (std::size_t k = 0; k < heads.size(); ++k) {
-        auto it = heads[(start + k) % heads.size()];
-        const FlowId flow = it->first.first;
-        QuantumRecord &rec = *it->second;
+        const std::size_t at = heads[(start + k) % heads.size()];
+        QuantumRecord &rec = *pend[at];
+        const FlowId flow = rec.flow;
         InputPort &ip = inputs_[portIndex(rec.inPort)];
 
         if (rec.schedulableAt > now)
@@ -184,7 +208,12 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
 
         rec.departSlot = granted;
         rec.scheduled = true;
-        ip.schedIdx[portIndex(outp)].emplace(granted, &rec);
+        auto &scheduled = outputs_[portIndex(outp)].scheduled;
+        const auto pos = slotPosition(scheduled, granted);
+        if (pos != scheduled.end() && (*pos)->departSlot == granted)
+            panic("router %u: slot %llu granted twice", id_,
+                  static_cast<unsigned long long>(granted));
+        scheduled.insert(pos, &rec);
         // Step 4: return a virtual credit (stamped with the onward
         // departure slot) to the upstream output scheduler.
         if (ip.virtualCreditOut)
@@ -197,7 +226,7 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::QuantumScheduled,
                                 .node = id_, .port = outp, .la = rec.la,
                                 .slot = granted, .now = now});
-        pend.erase(it);
+        pend.erase(pend.begin() + static_cast<std::ptrdiff_t>(at));
         return true;
     }
     return false;
@@ -279,10 +308,11 @@ LoftDataRouter::receiveData(Cycle now)
 void
 LoftDataRouter::eraseRecord(std::size_t in, QuantumRecord &rec)
 {
-    InputPort &ip = inputs_[in];
-    if (rec.scheduled)
-        ip.schedIdx[portIndex(rec.outPort)].erase(rec.departSlot);
-    ip.records.erase(recordKey(rec.flow, rec.quantumNo));
+    if (rec.scheduled) {
+        auto &scheduled = outputs_[portIndex(rec.outPort)].scheduled;
+        scheduled.erase(slotPosition(scheduled, rec.departSlot));
+    }
+    inputs_[in].records.erase(recordKey(rec.flow, rec.quantumNo));
 }
 
 void
@@ -362,24 +392,19 @@ LoftDataRouter::switchOutputs(Cycle now)
         // Emergent candidate: the earliest due quantum (scheduled slot
         // arrived or already missed) that has data. Guaranteed to win
         // arbitration.
+        const auto &scheduled = op.scheduled;
+        std::size_t i = 0;
         {
             QuantumRecord *due = nullptr;
-            std::size_t due_in = 0;
             bool due_dataless = false;
-            for (std::size_t in = 0; in < kNumPorts; ++in) {
-                for (const auto &[slot, rec] : inputs_[in].schedIdx[out]) {
-                    if (slot > now_slot)
-                        break;
-                    if (rec->buffered.empty()) {
-                        due_dataless = true; // late data upstream
-                        continue;
-                    }
-                    if (!due || rec->departSlot < due->departSlot) {
-                        due = rec;
-                        due_in = in;
-                    }
+            for (; i < scheduled.size() &&
+                   scheduled[i]->departSlot <= now_slot;
+                 ++i) {
+                if (!scheduled[i]->buffered.empty()) {
+                    due = scheduled[i];
                     break;
                 }
+                due_dataless = true; // late data upstream
             }
             if (due) {
                 // A quantum that already started early stays in the
@@ -389,7 +414,8 @@ LoftDataRouter::switchOutputs(Cycle now)
                     due->forwardedFlits > 0 && due->sendSpec;
                 if (needs_spec ? op.dnSpecFree > 0
                                : op.dnNonspecFree > 0) {
-                    forwardFlit(due_in, *due, out, now, true);
+                    forwardFlit(portIndex(due->inPort), *due, out, now,
+                                true);
                     continue;
                 }
                 // Downstream has no space: the scheduled switching
@@ -418,18 +444,18 @@ LoftDataRouter::switchOutputs(Cycle now)
             continue;
         if (op.dnSpecFree == 0)
             continue; // early forwards need speculative buffer space
+        // Every due entry is behind i: each input offers its earliest
+        // ready record among the rest.
+        constexpr std::uint64_t kAllInputs = (1u << kNumPorts) - 1;
         std::uint64_t req = 0;
         std::array<QuantumRecord *, kNumPorts> cand{};
-        for (std::size_t in = 0; in < kNumPorts; ++in) {
-            for (const auto &[slot, rec] : inputs_[in].schedIdx[out]) {
-                if (slot <= now_slot)
-                    continue; // due or overdue: emergent lane only
-                if (rec->buffered.empty())
-                    continue;
-                req |= std::uint64_t(1) << in;
-                cand[in] = rec;
-                break; // earliest ready record of this input port
-            }
+        for (; i < scheduled.size() && req != kAllInputs; ++i) {
+            QuantumRecord *rec = scheduled[i];
+            const std::size_t in = portIndex(rec->inPort);
+            if (rec->buffered.empty() || (req >> in & 1u))
+                continue;
+            req |= std::uint64_t(1) << in;
+            cand[in] = rec;
         }
         const std::size_t win = op.arb.arbitrate(req);
         if (win == RoundRobinArbiter::npos)

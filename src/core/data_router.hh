@@ -262,8 +262,6 @@ class LoftDataRouter final : public Clocked
          * back-pressured look-ahead admission by a few cycles).
          */
         PoolUMap<std::uint64_t, UnclaimedQuantum> unclaimed;
-        /** Scheduled records by departure slot, per output port. */
-        std::array<PoolMap<Slot, QuantumRecord *>, kNumPorts> schedIdx;
         std::uint32_t nonspecUsed = 0;
         std::uint32_t specUsed = 0;
     };
@@ -271,6 +269,14 @@ class LoftDataRouter final : public Clocked
     struct OutputPort
     {
         std::unique_ptr<OutputScheduler> sched;
+        /**
+         * Scheduled records routed here from every input, sorted by
+         * departure slot. The scheduler grants each slot once, so the
+         * slots are distinct. Entries are the records themselves:
+         * `records` is node-based, so an entry's address is stable
+         * until eraseRecord removes it from here.
+         */
+        PoolVec<QuantumRecord *> scheduled;
         Channel<DataWireFlit> *dataOut = nullptr;
         Channel<ActualCreditMsg> *actualCreditIn = nullptr;
         Channel<VirtualCreditMsg> *virtualCreditIn = nullptr;
@@ -315,13 +321,6 @@ class LoftDataRouter final : public Clocked
 
     void eraseRecord(std::size_t in, QuantumRecord &rec);
 
-    /** Admitted quanta by (flow, quantum number). Values are the
-     *  records themselves: `records` is node-based, so an entry's
-     *  address is stable until eraseRecord, which only ever sees
-     *  scheduled (no longer pending) records. */
-    using PendingMap =
-        PoolMap<std::pair<FlowId, std::uint64_t>, QuantumRecord *>;
-
     NodeId id_;
     const Mesh2D &mesh_;
     LoftParams params_;
@@ -338,16 +337,17 @@ class LoftDataRouter final : public Clocked
     std::array<OutputPort, kNumPorts> outputs_;
 
     /**
-     * Admitted-but-unscheduled quanta per output port, ordered by
-     * (flow, quantum number) for round-robin service over flows.
+     * Admitted-but-unscheduled quanta per output port, sorted by
+     * (flow, quantum number) for round-robin service over flows. A
+     * record leaves only when scheduled, before eraseRecord can see it.
      */
-    std::array<PendingMap, kNumPorts> pending_;
+    std::array<PoolVec<QuantumRecord *>, kNumPorts> pending_;
     /** Round-robin pointer over flows, per output port. */
     std::array<FlowId, kNumPorts> flowPointer_{};
 
-    /** Scratch for schedulePending's per-flow head iterators (kept as
+    /** Scratch for schedulePending's per-flow head positions (kept as
      *  a member so the hot path does not allocate every cycle). */
-    std::vector<PendingMap::iterator> headsScratch_;
+    std::vector<std::size_t> headsScratch_;
 
     /** Scratch key list for the recovery sweeps (avoids allocation). */
     std::vector<std::uint64_t> recoveryScratch_;

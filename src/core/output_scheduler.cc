@@ -1,6 +1,8 @@
 #include "core/output_scheduler.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
@@ -11,23 +13,11 @@ namespace noc
 namespace
 {
 
-/**
- * Call @p fn(first, last) on the words of @p ring holding the @p n
- * entries from index @p at onward: one contiguous run, or two when the
- * range wraps past the end of the ring.
- */
-template <typename Fn>
-void
-forEachRun(std::vector<std::int32_t> &ring, std::size_t at, std::size_t n,
-           Fn &&fn)
+/** log2 of the slots per credit block, a power of two near sqrt(WT). */
+std::uint32_t
+blockShiftFor(std::uint32_t window_slots)
 {
-    std::int32_t *words = ring.data();
-    if (at + n <= ring.size()) {
-        fn(words + at, words + at + n);
-    } else {
-        fn(words + at, words + ring.size());
-        fn(words, words + (at + n - ring.size()));
-    }
+    return static_cast<std::uint32_t>(std::bit_width(window_slots)) / 2;
 }
 
 } // namespace
@@ -40,7 +30,10 @@ OutputScheduler::OutputScheduler(const LoftParams &params,
       windowFrames_(params.windowFrames),
       windowSlots_(params.windowSlots()),
       bufferQuanta_(static_cast<std::int32_t>(params.bufferQuanta())),
-      busy_(windowSlots_, 0), credit_(windowSlots_, bufferQuanta_),
+      blockShift_(blockShiftFor(windowSlots_)), busy_(windowSlots_, 0),
+      credit_(windowSlots_, bufferQuanta_),
+      blocks_(((windowSlots_ - 1) >> blockShift_) + 1,
+              CreditBlock{0, kNoCap, bufferQuanta_}),
       skipped_(windowFrames_, 0),
       bookings_(PoolAlloc<std::pair<const std::uint64_t, SlotBooking>>(
           pool)),
@@ -72,6 +65,7 @@ OutputScheduler::registerFlow(FlowId flow, std::uint32_t reservation_flits)
     st.id = flow;
     st.r = r;
     st.c = r;
+    st.epoch = static_cast<std::uint32_t>(resets_);
     st.injFrame = headFrame_;
     flows_.insert(pos, st);
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SchedFlowRegistered,
@@ -104,6 +98,24 @@ OutputScheduler::flowAt(FlowId flow) const
     return flows_[i];
 }
 
+OutputScheduler::FlowState
+OutputScheduler::upToDate(FlowState st) const
+{
+    // A local reset restarted every flow at (0, R).
+    if (st.epoch != static_cast<std::uint32_t>(resets_)) {
+        st.epoch = static_cast<std::uint32_t>(resets_);
+        st.injFrame = 0;
+        st.c = st.r;
+    }
+    // Algorithm 3 moved a flow stuck at each recycled head frame on to
+    // the next with C = min(R, C + R) = R (C never exceeds R).
+    if (st.injFrame < headFrame_) {
+        st.injFrame = headFrame_;
+        st.c = st.r;
+    }
+    return st;
+}
+
 std::uint64_t
 OutputScheduler::toLocal(Slot abs) const
 {
@@ -133,11 +145,78 @@ OutputScheduler::advanceTo(Cycle now)
         recycleHeadFrame();
 }
 
+std::int32_t
+OutputScheduler::shiftWords(std::size_t b, std::size_t first,
+                            std::size_t last, std::int32_t d,
+                            std::int32_t e)
+{
+    CreditBlock &blk = blocks_[b];
+    std::int32_t *w = credit_.data();
+    const std::size_t begin = b << blockShift_;
+    const std::size_t end = blockEnd(b);
+    std::int32_t lo = kNoCap;
+    std::int32_t lowest = kNoCap;
+    for (std::size_t i = begin; i < first; ++i) {
+        w[i] = std::min(w[i] + blk.add, blk.cap);
+        lo = std::min(lo, w[i]);
+    }
+    for (std::size_t i = std::max(first, begin); i < last; ++i) {
+        w[i] = std::min(std::min(w[i] + blk.add, blk.cap) + d, e);
+        lowest = std::min(lowest, w[i]);
+    }
+    for (std::size_t i = std::max(last, begin); i < end; ++i) {
+        w[i] = std::min(w[i] + blk.add, blk.cap);
+        lo = std::min(lo, w[i]);
+    }
+    blk = CreditBlock{0, kNoCap, std::min(lo, lowest)};
+    return lowest;
+}
+
+// loft-tidy: steady-state-hot
+std::int32_t
+OutputScheduler::shiftRun(std::size_t first, std::size_t last,
+                          std::int32_t d, std::int32_t e)
+{
+    std::size_t b = first >> blockShift_;
+    std::size_t whole_end = ((last - 1) >> blockShift_) + 1;
+    std::int32_t lowest = kNoCap;
+    // Blocks the run cuts (at most its first and last) get their words
+    // rewritten; the ones it covers are retagged.
+    if (first != b << blockShift_ || last < blockEnd(b)) {
+        lowest = shiftWords(b, first, std::min(last, blockEnd(b)), d, e);
+        ++b;
+    }
+    if (b < whole_end && last < blockEnd(whole_end - 1)) {
+        --whole_end;
+        lowest = std::min(lowest, shiftWords(whole_end, 0, last, d, e));
+    }
+    for (; b < whole_end; ++b) {
+        // min(min(w + a, m) + d, e) = min(w + (a + d), min(m + d, e));
+        // an add beyond cap - lo only lifts words that read the cap.
+        CreditBlock &blk = blocks_[b];
+        blk.cap = std::min(blk.cap + d, e);
+        blk.add = std::min(blk.add + d, blk.cap - blk.lo);
+        lowest = std::min(lowest, blk.lo + blk.add);
+    }
+    return lowest;
+}
+
+std::int32_t
+OutputScheduler::shiftToWindowEnd(std::uint64_t s, std::int32_t d,
+                                  std::int32_t e)
+{
+    const std::size_t at = ringSlot(s);
+    const auto n = static_cast<std::size_t>(windowEndSlotEx() - s);
+    if (at + n <= windowSlots_)
+        return shiftRun(at, at + n, d, e);
+    return std::min(shiftRun(at, windowSlots_, d, e),
+                    shiftRun(0, at + n - windowSlots_, d, e));
+}
+
 // loft-tidy: steady-state-hot
 void
 OutputScheduler::recycleHeadFrame()
 {
-    const std::uint64_t k = headFrame_;
     const std::uint64_t old_end = windowStartSlot() + frameSlots_;
     const std::uint64_t new_start = windowEndSlotEx();
 
@@ -147,24 +226,49 @@ OutputScheduler::recycleHeadFrame()
     // run), then roll in credit returns that had been recorded for
     // beyond-window slots. Every banked return lies at or beyond the
     // old window end, so the new frame's are a prefix of futureReturns_:
-    // fill the runs between them.
+    // fill the runs between them. The frame's raw words are rewritten,
+    // so the blocks wholly inside it drop their tags and take their
+    // minima from the fills; a block it shares with a neighbouring frame
+    // folds its tag in before and is rescanned (by a no-op fold) after.
     const std::size_t head = std::size_t{headIdx_} * frameSlots_;
-    std::int32_t *credit = credit_.data() + head;
+    const std::size_t tail = head + frameSlots_;
     std::int32_t running =
-        credit_[head == 0 ? windowSlots_ - 1 : head - 1];
-    std::size_t filled = 0;
+        creditOf(head == 0 ? windowSlots_ - 1 : head - 1);
+    const std::size_t b_first = head >> blockShift_;
+    const std::size_t b_end = ((tail - 1) >> blockShift_) + 1;
+    auto shared = [&](std::size_t b) {
+        return b << blockShift_ < head || blockEnd(b) > tail;
+    };
+    for (std::size_t b = b_first; b < b_end; ++b) {
+        if (shared(b))
+            pushDown(b);
+        else
+            blocks_[b] = CreditBlock{0, kNoCap, kNoCap};
+    }
+    auto fill = [&](std::size_t from, std::size_t to, std::int32_t v) {
+        if (from == to)
+            return;
+        std::fill(credit_.data() + from, credit_.data() + to, v);
+        for (std::size_t b = from >> blockShift_;
+             b <= (to - 1) >> blockShift_; ++b)
+            blocks_[b].lo = std::min(blocks_[b].lo, v);
+    };
+    std::size_t filled = head;
     auto fr = futureReturns_.begin();
     for (; fr != futureReturns_.end() &&
            fr->first < new_start + frameSlots_;
          ++fr) {
-        const auto at = static_cast<std::size_t>(fr->first - new_start);
-        std::fill(credit + filled, credit + at, running);
+        const std::size_t at = head + (fr->first - new_start);
+        fill(filled, at, running);
         running = std::min(
             running + static_cast<std::int32_t>(fr->second), bufferQuanta_);
         filled = at;
     }
-    std::fill(credit + filled, credit + frameSlots_, running);
+    fill(filled, tail, running);
     futureReturns_.erase(futureReturns_.begin(), fr);
+    for (const std::size_t b : {b_first, b_end - 1})
+        if (shared(b))
+            pushDown(b);
     std::uint8_t *busy = busy_.data() + head;
     std::fill(busy, busy + frameSlots_, std::uint8_t{0});
 
@@ -173,14 +277,8 @@ OutputScheduler::recycleHeadFrame()
     bookings_.erase(bookings_.begin(), bookings_.lower_bound(old_end));
     skipped_[headIdx_] = 0;
 
-    // Algorithm 3: flows stuck at the old head frame move on and
-    // accumulate reservation (capped at R).
-    for (FlowState &st : flows_) {
-        if (st.injFrame == k) {
-            st.injFrame = k + 1;
-            st.c = std::min(st.r, st.c + st.r);
-        }
-    }
+    // Algorithm 3 moves the flows stuck at the old head frame on when
+    // they are next read (upToDate).
     ++headFrame_;
     headIdx_ = headIdx_ + 1 == windowFrames_ ? 0 : headIdx_ + 1;
     dirty_ = true;
@@ -199,7 +297,7 @@ OutputScheduler::conditionOneHolds(const FlowState &st) const
     if (st.injFrame == headFrame_)
         return true;
     const std::int32_t prior =
-        credit_[ringSlot(st.injFrame * frameSlots_ - 1)];
+        creditOf(ringSlot(st.injFrame * frameSlots_ - 1));
     const std::int32_t lhs = static_cast<std::int32_t>(frameSlots_) -
         static_cast<std::int32_t>(skipped_[st.injFrame % windowFrames_]);
     return lhs <= prior;
@@ -218,16 +316,26 @@ OutputScheduler::tryScheduleInFrame(const FlowState &st,
     const std::uint64_t end_ex = (st.injFrame + 1) * frameSlots_;
     if (start >= end_ex)
         return false;
-    // A frame is one aligned run of the ring: scan it without wrapping.
+    // A frame is one aligned run of the ring: scan it without wrapping,
+    // one credit block at a time. A slot has credit when its word
+    // exceeds -add and the block's cap is positive.
     const std::size_t at = ringSlot(start);
-    const auto n = static_cast<std::size_t>(end_ex - start);
-    const std::uint8_t *busy = busy_.data() + at;
-    const std::int32_t *credit = credit_.data() + at;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!busy[i] && credit[i] > 0) {
-            found_local = start + i;
-            return true;
+    const std::size_t stop = at + static_cast<std::size_t>(end_ex - start);
+    const std::uint8_t *busy = busy_.data();
+    const std::int32_t *credit = credit_.data();
+    for (std::size_t i = at; i < stop;) {
+        const CreditBlock &blk = blocks_[i >> blockShift_];
+        const std::size_t seg_end =
+            std::min(blockEnd(i >> blockShift_), stop);
+        if (blk.cap > 0) {
+            for (; i < seg_end; ++i) {
+                if (!busy[i] && credit[i] > -blk.add) {
+                    found_local = start + (i - at);
+                    return true;
+                }
+            }
         }
+        i = seg_end;
     }
     return false;
 }
@@ -243,9 +351,7 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
         panic("%s: scheduling request from unregistered flow %u",
               name_.c_str(), flow);
     FlowState &st = flows_[idx];
-    if (st.injFrame < headFrame_)
-        panic("%s: flow %u injection frame fell behind the head frame",
-              name_.c_str(), flow);
+    st = upToDate(st);
 
     const std::uint64_t l_now = toLocal(params_.slotOf(now));
     const std::uint64_t earliest_local =
@@ -308,17 +414,7 @@ OutputScheduler::book(std::uint64_t local_slot, FlowId flow,
     bookings_[local_slot] = SlotBooking{flow, quantum_no};
     // Every slot from the booking to the window end loses a credit; a
     // negative result is the buffer overbooking of Section 4.2.
-    std::int32_t lowest = 0;
-    forEachRun(credit_, at, windowEndSlotEx() - local_slot,
-               [&lowest](std::int32_t *c, std::int32_t *end) {
-                   std::int32_t lo = lowest;
-                   for (; c != end; ++c) {
-                       --*c;
-                       lo = std::min(lo, *c);
-                   }
-                   lowest = lo;
-               });
-    if (lowest < 0) {
+    if (shiftToWindowEnd(local_slot, -1, kNoCap) < 0) {
         ++violations_;
         NOC_OBSERVE(observer_,
                     {.kind = NetEvent::Kind::SchedCreditNegative,
@@ -346,13 +442,7 @@ OutputScheduler::onCreditReturn(Slot abs_slot)
         ++futureReturns_[s];
         return;
     }
-    const std::uint64_t from = std::max(s, windowStartSlot());
-    const std::int32_t cap = bufferQuanta_;
-    forEachRun(credit_, ringSlot(from), w_end - from,
-               [cap](std::int32_t *c, std::int32_t *end) {
-                   for (; c != end; ++c)
-                       *c = std::min(*c + 1, cap);
-               });
+    shiftToWindowEnd(std::max(s, windowStartSlot()), 1, bufferQuanta_);
 }
 
 void
@@ -412,17 +502,24 @@ OutputScheduler::localReset(Cycle now)
     originSlot_ = params_.slotOf(now);
     headFrame_ = 0;
     headIdx_ = 0;
-    std::fill(busy_.begin(), busy_.end(), 0);
-    std::fill(credit_.begin(), credit_.end(), bufferQuanta_);
+    // Busy flags live only under bookings, and there are none.
+    assert(std::find(busy_.begin(), busy_.end(), 1) == busy_.end());
+    // Every credit reads B: word + (B - lo) >= B for each word.
+    for (CreditBlock &blk : blocks_) {
+        blk.add = bufferQuanta_ - blk.lo;
+        blk.cap = bufferQuanta_;
+    }
     std::fill(skipped_.begin(), skipped_.end(), 0);
     futureReturns_.clear();
     outstanding_ = 0; // returns for pre-reset bookings become stale
-    for (FlowState &st : flows_) {
-        st.injFrame = 0;
-        st.c = st.r;
-    }
     dirty_ = false;
     ++resets_;
+    // Flows restart at (0, R) when next read (upToDate). Once every
+    // 2^32 resets the 32-bit stamp wraps: restart them all now so that
+    // no stale stamp can equal the new one.
+    if (static_cast<std::uint32_t>(resets_) == 0)
+        for (FlowState &st : flows_)
+            st = FlowState{st.id, st.r, st.r, 0, 0};
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::SchedLocalReset,
                             .sched = this, .now = now});
 }
@@ -441,13 +538,24 @@ OutputScheduler::debugCorruptBookingFlow(Slot abs_slot)
 void
 OutputScheduler::debugAdjustCredit(Slot abs_slot, std::int32_t delta)
 {
-    credit_[toLocal(abs_slot) % windowSlots_] += delta;
+    const std::size_t i = toLocal(abs_slot) % windowSlots_;
+    shiftWords(i >> blockShift_, i, i + 1, delta, kNoCap);
 }
 
 std::int32_t
 OutputScheduler::virtualCreditAt(Slot abs_slot) const
 {
-    return credit_[toLocal(abs_slot) % windowSlots_];
+    return creditOf(toLocal(abs_slot) % windowSlots_);
+}
+
+std::int32_t
+OutputScheduler::lowestCredit() const
+{
+    // The ring holds exactly the window's slots.
+    std::int32_t lowest = kNoCap;
+    for (const CreditBlock &blk : blocks_)
+        lowest = std::min(lowest, blk.lo + blk.add);
+    return lowest;
 }
 
 } // namespace noc

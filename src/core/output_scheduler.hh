@@ -19,14 +19,29 @@
  *
  * The reservation table is a ring of WF frames holding local slot s at
  * index s mod WT. The frame window starts on a frame boundary of the
- * ring and wraps at most once, so a walk from any window slot to the
+ * ring and wraps at most once, so a span from any window slot to the
  * window end covers at most two contiguous runs of the ring and a frame
- * is always one run: no walk divides per slot.
+ * is always one run: no update divides per slot.
+ *
+ * The credit ring is split into blocks of K slots (K a power of two
+ * near sqrt(WT)), each carrying a lazy transform: a block's slot reads
+ * min(word + add, cap). "Add d, then cap at e" composes into the same
+ * form, so a cumulative update retags the whole blocks of its span and
+ * rewrites only the words of the (at most four) blocks it cuts: every
+ * update costs O(K + WT/K) instead of O(WT). Each block also keeps the
+ * minimum of its words, which the transform maps to the block's lowest
+ * credit.
+ *
+ * Per-flow state is brought up to date lazily: a flow read after a
+ * local reset restarts at (IF, C) = (0, R), and one left behind the
+ * head frame moves to it with C = R. That is what the eager sweeps of
+ * Algorithm 3 and of the reset wrote, since C never exceeds R.
  */
 
 #ifndef NOC_CORE_OUTPUT_SCHEDULER_HH
 #define NOC_CORE_OUTPUT_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -168,6 +183,8 @@ class OutputScheduler
     /// @name Introspection (tests / stats)
     /// @{
     std::int32_t virtualCreditAt(Slot abs_slot) const;
+    /** The lowest virtual credit of any slot in the frame window. */
+    std::int32_t lowestCredit() const;
     std::uint64_t headFrame() const { return headFrame_; }
     std::uint64_t outstandingCredits() const { return outstanding_; }
     std::uint64_t grants() const { return grants_; }
@@ -176,10 +193,13 @@ class OutputScheduler
     /** Bookings that drove any slot's virtual credit negative. */
     std::uint64_t anomalyViolations() const { return violations_; }
     std::uint32_t reservedSlotsTotal() const { return totalReserved_; }
-    std::uint32_t flowRemaining(FlowId f) const { return flowAt(f).c; }
+    std::uint32_t flowRemaining(FlowId f) const
+    {
+        return upToDate(flowAt(f)).c;
+    }
     std::uint64_t flowInjectFrame(FlowId f) const
     {
-        return flowAt(f).injFrame;
+        return upToDate(flowAt(f)).injFrame;
     }
     std::uint32_t skippedAt(std::uint64_t frame) const
     {
@@ -218,8 +238,36 @@ class OutputScheduler
         FlowId id = kInvalidFlow;   ///< the flow (flow-table sort key)
         std::uint32_t r = 0;        ///< reservation per frame (quanta)
         std::uint32_t c = 0;        ///< remaining reservation C_ij
+        /** Low 32 bits of resets_ when c and injFrame were written. */
+        std::uint32_t epoch = 0;
         std::uint64_t injFrame = 0; ///< injection frame IF_ij (local)
     };
+    // Uniform traffic registers ~328k entries per network: keep it small.
+    static_assert(sizeof(FlowState) == 24);
+
+    /**
+     * The cap of a block with none. A credit never exceeds the buffer
+     * size, and a booking, which lowers the cap by one, needs a slot
+     * with credit left, so the cap stays far above every credit until
+     * a returned credit sets a real one.
+     */
+    static constexpr std::int32_t kNoCap = std::int32_t{1} << 30;
+
+    /**
+     * Lazy transform of one block of credit words: a word w reads
+     * min(w + add, cap), and lo is the minimum raw word of the block.
+     * Every update keeps lo + add <= cap, so lo + add is the block's
+     * lowest credit.
+     */
+    struct CreditBlock
+    {
+        std::int32_t add = 0;
+        std::int32_t cap = kNoCap;
+        std::int32_t lo = 0;
+    };
+
+    /** @p st with the local resets and frame recycles it missed. */
+    FlowState upToDate(FlowState st) const;
 
     /** First flow-table entry whose id is not below @p flow. */
     std::vector<FlowState>::const_iterator
@@ -241,6 +289,42 @@ class OutputScheduler
     }
     /** Ring index of local slot @p s, which must lie in the window. */
     std::size_t ringSlot(std::uint64_t s) const;
+
+    /** Virtual credit of ring word @p i, through its block's tag. */
+    std::int32_t
+    creditOf(std::size_t i) const
+    {
+        const CreditBlock &blk = blocks_[i >> blockShift_];
+        return std::min(credit_[i] + blk.add, blk.cap);
+    }
+    /** One past the last ring word of credit block @p b. */
+    std::size_t
+    blockEnd(std::size_t b) const
+    {
+        return std::min<std::size_t>((b + 1) << blockShift_, windowSlots_);
+    }
+    /**
+     * Fold block @p b's tag into its words and recompute its minimum;
+     * the tag becomes identity.
+     */
+    void pushDown(std::size_t b) { shiftWords(b, 0, 0, 0, kNoCap); }
+    /**
+     * Fold block @p b's tag into its words and add @p d to the credit
+     * of ring words [@p first, @p last) inside it, then cap those at
+     * @p e. Returns the lowest updated credit.
+     */
+    std::int32_t shiftWords(std::size_t b, std::size_t first,
+                            std::size_t last, std::int32_t d,
+                            std::int32_t e);
+    /**
+     * Add @p d to the credit of ring words [@p first, @p last), then
+     * cap at @p e (kNoCap: no cap). Returns the lowest updated credit.
+     */
+    std::int32_t shiftRun(std::size_t first, std::size_t last,
+                          std::int32_t d, std::int32_t e);
+    /** shiftRun over the window span from local slot @p s to its end. */
+    std::int32_t shiftToWindowEnd(std::uint64_t s, std::int32_t d,
+                                  std::int32_t e);
 
     void recycleHeadFrame();
     void book(std::uint64_t local_slot, FlowId flow,
@@ -264,17 +348,21 @@ class OutputScheduler
     /** Ring frame holding the head frame (headFrame_ mod WF). */
     std::uint32_t headIdx_ = 0;
 
+    /// Credit blocks are 2^blockShift_ ring words; the last block is
+    /// short when K does not divide WT.
+    std::uint32_t blockShift_;
+
     std::vector<std::uint8_t> busy_;
+    /** Raw credit words, read through blocks_ (see creditOf). */
     std::vector<std::int32_t> credit_;
+    std::vector<CreditBlock> blocks_;
     std::vector<std::uint32_t> skipped_;
     /** Booked quanta keyed by local slot (ordered for earliest lookup). */
     PoolMap<std::uint64_t, SlotBooking> bookings_;
     /** Credit returns for slots beyond the current window. */
     PoolMap<std::uint64_t, std::uint32_t> futureReturns_;
 
-    /// Flow table sorted by flow id: frame-recycle and reset sweeps
-    /// visit flows in flow-id order regardless of registration history
-    /// (fingerprint-stable).
+    /// Flow table sorted by flow id, found by binary search.
     std::vector<FlowState> flows_;
     std::uint32_t totalReserved_ = 0;
 

@@ -4,11 +4,16 @@
  * two-node network slice (NI -> router -> router -> sink): scheduled
  * (emergent) vs early (speculative) transfer lanes, sticky quantum
  * buffer choice, credit conservation, input-table back-pressure, and
- * the local-reset conditions on a live link.
+ * the local-reset conditions on a live link. A second rig drives one
+ * data router by hand to pin down how an output picks among the
+ * quanta that several inputs hold for it.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/data_router.hh"
 #include "core/loft_network.hh"
 #include "sim/simulator.hh"
 
@@ -225,6 +230,144 @@ TEST_F(SliceTest, SinkReassemblesInterleavedPackets)
         [&] { return net_->metrics().totalPackets() == 6; }, 2000));
     EXPECT_EQ(net_->metrics().flow(0).flitsEjected, 12u);
     EXPECT_EQ(net_->metrics().flow(1).flitsEjected, 12u);
+}
+
+// ---- Output choice of one data router, driven by hand ----------------
+
+/**
+ * The middle router of a 3x1 mesh with its Local and West inputs and
+ * its East output on bare wires, ticked without a simulator. Each
+ * quantum is one flit of its own flow, admitted and scheduled by hand
+ * so that successive quanta take successive East slots; a case delivers
+ * data only for the quanta it wants ready.
+ */
+class OutputChoiceTest : public ::testing::Test
+{
+  protected:
+    static constexpr NodeId kDst = 2;
+
+    OutputChoiceTest() : mesh_(3, 1), router_(1, mesh_, params())
+    {
+        for (const Port p : {Port::Local, Port::West})
+            router_.connectInput(p, &dataIn_[portIndex(p)], nullptr,
+                                 nullptr);
+        router_.connectOutput(Port::East, &out_, &actualIn_, &virtualIn_);
+    }
+
+    static LoftParams
+    params()
+    {
+        LoftParams p;
+        p.frameSizeFlits = 32;
+        p.centralBufferFlits = 32;
+        p.specBufferFlits = 8;
+        p.maxFlows = 8;
+        p.localStatusReset = false;
+        return p;
+    }
+
+    /** Admit and schedule @p flow's quantum on input @p in; its slot. */
+    Slot
+    schedule(Port in, FlowId flow)
+    {
+        router_.scheduler(Port::East).registerFlow(flow, 2);
+        LookaheadFlit la;
+        la.flow = flow;
+        la.src = 0;
+        la.dst = kDst;
+        la.quantumFlits = 1;
+        la.departureSlot = 2;
+        EXPECT_TRUE(router_.admitLookahead(in, la, 0, 0));
+        LookaheadFlit onward;
+        bool terminal = false;
+        EXPECT_TRUE(router_.schedulePending(Port::East, 0, onward, terminal));
+        EXPECT_EQ(onward.flow, flow);
+        return onward.departureSlot;
+    }
+
+    /** Put @p flow's flit on @p in's wire, readable from cycle 1. */
+    void
+    deliver(Port in, FlowId flow)
+    {
+        Flit f;
+        f.type = FlitType::HeadTail;
+        f.flow = flow;
+        f.src = 0;
+        f.dst = kDst;
+        f.quantumLast = true;
+        dataIn_[portIndex(in)].send(0, DataWireFlit{f, false});
+    }
+
+    /** Tick at @p now; the flow whose flit left East, if any. */
+    FlowId
+    tick(Cycle now)
+    {
+        router_.tick(now);
+        const auto wf = out_.tryReceive(now + 1);
+        return wf ? wf->flit.flow : kInvalidFlow;
+    }
+
+    Mesh2D mesh_;
+    LoftDataRouter router_;
+    std::array<Channel<DataWireFlit>, kNumPorts> dataIn_;
+    Channel<DataWireFlit> out_;
+    Channel<ActualCreditMsg> actualIn_;
+    Channel<VirtualCreditMsg> virtualIn_;
+};
+
+TEST_F(OutputChoiceTest, LaterDueQuantumWithDataLeavesAsEmergent)
+{
+    const Slot first = schedule(Port::West, 1); // never gets data
+    const Slot second = schedule(Port::Local, 2);
+    ASSERT_LT(first, second);
+    deliver(Port::Local, 2);
+    // Both are due; only the later one can leave, in its slot's lane.
+    const Cycle now = router_.scheduler(Port::East).params().slotStart(
+        second);
+    EXPECT_EQ(tick(now), 2u);
+    EXPECT_EQ(router_.emergentForwards(), 1u);
+    EXPECT_EQ(router_.speculativeForwards(), 0u);
+    EXPECT_EQ(router_.missedSlots(), 0u);
+}
+
+TEST_F(OutputChoiceTest, DuePairWithoutDataMissesOneSlotPerCycle)
+{
+    schedule(Port::West, 1);
+    const Slot last = schedule(Port::Local, 2);
+    const Cycle now =
+        router_.scheduler(Port::East).params().slotStart(last);
+    EXPECT_EQ(tick(now), kInvalidFlow);
+    EXPECT_EQ(router_.missedSlots(), 1u);
+    EXPECT_EQ(tick(now + 1), kInvalidFlow);
+    EXPECT_EQ(router_.missedSlots(), 2u);
+    EXPECT_EQ(router_.emergentForwards() + router_.speculativeForwards(),
+              0u);
+}
+
+TEST_F(OutputChoiceTest, EachInputOffersItsEarliestReadyQuantum)
+{
+    // West holds flows 1 (no data), 2 and 4; Local holds 3 and 5. Slots
+    // rise with the flow id, and none is due during the ticks below.
+    schedule(Port::West, 1);
+    schedule(Port::West, 2);
+    schedule(Port::Local, 3);
+    schedule(Port::West, 4);
+    const Slot last = schedule(Port::Local, 5);
+    for (const FlowId f : {2u, 4u})
+        deliver(Port::West, f);
+    for (const FlowId f : {3u, 5u})
+        deliver(Port::Local, f);
+    std::vector<FlowId> order;
+    for (Cycle now = 1; order.size() < 4; ++now) {
+        ASSERT_LT(router_.scheduler(Port::East).params().slotOf(now),
+                  last - 4);
+        order.push_back(tick(now));
+    }
+    // Local (input 0) wins first, then the arbiter alternates; West
+    // offers flow 2 before 4 and never the dataless flow 1.
+    EXPECT_EQ(order, (std::vector<FlowId>{3, 2, 5, 4}));
+    EXPECT_EQ(router_.speculativeForwards(), 4u);
+    EXPECT_EQ(router_.missedSlots(), 0u);
 }
 
 } // namespace

@@ -13,15 +13,21 @@
  *   - clearBooking, advanceTo (including multi-frame jumps) and
  *     localReset.
  *
- * After every call every public observable must agree. Frame sizes are
- * not powers of two, so the window wraps the ring at odd offsets. Seeds
- * are fixed and the call count bounded: the test is reproducible and
- * runs in well under a second.
+ * After every call every public observable must agree, and the lowest
+ * credit the production scheduler reports must be the reference's
+ * minimum over the window. Frame sizes are mostly not powers of two, so
+ * the window wraps the ring at odd offsets. The small frames exercise
+ * Algorithms 1-3 densely; the large ones (40 to 300 slots) give
+ * credit blocks of 8 to 32 slots, windows that are not a multiple of
+ * the block, and spans that cut blocks at both ends. Seeds are fixed
+ * and the call count bounded: the test is reproducible and runs in
+ * about a second.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -90,8 +96,10 @@ struct Lockstep
         check("earliestBookedSlot", 0,
               real.earliestBookedSlot().value_or(kNoSlot),
               ref.earliestBookedSlot().value_or(kNoSlot));
+        std::int32_t lowest = std::numeric_limits<std::int32_t>::max();
         for (Slot s = ref.windowStartAbsSlot(); s < ref.windowEndAbsSlot();
              ++s) {
+            lowest = std::min(lowest, ref.virtualCreditAt(s));
             check("virtualCreditAt", s, real.virtualCreditAt(s),
                   ref.virtualCreditAt(s));
             const auto a = real.bookingAt(s);
@@ -103,6 +111,7 @@ struct Lockstep
                       b->quantumNo);
             }
         }
+        check("lowestCredit", 0, real.lowestCredit(), lowest);
         for (std::uint64_t f = ref.headFrame();
              f < ref.headFrame() + params.windowFrames; ++f)
             check("skippedAt", f, real.skippedAt(f), ref.skippedAt(f));
@@ -291,10 +300,12 @@ TEST_P(SchedulerOracle, AgreesWithReferenceOnRandomCalls)
 {
     const OracleCase oc = GetParam();
     Coverage cov;
-    // Frames of 3, 5, 7 and 12 slots; buffers of exactly one frame
-    // (Theorem I's minimum, so the anomaly is reachable with the guard
-    // off) and of about one and a half frames.
-    for (const std::uint32_t fs : {3u, 5u, 7u, 12u}) {
+    // Frames of 3 to 300 slots; buffers of exactly one frame (Theorem
+    // I's minimum, so the anomaly is reachable with the guard off) and
+    // of about one and a half frames. Every call compares the whole
+    // window, so the large frames run fewer calls.
+    for (const std::uint32_t fs : {3u, 5u, 7u, 12u, 40u, 100u, 256u, 300u}) {
+        const int calls = fs < 40 ? 1500 : fs < 256 ? 300 : 120;
         for (const std::uint32_t extra : {0u, fs / 2 + 1}) {
             for (unsigned flags = 0; flags < 4; ++flags) {
                 LoftParams p;
@@ -309,7 +320,7 @@ TEST_P(SchedulerOracle, AgreesWithReferenceOnRandomCalls)
                 const std::uint64_t seed =
                     mixSeed(mixSeed(oc.quantumFlits, oc.windowFrames),
                             mixSeed(fs, extra * 4 + flags));
-                runLockstep(p, seed, 1500, cov);
+                runLockstep(p, seed, calls, cov);
                 if (HasFatalFailure())
                     return;
             }
