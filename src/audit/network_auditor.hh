@@ -16,7 +16,7 @@
  *    (node, lane) site;
  *  - a deadlock/starvation watchdog over flit movement.
  *
- * Every per-event table is a FlatTable (audit/flat_table.hh), so once
+ * Every per-event table is a FlatTable (sim/flat_table.hh), so once
  * the live populations plateau the auditor stops allocating, and a
  * scheduler's local reset drops its shadow in O(1).
  *
@@ -41,12 +41,12 @@
 #include <vector>
 
 #include "audit/audit.hh"
-#include "audit/flat_table.hh"
 #include "core/output_scheduler.hh"
 #include "net/flit.hh"
 #include "net/instrument.hh"
 #include "net/network.hh"
 #include "sim/clocked.hh"
+#include "sim/flat_table.hh"
 #include "sim/simulator.hh"
 
 namespace noc

@@ -12,29 +12,22 @@ namespace noc
 namespace
 {
 
-/** First entry of a slot-sorted list whose slot is not below @p slot. */
-template <typename List>
-auto
-slotPosition(List &list, Slot slot)
-{
-    return std::lower_bound(
-        list.begin(), list.end(), slot,
-        [](const auto *rec, Slot s) { return rec->departSlot < s; });
-}
+/**
+ * Records a router's arena starts with. On perfbench's workloads a
+ * router's live quanta peak at 16-19 on uniform traffic (seeds 1, 2, 3
+ * and 11) and at 6 on neighbor traffic, so those routers never grow;
+ * the DoS hot spots (up to 91) double in warm-up.
+ */
+constexpr std::size_t kInitialRecords = 32;
 
 } // namespace
 
 LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
                                const LoftParams &params)
-    : id_(id), mesh_(mesh), params_(params)
+    : id_(id), mesh_(mesh), params_(params),
+      table_(params.quantumFlits, kInitialRecords)
 {
     params_.validate();
-    // Bound on quanta simultaneously staged without a reservation: the
-    // staged flits occupy physical buffer space, so the unclaimed map
-    // can never outgrow the buffers' worth of quanta.
-    const std::size_t unclaimed_cap =
-        params_.bufferQuanta() +
-        params_.specBufferFlits / params_.quantumFlits + 1;
     for (std::size_t p = 0; p < kNumPorts; ++p) {
         outputs_[p].sched = std::make_unique<OutputScheduler>(
             params_, csprintf("router%u.%s.sched", id,
@@ -42,37 +35,8 @@ LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
             &pool_, SchedSite{id, static_cast<std::uint32_t>(p)});
         outputs_[p].dnNonspecFree = params_.centralBufferFlits;
         outputs_[p].dnSpecFree = params_.specBufferFlits;
-
-        InputPort &ip = inputs_[p];
-        // Rebind every node-churning container onto the router's pool
-        // (allocators propagate on move assignment), then pre-size the
-        // hash tables to their run-bounded key populations so they
-        // never rehash mid-run.
-        ip.records = decltype(ip.records)(
-            0, PoolAlloc<std::pair<const std::uint64_t, QuantumRecord>>(
-                   &pool_));
-        ip.records.reserve(params_.windowSlots());
-        ip.unclaimed = decltype(ip.unclaimed)(
-            0,
-            PoolAlloc<std::pair<const std::uint64_t, UnclaimedQuantum>>(
-                &pool_));
-        ip.unclaimed.reserve(unclaimed_cap);
-        // Each index list starts with room for eight handles: one
-        // 64-byte block, a size class the schedulers' booking-map nodes
-        // already draw from this pool, so pre-sizing adds no size class
-        // to it. Lists that outgrow it (hot spots) grow through the
-        // pool.
-        for (PoolVec<QuantumRecord *> *list :
-             {&outputs_[p].scheduled, &pending_[p]}) {
-            *list = PoolVec<QuantumRecord *>(
-                PoolAlloc<QuantumRecord *>(&pool_));
-            list->reserve(8);
-        }
     }
-    // One head entry per distinct flow with pending quanta at an
-    // output; every such flow holds a scheduler table entry, so
-    // maxFlows bounds the scratch and its growth stays in warm-up.
-    headsScratch_.reserve(params_.maxFlows);
+    reserveLists();
 }
 
 void
@@ -113,14 +77,16 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
                                Cycle now, Cycle schedulable_at)
 {
     (void)now;
-    InputPort &ip = inputs_[portIndex(in)];
     // The input reservation table bounds the quanta a port may hold
     // (Table 1: one entry per time-window slot); a full table
     // back-pressures the look-ahead network.
-    if (ip.records.size() >= params_.windowSlots())
+    if (table_.claimed(in) >= params_.windowSlots())
         return false;
-    const std::uint64_t key = recordKey(la.flow, la.quantumNo);
-    if (ip.records.count(key)) {
+    Handle h = table_.find(la.flow, la.quantumNo);
+    if (h == InputTable::kNone) {
+        h = addRecord(in, la.flow, la.quantumNo,
+                      InputTable::State::Claimed);
+    } else if (table_[h].state == InputTable::State::Claimed) {
         if (params_.recovery.enabled) {
             // The original look-ahead survived after all (e.g. stalled
             // long enough for the timeout to re-synthesize it). The
@@ -130,15 +96,16 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
         panic("router %u: duplicate look-ahead for flow %u quantum %llu",
               id_, la.flow,
               static_cast<unsigned long long>(la.quantumNo));
+    } else {
+        // Claim the data flits that arrived ahead of this admission.
+        if (table_[h].inPort != in)
+            panic("router %u: flow %u quantum %llu on two inputs", id_,
+                  la.flow, static_cast<unsigned long long>(la.quantumNo));
+        table_.claim(h);
     }
-    QuantumRecord &rec = ip.records.try_emplace(key, &pool_).first->second;
-    rec.flow = la.flow;
-    rec.quantumNo = la.quantumNo;
-    rec.expectedFlits = la.quantumFlits;
-    rec.dst = la.dst;
+    QuantumRecord &rec = table_[h];
     rec.la = la;
     rec.schedulableAt = schedulable_at;
-    rec.inPort = in;
     rec.outPort = xyRoute(mesh_, id_, la.dst);
     // The quantum departs the previous router at la.departureSlot; its
     // last flit is here linkLatency cycles after the slot ends.
@@ -146,19 +113,13 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
         (params_.quantumFlits - 1 + params_.linkLatency) /
             params_.quantumFlits;
     auto &pend = pending_[portIndex(rec.outPort)];
-    pend.insert(std::upper_bound(pend.begin(), pend.end(), &rec,
-                                 [](const QuantumRecord *a,
-                                    const QuantumRecord *b) {
-                                     return std::tie(a->flow, a->quantumNo) <
-                                            std::tie(b->flow, b->quantumNo);
-                                 }),
-                &rec);
-    // Claim any data flits that arrived ahead of this admission.
-    auto un = ip.unclaimed.find(key);
-    if (un != ip.unclaimed.end()) {
-        rec.buffered = std::move(un->second.flits);
-        ip.unclaimed.erase(un);
-    }
+    const auto pos = std::upper_bound(
+        pend.begin(), pend.end(), la,
+        [this](const LookaheadFlit &a, const PendingEntry &b) {
+            return std::tie(a.flow, a.quantumNo) <
+                   std::tie(b.flow, table_[b.rec].la.quantumNo);
+        });
+    pend.insert(pos, PendingEntry{la.flow, h});
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::LookaheadAdmitted,
                             .node = id_, .port = in, .la = la,
                             .now = now});
@@ -178,29 +139,32 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         params_.quantumFlits;
 
     // Serve flows round-robin; within a flow, the oldest quantum
-    // first. Gather each distinct flow's head entry (pend is ordered
-    // by (flow, quantum)), then rotate past the last served flow.
+    // first. pend is ordered by (flow, quantum), so a flow's head is
+    // its first entry: walk once around the list from the first flow
+    // past the last served one, visiting heads only. A failed request
+    // still moves the flow's scheduler state, so the visiting order is
+    // part of the behaviour.
     FlowId &ptr = flowPointer_[portIndex(outp)];
-    auto &heads = headsScratch_;
-    heads.clear();
-    for (std::size_t i = 0; i < pend.size(); ++i)
-        if (i == 0 || pend[i]->flow != pend[i - 1]->flow)
-            heads.push_back(i);
-    std::size_t start = 0;
-    while (start < heads.size() && pend[heads[start]]->flow <= ptr)
-        ++start;
-
-    for (std::size_t k = 0; k < heads.size(); ++k) {
-        const std::size_t at = heads[(start + k) % heads.size()];
-        QuantumRecord &rec = *pend[at];
-        const FlowId flow = rec.flow;
-        InputPort &ip = inputs_[portIndex(rec.inPort)];
+    const std::size_t n = pend.size();
+    const std::size_t start = static_cast<std::size_t>(
+        std::upper_bound(pend.begin(), pend.end(), ptr,
+                         [](FlowId f, const PendingEntry &e) {
+                             return f < e.flow;
+                         }) -
+        pend.begin());
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t at = start + k < n ? start + k : start + k - n;
+        if (at != 0 && pend[at].flow == pend[at - 1].flow)
+            continue; // not its flow's head
+        const Handle h = pend[at].rec;
+        QuantumRecord &rec = table_[h];
+        const FlowId flow = rec.la.flow;
 
         if (rec.schedulableAt > now)
             continue; // still in the look-ahead router pipeline
 
         Slot granted;
-        if (!sched.trySchedule(flow, now, rec.quantumNo,
+        if (!sched.trySchedule(flow, now, rec.la.quantumNo,
                                rec.arrivalSlot + stages_slots,
                                granted)) {
             continue; // throttled: stays pending
@@ -209,13 +173,14 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         rec.departSlot = granted;
         rec.scheduled = true;
         auto &scheduled = outputs_[portIndex(outp)].scheduled;
-        const auto pos = slotPosition(scheduled, granted);
-        if (pos != scheduled.end() && (*pos)->departSlot == granted)
+        const auto pos = slotPosition(portIndex(outp), granted);
+        if (pos != scheduled.end() && table_[*pos].departSlot == granted)
             panic("router %u: slot %llu granted twice", id_,
                   static_cast<unsigned long long>(granted));
-        scheduled.insert(pos, &rec);
+        scheduled.insert(pos, h);
         // Step 4: return a virtual credit (stamped with the onward
         // departure slot) to the upstream output scheduler.
+        InputPort &ip = inputs_[portIndex(rec.inPort)];
         if (ip.virtualCreditOut)
             ip.virtualCreditOut->send(now, VirtualCreditMsg{granted});
 
@@ -284,42 +249,81 @@ LoftDataRouter::receiveData(Cycle now)
                                     .port = static_cast<Port>(p),
                                     .flit = flit, .spec = wf->spec,
                                     .now = now});
-            const std::uint64_t key =
-                recordKey(flit.flow, flit.quantum);
-            auto it = ip.records.find(key);
-            if (it == ip.records.end()) {
+            Handle h = table_.find(flit.flow, flit.quantum);
+            if (h == InputTable::kNone) {
                 // The leading look-ahead is still waiting for a free
                 // input-table entry; stage the flit until it lands.
-                auto [un, staged] = ip.unclaimed.try_emplace(key, &pool_);
-                if (staged) {
-                    un->second.firstArrival = now;
-                    un->second.nextReissueAt =
-                        now + params_.lookaheadTimeout();
-                }
-                un->second.flits.push_back(
-                    BufferedFlit{flit, wf->spec});
-                continue;
+                h = addRecord(static_cast<Port>(p), flit.flow,
+                              flit.quantum, InputTable::State::Unclaimed);
+                QuantumRecord &u = table_[h];
+                u.firstArrival = now;
+                u.nextReissueAt = now + params_.lookaheadTimeout();
+                // The look-ahead router sleeps unless unclaimed quanta
+                // keep its re-issue timer running.
+                if (params_.recovery.enabled && lookahead_)
+                    lookahead_->wake();
+            } else if (table_[h].inPort != static_cast<Port>(p)) {
+                panic("router %u: flow %u quantum %llu on two inputs",
+                      id_, flit.flow,
+                      static_cast<unsigned long long>(flit.quantum));
             }
-            it->second.buffered.push_back(BufferedFlit{flit, wf->spec});
+            if (!table_.push(h, BufferedFlit{flit, wf->spec}))
+                panic("router %u: flow %u quantum %llu holds more than "
+                      "%u flits", id_, flit.flow,
+                      static_cast<unsigned long long>(flit.quantum),
+                      params_.quantumFlits);
         }
     }
 }
 
-void
-LoftDataRouter::eraseRecord(std::size_t in, QuantumRecord &rec)
+LoftDataRouter::Handle
+LoftDataRouter::addRecord(Port in, FlowId flow, std::uint64_t quantum,
+                          InputTable::State st)
 {
-    if (rec.scheduled) {
-        auto &scheduled = outputs_[portIndex(rec.outPort)].scheduled;
-        scheduled.erase(slotPosition(scheduled, rec.departSlot));
-    }
-    inputs_[in].records.erase(recordKey(rec.flow, rec.quantumNo));
+    const std::size_t cap = table_.capacity();
+    const Handle h = table_.insert(in, flow, quantum, st);
+    if (table_.capacity() != cap)
+        reserveLists();
+    return h;
 }
 
 void
-LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
-                            std::size_t out, Cycle now, bool emergent)
+LoftDataRouter::reserveLists()
 {
-    InputPort &ip = inputs_[in];
+    // A list never holds more than the router's live records.
+    for (std::size_t p = 0; p < kNumPorts; ++p) {
+        outputs_[p].scheduled.reserve(table_.capacity());
+        pending_[p].reserve(table_.capacity());
+    }
+}
+
+std::vector<LoftDataRouter::Handle>::iterator
+LoftDataRouter::slotPosition(std::size_t out, Slot slot)
+{
+    auto &list = outputs_[out].scheduled;
+    return std::lower_bound(list.begin(), list.end(), slot,
+                            [this](Handle h, Slot s) {
+                                return table_[h].departSlot < s;
+                            });
+}
+
+void
+LoftDataRouter::eraseRecord(Handle h)
+{
+    const QuantumRecord &rec = table_[h];
+    if (rec.scheduled) {
+        const std::size_t out = portIndex(rec.outPort);
+        outputs_[out].scheduled.erase(slotPosition(out, rec.departSlot));
+    }
+    table_.erase(h);
+}
+
+void
+LoftDataRouter::forwardFlit(Handle h, std::size_t out, Cycle now,
+                            bool emergent)
+{
+    QuantumRecord &rec = table_[h];
+    InputPort &ip = inputs_[portIndex(rec.inPort)];
     OutputPort &op = outputs_[out];
 
     // Decide the downstream buffer: a quantum switched starting at its
@@ -336,8 +340,8 @@ LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
     if (to_spec ? op.dnSpecFree == 0 : op.dnNonspecFree == 0)
         panic("router %u: forwardFlit without downstream space", id_);
 
-    BufferedFlit bf = rec.buffered.front();
-    rec.buffered.pop_front();
+    const BufferedFlit bf = table_.front(h);
+    table_.pop(h);
     op.dataOut->send(now, DataWireFlit{bf.flit, to_spec});
     if (to_spec)
         --op.dnSpecFree;
@@ -374,9 +378,9 @@ LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
     else
         ++specForwards_;
 
-    if (rec.forwardedFlits == rec.expectedFlits) {
+    if (rec.forwardedFlits == rec.la.quantumFlits) {
         op.sched->clearBooking(rec.departSlot);
-        eraseRecord(in, rec);
+        eraseRecord(h);
     }
 }
 
@@ -395,27 +399,27 @@ LoftDataRouter::switchOutputs(Cycle now)
         const auto &scheduled = op.scheduled;
         std::size_t i = 0;
         {
-            QuantumRecord *due = nullptr;
+            Handle due = InputTable::kNone;
             bool due_dataless = false;
             for (; i < scheduled.size() &&
-                   scheduled[i]->departSlot <= now_slot;
+                   table_[scheduled[i]].departSlot <= now_slot;
                  ++i) {
-                if (!scheduled[i]->buffered.empty()) {
+                if (table_[scheduled[i]].hasData()) {
                     due = scheduled[i];
                     break;
                 }
                 due_dataless = true; // late data upstream
             }
-            if (due) {
+            if (due != InputTable::kNone) {
                 // A quantum that already started early stays in the
                 // speculative lane; one starting at its slot uses the
                 // tracked non-speculative buffer.
+                const QuantumRecord &rec = table_[due];
                 const bool needs_spec =
-                    due->forwardedFlits > 0 && due->sendSpec;
+                    rec.forwardedFlits > 0 && rec.sendSpec;
                 if (needs_spec ? op.dnSpecFree > 0
                                : op.dnNonspecFree > 0) {
-                    forwardFlit(portIndex(due->inPort), *due, out, now,
-                                true);
+                    forwardFlit(due, out, now, true);
                     continue;
                 }
                 // Downstream has no space: the scheduled switching
@@ -448,19 +452,19 @@ LoftDataRouter::switchOutputs(Cycle now)
         // ready record among the rest.
         constexpr std::uint64_t kAllInputs = (1u << kNumPorts) - 1;
         std::uint64_t req = 0;
-        std::array<QuantumRecord *, kNumPorts> cand{};
+        std::array<Handle, kNumPorts> cand{};
         for (; i < scheduled.size() && req != kAllInputs; ++i) {
-            QuantumRecord *rec = scheduled[i];
-            const std::size_t in = portIndex(rec->inPort);
-            if (rec->buffered.empty() || (req >> in & 1u))
+            const QuantumRecord &rec = table_[scheduled[i]];
+            const std::size_t in = portIndex(rec.inPort);
+            if (!rec.hasData() || (req >> in & 1u))
                 continue;
             req |= std::uint64_t(1) << in;
-            cand[in] = rec;
+            cand[in] = scheduled[i];
         }
         const std::size_t win = op.arb.arbitrate(req);
         if (win == RoundRobinArbiter::npos)
             continue;
-        forwardFlit(win, *cand[win], out, now, false);
+        forwardFlit(cand[win], out, now, false);
     }
 }
 
@@ -484,11 +488,10 @@ LoftDataRouter::maybeLocalReset(Cycle now)
 }
 
 void
-LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
-                                 Cycle now)
+LoftDataRouter::dropQuantum(Handle h, Cycle now)
 {
-    InputPort &ip = inputs_[in];
-    for (BufferedFlit &bf : flits) {
+    InputPort &ip = inputs_[portIndex(table_[h].inPort)];
+    for (const BufferedFlit &bf : table_.flits(h)) {
         if (bf.spec) {
             if (ip.specUsed == 0)
                 panic("router %u: spec buffer underflow (drop)", id_);
@@ -504,93 +507,78 @@ LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
                                 .node = id_, .flit = bf.flit,
                                 .now = now});
     }
-    flits.clear();
+    table_.erase(h);
 }
 
 void
 LoftDataRouter::recoverLostLookaheads(Cycle now)
 {
-    if (!params_.recovery.enabled)
+    if (!params_.recovery.enabled || !table_.anyUnclaimed())
         return;
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        InputPort &ip = inputs_[p];
-        if (ip.unclaimed.empty())
+    // Re-issue in (input, quantum-id) order: re-issues compete for
+    // output slots and fire observer events, so arena order would leak
+    // into the fingerprint.
+    table_.select(sweepScratch_, [now](const QuantumRecord &r) {
+        return r.state == InputTable::State::Unclaimed &&
+               now >= r.nextReissueAt;
+    });
+    for (const Handle h : sweepScratch_) {
+        QuantumRecord &u = table_[h];
+        if (!u.detected) {
+            // Timeout fired: the reservation for this data never
+            // materialized — the look-ahead flit must be lost.
+            u.detected = true;
+            NOC_OBSERVE(observer_,
+                        {.kind = NetEvent::Kind::FaultDetected,
+                         .fault = FaultKind::LookaheadDrop,
+                         .node = id_, .injectedAt = u.firstArrival,
+                         .now = now});
+        }
+        // Re-synthesize only once the quantum is complete; data flits
+        // of one quantum arrive in order, so the tail marker or a full
+        // quantum's worth of flits closes it. Waiting for the rest of
+        // the quantum (e.g. behind a stalled link) does not consume
+        // re-issue budget.
+        const auto flits = table_.flits(h);
+        const BufferedFlit &first = flits.front();
+        const BufferedFlit &last = flits.back();
+        const bool complete = last.flit.quantumLast ||
+                              flits.size() >= params_.quantumFlits;
+        if (!complete) {
+            u.nextReissueAt = now + params_.recovery.reissueBackoffCycles;
             continue;
-        recoveryScratch_.clear();
-        // Key-collection only; the sort below erases the hash order
-        // before anything observable happens.
-        for (const auto &[key, u] : ip.unclaimed)
-            if (now >= u.nextReissueAt && !u.flits.empty())
-                recoveryScratch_.push_back(key);
-        // Re-issue in quantum-id order: re-issues compete for output
-        // slots and fire observer events, so hash order would leak
-        // into the fingerprint.
-        std::sort(recoveryScratch_.begin(), recoveryScratch_.end());
-        for (std::uint64_t key : recoveryScratch_) {
-            auto it = ip.unclaimed.find(key);
-            if (it == ip.unclaimed.end())
-                continue;
-            UnclaimedQuantum &u = it->second;
-            if (!u.detected) {
-                // Timeout fired: the reservation for this data never
-                // materialized — the look-ahead flit must be lost.
-                u.detected = true;
-                NOC_OBSERVE(observer_,
-                            {.kind = NetEvent::Kind::FaultDetected,
-                             .fault = FaultKind::LookaheadDrop,
-                             .node = id_, .injectedAt = u.firstArrival,
-                             .now = now});
-            }
-            // Re-synthesize only once the quantum is complete; data
-            // flits of one quantum arrive in order, so the tail marker
-            // or a full quantum's worth of flits closes it. Waiting for
-            // the rest of the quantum (e.g. behind a stalled link) does
-            // not consume re-issue budget.
-            const BufferedFlit &first = u.flits.front();
-            const BufferedFlit &last = u.flits.back();
-            const bool complete =
-                last.flit.quantumLast ||
-                u.flits.size() >= params_.quantumFlits;
-            if (!complete) {
-                u.nextReissueAt =
-                    now + params_.recovery.reissueBackoffCycles;
-                continue;
-            }
-            if (u.reissues >= params_.recovery.maxReissues) {
-                dropQuantumFlits(p, u.flits, now);
-                ip.unclaimed.erase(it);
-                continue;
-            }
-            ++u.reissues;
-            u.nextReissueAt =
-                now + (params_.recovery.reissueBackoffCycles
-                       << std::min<std::uint32_t>(u.reissues, 6));
-            LookaheadFlit la;
-            la.flow = first.flit.flow;
-            la.src = first.flit.src;
-            la.dst = first.flit.dst;
-            la.quantumNo = first.flit.quantum;
-            la.quantumFlits =
-                static_cast<std::uint32_t>(u.flits.size());
-            la.firstFlitNo = first.flit.flitNo;
-            la.packet = first.flit.packet;
-            la.createdAt = first.flit.createdAt;
-            la.leadsTail = last.flit.isTail();
-            // The data is already here: backdate the departure slot so
-            // the arrival estimate is immediately satisfied.
-            la.departureSlot = params_.slotOf(u.firstArrival);
-            // admitLookahead claims the staged flits and erases the
-            // unclaimed entry on success; `it`/`u` are dead after the
-            // call, so take what the observer needs by value first.
-            [[maybe_unused]] const Cycle firstArrival = u.firstArrival;
-            if (admitLookahead(static_cast<Port>(p), la, now, now)) {
-                ++laReissues_;
-                NOC_OBSERVE(observer_,
-                            {.kind = NetEvent::Kind::FaultRecovered,
-                             .fault = FaultKind::LookaheadDrop,
-                             .node = id_, .injectedAt = firstArrival,
-                             .now = now});
-            }
+        }
+        if (u.reissues >= params_.recovery.maxReissues) {
+            dropQuantum(h, now);
+            continue;
+        }
+        ++u.reissues;
+        u.nextReissueAt =
+            now + (params_.recovery.reissueBackoffCycles
+                   << std::min<std::uint32_t>(u.reissues, 6));
+        LookaheadFlit la;
+        la.flow = first.flit.flow;
+        la.src = first.flit.src;
+        la.dst = first.flit.dst;
+        la.quantumNo = first.flit.quantum;
+        la.quantumFlits = static_cast<std::uint32_t>(flits.size());
+        la.firstFlitNo = first.flit.flitNo;
+        la.packet = first.flit.packet;
+        la.createdAt = first.flit.createdAt;
+        la.leadsTail = last.flit.isTail();
+        // The data is already here: backdate the departure slot so the
+        // arrival estimate is immediately satisfied.
+        la.departureSlot = params_.slotOf(u.firstArrival);
+        // admitLookahead claims the record in place and overwrites its
+        // look-ahead, so take what the observer needs by value first.
+        [[maybe_unused]] const Cycle firstArrival = u.firstArrival;
+        if (admitLookahead(u.inPort, la, now, now)) {
+            ++laReissues_;
+            NOC_OBSERVE(observer_,
+                        {.kind = NetEvent::Kind::FaultRecovered,
+                         .fault = FaultKind::LookaheadDrop,
+                         .node = id_, .injectedAt = firstArrival,
+                         .now = now});
         }
     }
 }
@@ -599,31 +587,23 @@ void
 LoftDataRouter::scrubStaleRecords(Cycle now)
 {
     const Cycle timeout = params_.scrubTimeout();
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        InputPort &ip = inputs_[p];
-        if (ip.records.empty())
-            continue;
-        recoveryScratch_.clear();
-        // Key-collection only; sorted before any mutation below.
-        for (const auto &[key, rec] : ip.records) {
-            if (!rec.scheduled || !rec.buffered.empty())
-                continue;
-            if (rec.forwardedFlits >= rec.expectedFlits)
-                continue; // completes this cycle anyway
-            if (params_.slotStart(rec.departSlot) + timeout <= now)
-                recoveryScratch_.push_back(key);
-        }
-        std::sort(recoveryScratch_.begin(), recoveryScratch_.end());
-        for (std::uint64_t key : recoveryScratch_) {
-            QuantumRecord &rec = ip.records.at(key);
-            // The remaining data flits of this quantum never arrived
-            // (dropped upstream): reclaim the output slot and the
-            // input-table entry so the tables re-converge.
-            outputs_[portIndex(rec.outPort)].sched->clearBooking(
-                rec.departSlot);
-            eraseRecord(p, rec);
-            ++quantaScrubbed_;
-        }
+    // Sorted by (input, quantum id) before any mutation below.
+    table_.select(sweepScratch_, [&](const QuantumRecord &r) {
+        return r.state == InputTable::State::Claimed && r.scheduled &&
+               !r.hasData() &&
+               // A record at its last flit completes this cycle anyway.
+               r.forwardedFlits < r.la.quantumFlits &&
+               params_.slotStart(r.departSlot) + timeout <= now;
+    });
+    for (const Handle h : sweepScratch_) {
+        const QuantumRecord &rec = table_[h];
+        // The remaining data flits of this quantum never arrived
+        // (dropped upstream): reclaim the output slot and the
+        // input-table entry so the tables re-converge.
+        outputs_[portIndex(rec.outPort)].sched->clearBooking(
+            rec.departSlot);
+        eraseRecord(h);
+        ++quantaScrubbed_;
     }
 }
 
@@ -642,10 +622,6 @@ LoftDataRouter::tick(Cycle now)
         nextScrubAt_ = now + params_.scrubPeriod();
         scrubStaleRecords(now);
     }
-    // The look-ahead router's quiescent() reads this router's pending
-    // and unclaimed quanta, which this tick may have changed.
-    if (lookahead_)
-        lookahead_->wake();
 }
 
 bool
@@ -653,9 +629,9 @@ LoftDataRouter::quiescent() const
 {
     // Inputs: no live or staged quanta, no buffered flits, and nothing
     // arriving on the data or credit wires.
+    if (!table_.empty())
+        return false;
     for (const InputPort &ip : inputs_) {
-        if (!ip.records.empty() || !ip.unclaimed.empty())
-            return false;
         if (ip.nonspecUsed != 0 || ip.specUsed != 0)
             return false;
         if (ip.dataIn && !ip.dataIn->empty())

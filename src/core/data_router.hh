@@ -8,10 +8,11 @@
  * guaranteed to win (Section 4.3.1).
  *
  * Each input port holds a central (non-speculative) buffer plus a
- * speculative buffer for out-of-order forwarded flits (Fig. 9), and the
- * input reservation table (quantum records). Each output port owns an
- * LSF OutputScheduler (the framed output reservation table) plus the
- * actual-credit view of the downstream buffers.
+ * speculative buffer for out-of-order forwarded flits (Fig. 9); one
+ * InputTable holds the quantum records of all five inputs (the input
+ * reservation table). Each output port owns an LSF OutputScheduler
+ * (the framed output reservation table) plus the actual-credit view of
+ * the downstream buffers.
  */
 
 #ifndef NOC_CORE_DATA_ROUTER_HH
@@ -19,7 +20,9 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
+#include "core/input_table.hh"
 #include "core/messages.hh"
 #include "core/output_scheduler.hh"
 #include "net/channel.hh"
@@ -105,8 +108,9 @@ class LoftDataRouter final : public Clocked
     void recoverLostLookaheads(Cycle now);
 
     /**
-     * Bind the co-located look-ahead router, which this router's tick
-     * wakes (it sleeps on this router's pending and unclaimed quanta).
+     * Bind the co-located look-ahead router. It sleeps on this router's
+     * pending and unclaimed quanta; of those, this router's tick only
+     * stages unclaimed ones, and wakes it when that matters (recovery).
      */
     void pairLookahead(Clocked *lookahead) { lookahead_ = lookahead; }
 
@@ -127,14 +131,7 @@ class LoftDataRouter final : public Clocked
 
     /** True if any input port stages flits without a reservation (the
      *  look-ahead router polls this to keep the re-issue timer alive). */
-    bool
-    hasUnclaimedQuanta() const
-    {
-        for (const auto &ip : inputs_)
-            if (!ip.unclaimed.empty())
-                return true;
-        return false;
-    }
+    bool hasUnclaimedQuanta() const { return table_.anyUnclaimed(); }
 
     /// @name Stats / introspection
     /// @{
@@ -155,95 +152,15 @@ class LoftDataRouter final : public Clocked
     /// @}
 
   private:
-    /** A buffered data flit and which physical buffer holds it. */
-    struct BufferedFlit
+    using Handle = InputTable::Handle;
+    using QuantumRecord = InputTable::Record;
+
+    /** A pending quantum, its flow beside its record so that the
+     *  round-robin walk over flows dereferences only flow heads. */
+    struct PendingEntry
     {
-        Flit flit;
-        bool spec;
-    };
-
-    /**
-     * FIFO of one quantum's buffered flits, pool-backed. A quantum
-     * holds at most quantumFlits flits, so a consumed head index over
-     * a pooled vector beats a deque: the single backing allocation is
-     * recycled through the router's Pool when the record dies, and the
-     * per-cycle push/pop path never touches the heap.
-     */
-    struct FlitFifo
-    {
-        PoolVec<BufferedFlit> flits;
-        std::uint32_t head = 0;
-
-        explicit FlitFifo(Pool *pool = nullptr)
-            : flits(PoolAlloc<BufferedFlit>(pool))
-        {
-        }
-
-        bool empty() const { return head == flits.size(); }
-        std::size_t size() const { return flits.size() - head; }
-        BufferedFlit &front() { return flits[head]; }
-        const BufferedFlit &front() const { return flits[head]; }
-        const BufferedFlit &back() const { return flits.back(); }
-        void push_back(const BufferedFlit &bf) { flits.push_back(bf); }
-        void pop_front() { ++head; }
-
-        void
-        clear()
-        {
-            flits.clear();
-            head = 0;
-        }
-
-        auto begin() { return flits.begin() + head; }
-        auto end() { return flits.end(); }
-    };
-
-    /** Input reservation table entry: one quantum led by one LA flit. */
-    struct QuantumRecord
-    {
-        explicit QuantumRecord(Pool *pool = nullptr) : buffered(pool) {}
-
-        FlowId flow = kInvalidFlow;
-        std::uint64_t quantumNo = 0;
-        std::uint32_t expectedFlits = 0;
-        NodeId dst = kInvalidNode;
-        /** The leading look-ahead flit (forwarded once scheduled). */
-        LookaheadFlit la;
-        /** First cycle the look-ahead may request output scheduling
-         *  (after the look-ahead router pipeline). */
-        Cycle schedulableAt = 0;
-        Port inPort = Port::Local;
-        Port outPort = Port::Local;
-        Slot arrivalSlot = 0;
-        Slot departSlot = kNeverCycle;
-        bool scheduled = false;
-        std::uint32_t forwardedFlits = 0;
-        /**
-         * Downstream buffer choice, decided when the first flit is
-         * forwarded and sticky for the whole quantum (the quantum is
-         * the scheduling unit): started at its slot -> non-speculative,
-         * started early -> speculative.
-         */
-        bool sendSpec = false;
-        FlitFifo buffered;
-    };
-
-    /**
-     * Flits staged while their look-ahead is missing, plus the
-     * recovery bookkeeping for re-issuing that look-ahead if it never
-     * shows up (lost to a fault).
-     */
-    struct UnclaimedQuantum
-    {
-        explicit UnclaimedQuantum(Pool *pool = nullptr) : flits(pool) {}
-
-        FlitFifo flits;
-        Cycle firstArrival = 0;
-        std::uint32_t reissues = 0;
-        /** Timeout already reported as a detected look-ahead loss. */
-        bool detected = false;
-        /** Next recovery attempt (first: firstArrival + timeout). */
-        Cycle nextReissueAt = kNeverCycle;
+        FlowId flow;
+        Handle rec;
     };
 
     struct InputPort
@@ -251,17 +168,6 @@ class LoftDataRouter final : public Clocked
         Channel<DataWireFlit> *dataIn = nullptr;
         Channel<ActualCreditMsg> *actualCreditOut = nullptr;
         Channel<VirtualCreditMsg> *virtualCreditOut = nullptr;
-        /** Pool-backed and pre-sized in the router constructor: node
-         *  churn recycles through the pool, and the reserve() makes
-         *  mid-run rehashing impossible (key population is bounded by
-         *  the table capacity). */
-        PoolUMap<std::uint64_t, QuantumRecord> records;
-        /**
-         * Flits that arrived while their look-ahead still waits for a
-         * free input-table entry (the data plane can outrun a
-         * back-pressured look-ahead admission by a few cycles).
-         */
-        PoolUMap<std::uint64_t, UnclaimedQuantum> unclaimed;
         std::uint32_t nonspecUsed = 0;
         std::uint32_t specUsed = 0;
     };
@@ -272,11 +178,9 @@ class LoftDataRouter final : public Clocked
         /**
          * Scheduled records routed here from every input, sorted by
          * departure slot. The scheduler grants each slot once, so the
-         * slots are distinct. Entries are the records themselves:
-         * `records` is node-based, so an entry's address is stable
-         * until eraseRecord removes it from here.
+         * slots are distinct.
          */
-        PoolVec<QuantumRecord *> scheduled;
+        std::vector<Handle> scheduled;
         Channel<DataWireFlit> *dataOut = nullptr;
         Channel<ActualCreditMsg> *actualCreditIn = nullptr;
         Channel<VirtualCreditMsg> *virtualCreditIn = nullptr;
@@ -290,48 +194,45 @@ class LoftDataRouter final : public Clocked
         RoundRobinArbiter arb{kNumPorts};
     };
 
-    /**
-     * Key of a live input-table entry. The flow id occupies the full
-     * upper 32 bits (FlowId is 32-bit; the previous `flow << 44`
-     * packing overflowed for flows >= 2^20 and collided across flows
-     * once quanta passed 2^44). The quantum number is taken modulo
-     * 2^32, which is unique among LIVE entries: a port holds at most
-     * windowSlots() quanta of a flow at once, far below 2^32. Keys
-     * sort identically to (flow, quantumNo) for live entries, which
-     * the sorted recovery/scrub sweeps rely on.
-     */
-    static std::uint64_t recordKey(FlowId f, std::uint64_t q)
-    {
-        return (static_cast<std::uint64_t>(f) << 32) |
-               (q & 0xffffffffull);
-    }
-
     void receiveCredits(Cycle now);
     void receiveData(Cycle now);
     void switchOutputs(Cycle now);
     void maybeLocalReset(Cycle now);
     /** Reclaim scheduled records whose data never arrived (recovery). */
     void scrubStaleRecords(Cycle now);
-    /** Give up on a quantum: free buffers, return upstream credits. */
-    void dropQuantumFlits(std::size_t in, FlitFifo &flits, Cycle now);
+    /** Give up on an unclaimed quantum: free its buffers and record,
+     *  return upstream credits. */
+    void dropQuantum(Handle h, Cycle now);
 
-    /** Forward one flit of @p rec through output @p out. */
-    void forwardFlit(std::size_t in, QuantumRecord &rec, std::size_t out,
-                     Cycle now, bool emergent);
+    /** Forward one flit of record @p h through output @p out. */
+    void forwardFlit(Handle h, std::size_t out, Cycle now, bool emergent);
 
-    void eraseRecord(std::size_t in, QuantumRecord &rec);
+    /**
+     * A new input-table record; the index lists grow with the arena,
+     * which bounds them, so inserting into them never allocates.
+     */
+    Handle addRecord(Port in, FlowId flow, std::uint64_t quantum,
+                     InputTable::State st);
+    /** Size every index list to the arena's capacity. */
+    void reserveLists();
+    void eraseRecord(Handle h);
+    /** First entry of output @p out's scheduled list whose slot is
+     *  not below @p slot. */
+    std::vector<Handle>::iterator slotPosition(std::size_t out, Slot slot);
 
     NodeId id_;
     const Mesh2D &mesh_;
     LoftParams params_;
 
     /**
-     * Backing pool for every node-churning container of this router
-     * (reservation tables, staging maps, scheduler bookings, buffered
-     * flit FIFOs). Declared before them: members are destroyed in
-     * reverse order, so the pool outlives its containers.
+     * Backing pool for the schedulers' booking and credit-return maps.
+     * Declared before them: members are destroyed in reverse order, so
+     * the pool outlives its containers.
      */
     Pool pool_;
+
+    /** Every live quantum of the five inputs (input reservation table). */
+    InputTable table_;
 
     std::array<InputPort, kNumPorts> inputs_;
     std::array<OutputPort, kNumPorts> outputs_;
@@ -341,16 +242,12 @@ class LoftDataRouter final : public Clocked
      * (flow, quantum number) for round-robin service over flows. A
      * record leaves only when scheduled, before eraseRecord can see it.
      */
-    std::array<PoolVec<QuantumRecord *>, kNumPorts> pending_;
+    std::array<std::vector<PendingEntry>, kNumPorts> pending_;
     /** Round-robin pointer over flows, per output port. */
     std::array<FlowId, kNumPorts> flowPointer_{};
 
-    /** Scratch for schedulePending's per-flow head positions (kept as
-     *  a member so the hot path does not allocate every cycle). */
-    std::vector<std::size_t> headsScratch_;
-
-    /** Scratch key list for the recovery sweeps (avoids allocation). */
-    std::vector<std::uint64_t> recoveryScratch_;
+    /** Scratch handle list for the recovery sweeps (avoids allocation). */
+    std::vector<Handle> sweepScratch_;
 
     std::uint64_t emergentForwards_ = 0;
     std::uint64_t specForwards_ = 0;

@@ -1,5 +1,6 @@
 #include "core/loft_network.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -103,26 +104,28 @@ void
 LoftNetwork::registerFlows(const std::vector<FlowSpec> &flows)
 {
     metrics_.resizeFlows(flows.size());
+    // A random-destination flow's packets may take any XY route, so it
+    // reserves on every output port of every router (Section 6,
+    // uniform). Those registrations go scheduler-major after every NI's:
+    // each port takes the whole batch, in ascending id order, while its
+    // flow table is hot.
+    std::vector<std::pair<FlowId, std::uint32_t>> anywhere;
     for (const FlowSpec &f : flows) {
         const std::uint32_t r = reservationOf(f);
         sources_.at(f.src)->registerFlow(f.id, r);
         if (f.randomDst()) {
-            // The flow's packets may take any XY route: reserve on
-            // every output port of every router (Section 6, uniform).
-            for (NodeId id = 0; id < mesh_.numNodes(); ++id) {
-                for (std::size_t p = 0; p < kNumPorts; ++p) {
-                    dataRouters_[id]
-                        ->scheduler(static_cast<Port>(p))
-                        .registerFlow(f.id, r);
-                }
-            }
-        } else {
-            for (const RouteHop &hop : xyPath(mesh_, f.src, f.dst)) {
-                dataRouters_[hop.node]->scheduler(hop.out)
-                    .registerFlow(f.id, r);
-            }
+            anywhere.emplace_back(f.id, r);
+            continue;
         }
+        for (const RouteHop &hop : xyPath(mesh_, f.src, f.dst))
+            dataRouters_[hop.node]->scheduler(hop.out).registerFlow(f.id, r);
     }
+    if (anywhere.empty())
+        return;
+    std::sort(anywhere.begin(), anywhere.end());
+    for (auto &router : dataRouters_)
+        for (std::size_t p = 0; p < kNumPorts; ++p)
+            router->scheduler(static_cast<Port>(p)).registerFlows(anywhere);
 }
 
 bool

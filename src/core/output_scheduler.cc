@@ -72,6 +72,15 @@ OutputScheduler::registerFlow(FlowId flow, std::uint32_t reservation_flits)
                             .sched = this, .flow = flow, .quanta = r});
 }
 
+void
+OutputScheduler::registerFlows(
+    const std::vector<std::pair<FlowId, std::uint32_t>> &flows)
+{
+    flows_.reserve(flows_.size() + flows.size());
+    for (const auto &[flow, reservation_flits] : flows)
+        registerFlow(flow, reservation_flits);
+}
+
 std::vector<OutputScheduler::FlowState>::const_iterator
 OutputScheduler::flowLowerBound(FlowId flow) const
 {

@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/loft_params.hh"
@@ -103,6 +104,14 @@ class OutputScheduler
      * per frame. Enforces sum(R_ij) <= F.
      */
     void registerFlow(FlowId flow, std::uint32_t reservation_flits);
+
+    /**
+     * registerFlow() for each (flow, R_ij in flits) of @p flows, growing
+     * the flow table once. In ascending flow order each insertion
+     * appends.
+     */
+    void registerFlows(
+        const std::vector<std::pair<FlowId, std::uint32_t>> &flows);
 
     bool
     hasFlow(FlowId flow) const

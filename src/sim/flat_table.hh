@@ -1,7 +1,8 @@
 /**
  * @file
  * FlatTable: the open-addressed hash table behind the auditor's
- * per-event state (ledger, reservation set, scheduler shadows).
+ * per-event state (ledger, reservation set, scheduler shadows) and the
+ * LOFT data router's input-table index (core/input_table.hh).
  *
  * Entries live in one power-of-two bucket array probed linearly;
  * erase shifts the rest of the probe run back instead of leaving
@@ -17,9 +18,11 @@
  * first, or use the table only for lookups.
  */
 
-#ifndef NOC_AUDIT_FLAT_TABLE_HH
-#define NOC_AUDIT_FLAT_TABLE_HH
+#ifndef NOC_SIM_FLAT_TABLE_HH
+#define NOC_SIM_FLAT_TABLE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -54,14 +57,30 @@ class FlatTable
     bool empty() const { return size_ == 0; }
 
     /** The value stored under @p key, or null. */
-    Value *
-    find(const Key &key)
+    const Value *
+    find(const Key &key) const
     {
         const std::size_t i = indexOf(key);
         return i == kNone ? nullptr : &buckets_[i].value;
     }
 
+    Value *
+    find(const Key &key)
+    {
+        return const_cast<Value *>(std::as_const(*this).find(key));
+    }
+
     bool contains(const Key &key) const { return indexOf(key) != kNone; }
+
+    /** Make room for @p n entries, so inserting up to them never grows. */
+    void
+    reserve(std::size_t n)
+    {
+        const std::size_t cap =
+            std::bit_ceil(std::max<std::size_t>(8, 2 * n));
+        if (cap > buckets_.size())
+            rehash(cap);
+    }
 
     /**
      * Insert (@p key, @p value) unless @p key is present.
@@ -75,7 +94,7 @@ class FlatTable
         if (at != kNone)
             return {&buckets_[at].value, false};
         if (2 * (size_ + 1) > buckets_.size())
-            grow();
+            rehash(buckets_.empty() ? 8 : 2 * buckets_.size());
         std::size_t i = home(key);
         while (buckets_[i].full)
             i = next(i);
@@ -185,11 +204,11 @@ class FlatTable
         --size_;
     }
 
+    /** Move every entry into a fresh array of @p cap buckets. */
     void
-    grow()
+    rehash(std::size_t cap)
     {
         std::vector<Bucket> old = std::move(buckets_);
-        const std::size_t cap = old.empty() ? 8 : 2 * old.size();
         buckets_.assign(cap, Bucket{});
         mask_ = cap - 1;
         for (const Bucket &b : old) {
@@ -209,4 +228,4 @@ class FlatTable
 
 } // namespace noc
 
-#endif // NOC_AUDIT_FLAT_TABLE_HH
+#endif // NOC_SIM_FLAT_TABLE_HH

@@ -6,7 +6,10 @@
  * buffer choice, credit conservation, input-table back-pressure, and
  * the local-reset conditions on a live link. A second rig drives one
  * data router by hand to pin down how an output picks among the
- * quanta that several inputs hold for it.
+ * quanta that several inputs hold for it, and in which order it serves
+ * flows. A third fills one input's table past the router's starting
+ * arena and checks back-pressure and the output picks after growth. A
+ * last one checks that staging a quantum wakes the look-ahead router.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 
 #include "core/data_router.hh"
 #include "core/loft_network.hh"
+#include "core/lookahead_router.hh"
 #include "sim/simulator.hh"
 
 namespace noc
@@ -266,23 +270,42 @@ class OutputChoiceTest : public ::testing::Test
         return p;
     }
 
+    /** Admit @p flow's quantum @p q on input @p in. */
+    void
+    admit(Port in, FlowId flow, std::uint64_t q = 0)
+    {
+        LookaheadFlit la;
+        la.flow = flow;
+        la.src = 0;
+        la.dst = kDst;
+        la.quantumNo = q;
+        la.quantumFlits = 1;
+        la.departureSlot = 2;
+        EXPECT_TRUE(router_.admitLookahead(in, la, 0, 0));
+    }
+
+    /** The flow East schedules a quantum of at cycle 0, if any. */
+    FlowId
+    scheduleNext(Slot *slot = nullptr)
+    {
+        LookaheadFlit onward;
+        bool terminal = false;
+        if (!router_.schedulePending(Port::East, 0, onward, terminal))
+            return kInvalidFlow;
+        if (slot)
+            *slot = onward.departureSlot;
+        return onward.flow;
+    }
+
     /** Admit and schedule @p flow's quantum on input @p in; its slot. */
     Slot
     schedule(Port in, FlowId flow)
     {
         router_.scheduler(Port::East).registerFlow(flow, 2);
-        LookaheadFlit la;
-        la.flow = flow;
-        la.src = 0;
-        la.dst = kDst;
-        la.quantumFlits = 1;
-        la.departureSlot = 2;
-        EXPECT_TRUE(router_.admitLookahead(in, la, 0, 0));
-        LookaheadFlit onward;
-        bool terminal = false;
-        EXPECT_TRUE(router_.schedulePending(Port::East, 0, onward, terminal));
-        EXPECT_EQ(onward.flow, flow);
-        return onward.departureSlot;
+        admit(in, flow);
+        Slot slot = 0;
+        EXPECT_EQ(scheduleNext(&slot), flow);
+        return slot;
     }
 
     /** Put @p flow's flit on @p in's wire, readable from cycle 1. */
@@ -368,6 +391,255 @@ TEST_F(OutputChoiceTest, EachInputOffersItsEarliestReadyQuantum)
     EXPECT_EQ(order, (std::vector<FlowId>{3, 2, 5, 4}));
     EXPECT_EQ(router_.speculativeForwards(), 4u);
     EXPECT_EQ(router_.missedSlots(), 0u);
+}
+
+TEST_F(OutputChoiceTest, RoundRobinVisitsEachFlowHeadOnceFromThePointer)
+{
+    // Flow 1 reserves one slot per frame, flows 2 and 3 two each.
+    OutputScheduler &sched = router_.scheduler(Port::East);
+    sched.registerFlow(1, 2);
+    for (const FlowId f : {2u, 3u})
+        sched.registerFlow(f, 4);
+    for (std::uint64_t q = 0; q < 3; ++q)
+        admit(Port::West, 1, q);
+    EXPECT_EQ(scheduleNext(), 1u);
+    // Flow 1's head (quantum 1) needs the next frame, which condition
+    // (1) closes while the head frame holds a booking: it is refused
+    // from now on, and each refusal still updates the flow's state.
+    // Its quantum 2 is never asked.
+    for (const FlowId f : {2u, 3u})
+        for (std::uint64_t q = 0; q < 2; ++q)
+            admit(Port::Local, f, q);
+
+    std::vector<FlowId> served;
+    std::vector<std::uint64_t> refused;
+    for (;;) {
+        const std::uint64_t before = sched.throttles();
+        const FlowId f = scheduleNext();
+        refused.push_back(sched.throttles() - before);
+        if (f == kInvalidFlow)
+            break;
+        served.push_back(f);
+    }
+    // Starting past the last served flow, every flow's head is asked
+    // once per call, in flow order and wrapping once: flow 1's refused
+    // head is asked on each wrap, and a flow's second quantum never
+    // overtakes another flow's head.
+    EXPECT_EQ(served, (std::vector<FlowId>{2, 3, 2, 3}));
+    EXPECT_EQ(refused, (std::vector<std::uint64_t>{0, 0, 1, 0, 1}));
+    EXPECT_TRUE(router_.hasPendingQuanta());
+}
+
+// ---- One input holding more quanta than the arena starts with -------
+
+/**
+ * The centre router of a 3x3 mesh with its West input and four outputs
+ * on bare wires. One-flit quanta of four flows, one per output, fill
+ * the West input's table (Table 1: windowSlots() = 128 entries), four
+ * times the records a router's arena starts with.
+ */
+class CrowdedInputTest : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint64_t kPerFlow = 32;
+    /** Output and destination of flows 1-4. */
+    static constexpr std::array<std::pair<Port, NodeId>, 4> kRoutes{{
+        {Port::East, 5},
+        {Port::North, 7},
+        {Port::South, 1},
+        {Port::Local, 4},
+    }};
+
+    CrowdedInputTest() : mesh_(3, 3), router_(4, mesh_, params())
+    {
+        router_.connectInput(Port::West, &dataIn_, nullptr, nullptr);
+        for (FlowId f = 1; f <= kRoutes.size(); ++f) {
+            const std::size_t o = portIndex(outOf(f));
+            router_.connectOutput(outOf(f), &out_[o], &actualIn_[o],
+                                  &virtualIn_[o]);
+            // The whole frame: the flow may book every slot.
+            router_.scheduler(outOf(f)).registerFlow(f, 64);
+        }
+    }
+
+    static LoftParams
+    params()
+    {
+        LoftParams p;
+        p.frameSizeFlits = 64;
+        p.quantumFlits = 1;
+        p.centralBufferFlits = 256;
+        p.specBufferFlits = 8;
+        p.maxFlows = 8;
+        p.localStatusReset = false;
+        return p;
+    }
+
+    static Port outOf(FlowId f) { return kRoutes[f - 1].first; }
+
+    bool
+    admit(FlowId f, std::uint64_t q)
+    {
+        LookaheadFlit la;
+        la.flow = f;
+        la.src = 3;
+        la.dst = kRoutes[f - 1].second;
+        la.quantumNo = q;
+        la.quantumFlits = 1;
+        la.departureSlot = 8;
+        return router_.admitLookahead(Port::West, la, 0, 0);
+    }
+
+    /** Put quantum @p q of flow @p f on the West wire at cycle @p at. */
+    void
+    deliver(FlowId f, std::uint64_t q, Cycle at)
+    {
+        Flit fl;
+        fl.type = FlitType::HeadTail;
+        fl.flow = f;
+        fl.src = 3;
+        fl.dst = kRoutes[f - 1].second;
+        fl.quantum = q;
+        fl.quantumLast = true;
+        dataIn_.send(at, DataWireFlit{fl, false});
+    }
+
+    using Sent = std::pair<FlowId, std::uint64_t>;
+
+    /** Tick at @p now; the (flow, quantum) each output sent, by port. */
+    std::array<Sent, kNumPorts>
+    tick(Cycle now)
+    {
+        router_.tick(now);
+        std::array<Sent, kNumPorts> sent;
+        sent.fill({kInvalidFlow, 0});
+        for (std::size_t o = 0; o < kNumPorts; ++o)
+            if (const auto wf = out_[o].tryReceive(now + 1))
+                sent[o] = {wf->flit.flow, wf->flit.quantum};
+        return sent;
+    }
+
+    Mesh2D mesh_;
+    LoftDataRouter router_;
+    Channel<DataWireFlit> dataIn_;
+    std::array<Channel<DataWireFlit>, kNumPorts> out_;
+    std::array<Channel<ActualCreditMsg>, kNumPorts> actualIn_;
+    std::array<Channel<VirtualCreditMsg>, kNumPorts> virtualIn_;
+};
+
+TEST_F(CrowdedInputTest, FullInputBackPressuresAndKeepsPicksAcrossGrowth)
+{
+    const LoftParams p = params();
+    ASSERT_EQ(p.windowSlots(), kRoutes.size() * kPerFlow);
+    // North's last two quanta beat their look-aheads: they wait
+    // unclaimed while the arena grows under them.
+    deliver(2, 30, 0);
+    deliver(2, 31, 0);
+    tick(1);
+    EXPECT_TRUE(router_.hasUnclaimedQuanta());
+
+    for (std::uint64_t q = 0; q < kPerFlow; ++q)
+        for (FlowId f = 1; f <= kRoutes.size(); ++f)
+            ASSERT_TRUE(admit(f, q)) << "flow " << f << " quantum " << q;
+    EXPECT_FALSE(admit(1, kPerFlow)) << "the table holds windowSlots()";
+    EXPECT_FALSE(router_.hasUnclaimedQuanta());
+
+    // Each output grants its flow's quanta in order, in rising slots,
+    // from the same first slot.
+    Slot first = 0;
+    for (FlowId f = 1; f <= kRoutes.size(); ++f) {
+        Slot last = 0;
+        for (std::uint64_t q = 0; q < kPerFlow; ++q) {
+            LookaheadFlit onward;
+            bool terminal = false;
+            ASSERT_TRUE(router_.schedulePending(outOf(f), 1, onward,
+                                                terminal));
+            EXPECT_EQ(onward.flow, f);
+            EXPECT_EQ(onward.quantumNo, q);
+            EXPECT_EQ(terminal, outOf(f) == Port::Local);
+            if (q == 0) {
+                if (f == 1)
+                    first = onward.departureSlot;
+                EXPECT_EQ(onward.departureSlot, first);
+            } else {
+                EXPECT_GT(onward.departureSlot, last);
+            }
+            last = onward.departureSlot;
+        }
+    }
+    EXPECT_FALSE(router_.hasPendingQuanta());
+
+    // Before any slot is due, North's staged quantum 30 leaves early.
+    const Cycle early = 2;
+    ASSERT_LT(p.slotOf(early), first);
+    auto sent = tick(early);
+    EXPECT_EQ(sent[portIndex(Port::North)], (Sent{2, 30}));
+    for (const Port out : {Port::East, Port::South, Port::Local})
+        EXPECT_EQ(sent[portIndex(out)].first, kInvalidFlow);
+
+    // At the first slot South's quantum 0 leaves as emergent; East and
+    // North forward their last quanta early past their dataless due
+    // ones, and those and Local's due slot are missed.
+    deliver(3, 0, early);
+    deliver(1, kPerFlow - 1, early);
+    sent = tick(p.slotStart(first));
+    EXPECT_EQ(sent[portIndex(Port::South)], (Sent{3, 0}));
+    EXPECT_EQ(sent[portIndex(Port::East)], (Sent{1, kPerFlow - 1}));
+    EXPECT_EQ(sent[portIndex(Port::North)], (Sent{2, 31}));
+    EXPECT_EQ(sent[portIndex(Port::Local)].first, kInvalidFlow);
+    EXPECT_EQ(router_.emergentForwards(), 1u);
+    EXPECT_EQ(router_.speculativeForwards(), 3u);
+    EXPECT_EQ(router_.missedSlots(), 3u);
+    EXPECT_EQ(router_.bufferedFlits(), 0u);
+
+    // Four quanta left the West input's table: four more fit.
+    for (std::uint64_t q = kPerFlow; q < kPerFlow + 4; ++q)
+        EXPECT_TRUE(admit(1, q));
+    EXPECT_FALSE(admit(1, kPerFlow + 4));
+}
+
+// ---- Waking the co-located look-ahead router -------------------------
+
+TEST(LookaheadWake, StagedQuantumWakesTheSleepingLookaheadRouter)
+{
+    // A router alone in a 1x1 mesh, recovery on, its Local ports on
+    // bare wires. A data flit whose look-ahead never comes is staged
+    // unclaimed; only the look-ahead router's tick re-issues that
+    // look-ahead, and it has slept since the run began.
+    LoftParams p;
+    p.frameSizeFlits = 32;
+    p.centralBufferFlits = 32;
+    p.specBufferFlits = 8;
+    p.maxFlows = 4;
+    p.recovery.enabled = true;
+    const Mesh2D mesh(1, 1);
+    LoftDataRouter router(0, mesh, p);
+    LookaheadRouter la(0, mesh, p, &router);
+    Channel<DataWireFlit> in;
+    Channel<DataWireFlit> out;
+    Channel<ActualCreditMsg> actual;
+    Channel<VirtualCreditMsg> virt;
+    router.connectInput(Port::Local, &in, nullptr, nullptr);
+    router.connectOutput(Port::Local, &out, &actual, &virt);
+    router.scheduler(Port::Local).registerFlow(0, 8);
+    Simulator sim;
+    sim.add(&la, 0);
+    sim.add(&router, 0);
+    sim.addPort(&in);
+    sim.run(8);
+
+    Flit f;
+    f.type = FlitType::HeadTail;
+    f.flow = 0;
+    f.src = 0;
+    f.dst = 0;
+    f.quantumLast = true;
+    in.send(sim.now(), DataWireFlit{f, false});
+    router.wake();
+    sim.run(4 * p.lookaheadTimeout());
+    EXPECT_EQ(router.lookaheadReissues(), 1u);
+    EXPECT_EQ(out.inFlightCount(), 1u);
+    EXPECT_FALSE(router.hasUnclaimedQuanta());
 }
 
 } // namespace
