@@ -32,7 +32,7 @@ LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
         outputs_[p].sched = std::make_unique<OutputScheduler>(
             params_, csprintf("router%u.%s.sched", id,
                               portName(static_cast<Port>(p))),
-            &pool_, SchedSite{id, static_cast<std::uint32_t>(p)});
+            SchedSite{id, static_cast<std::uint32_t>(p)});
         outputs_[p].dnNonspecFree = params_.centralBufferFlits;
         outputs_[p].dnSpecFree = params_.specBufferFlits;
     }
@@ -362,7 +362,6 @@ LoftDataRouter::forwardFlit(Handle h, std::size_t out, Cycle now,
         ip.actualCreditOut->send(now, ActualCreditMsg{bf.spec});
 
     ++rec.forwardedFlits;
-    op.lastForward = now;
     ++op.flitsForwarded;
     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitForwarded,
                             .node = id_, .port = static_cast<Port>(out),

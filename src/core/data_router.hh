@@ -30,7 +30,6 @@
 #include "net/topology.hh"
 #include "router/arbiter.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 
 namespace noc
 {
@@ -187,8 +186,6 @@ class LoftDataRouter final : public Clocked
         /** Actual free space in the downstream buffers (flits). */
         std::uint32_t dnNonspecFree = 0;
         std::uint32_t dnSpecFree = 0;
-        /** Cycle of the most recent flit transmission on this link. */
-        Cycle lastForward = 0;
         /** Flits ever transmitted on this link. */
         std::uint64_t flitsForwarded = 0;
         RoundRobinArbiter arb{kNumPorts};
@@ -223,13 +220,6 @@ class LoftDataRouter final : public Clocked
     NodeId id_;
     const Mesh2D &mesh_;
     LoftParams params_;
-
-    /**
-     * Backing pool for the schedulers' booking and credit-return maps.
-     * Declared before them: members are destroyed in reverse order, so
-     * the pool outlives its containers.
-     */
-    Pool pool_;
 
     /** Every live quantum of the five inputs (input reservation table). */
     InputTable table_;

@@ -12,10 +12,10 @@
 #include "core/loft_params.hh"
 #include "core/messages.hh"
 #include "net/channel.hh"
+#include "net/ejection.hh"
 #include "net/instrument.hh"
 #include "net/metrics.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 
 namespace noc
 {
@@ -39,19 +39,14 @@ class LoftSink final : public Clocked
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
   private:
-    /** Bucket reserve for pending_ (pinned; rehash would allocate). */
-    static constexpr std::size_t kPendingReserve = 256;
-
     NodeId node_;
     LoftParams params_;
-    /** Pool behind pending_'s node churn (destroyed after it). */
-    Pool pool_;
     Channel<DataWireFlit> *in_;
     Channel<ActualCreditMsg> *actualCreditOut_;
     Channel<VirtualCreditMsg> *virtualCreditOut_;
     // loft-tidy: deferred-endpoint(MetricsCollector::mergeDomains)
     MetricsCollector *metrics_;
-    PoolUMap<PacketId, std::uint32_t> pending_;
+    ReassemblyTable pending_;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
 };

@@ -24,7 +24,6 @@
 #include "net/packet.hh"
 #include "router/arbiter.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 #include "sim/ring_deque.hh"
 
 namespace noc
@@ -67,34 +66,25 @@ class LoftSourceUnit final : public Clocked
     OutputScheduler &scheduler() { return sched_; }
 
   private:
-    /** One quantum waiting to depart over the local link. */
-    struct OutboundQuantum
+    /**
+     * A quantum cut from the head packet: awaiting scheduling, then
+     * departing over the local link flit by flit. Its flits are built
+     * as they are sent (flitOf).
+     */
+    struct Quantum
     {
-        explicit OutboundQuantum(Pool *pool = nullptr)
-            : flits(PoolAlloc<Flit>(pool))
-        {
-        }
-
-        FlowId flow = kInvalidFlow;
-        std::uint64_t quantumNo = 0;
-        Slot departSlot = 0;
-        PoolVec<Flit> flits;
+        /** Its look-ahead flit; departureSlot is set once scheduled. */
+        LookaheadFlit la;
+        std::uint32_t pktSize = 0;
+        /** Offset of the quantum's first flit within its packet. */
+        std::uint32_t pktOffset = 0;
         std::uint32_t sent = 0;
         /** Sticky buffer choice, decided at the first flit. */
         bool sendSpec = false;
     };
 
-    /** A quantum built from the head packet, awaiting scheduling. */
-    struct PendingQuantum
-    {
-        explicit PendingQuantum(Pool *pool = nullptr)
-            : flits(PoolAlloc<Flit>(pool))
-        {
-        }
-
-        LookaheadFlit la;
-        PoolVec<Flit> flits;
-    };
+    /** Flit @p i of quantum @p q. */
+    static Flit flitOf(const Quantum &q, std::uint32_t i);
 
     void receiveCredits(Cycle now);
     void buildNextQuantum(Cycle now);
@@ -104,9 +94,6 @@ class LoftSourceUnit final : public Clocked
 
     NodeId node_;
     LoftParams params_;
-    /** Backing pool for the NI's churn containers (declared before
-     *  them so it is destroyed last). */
-    Pool pool_;
     OutputScheduler sched_;
 
     Channel<DataWireFlit> *dataOut_ = nullptr;
@@ -121,10 +108,13 @@ class LoftSourceUnit final : public Clocked
     /** Segmentation cursor within the head packet. */
     std::uint32_t headPacketOffset_ = 0;
 
-    std::optional<PendingQuantum> pending_;
+    std::optional<Quantum> pending_;
 
-    /** Scheduled-but-not-fully-sent quanta keyed by departure slot. */
-    PoolMap<Slot, OutboundQuantum> outbound_;
+    /**
+     * Scheduled-but-not-fully-sent quanta, sorted by departure slot.
+     * Reserved at construction; grows only past its high-water mark.
+     */
+    std::vector<Quantum> outbound_;
 
     /** Downstream (router local input) buffer space, flit granular. */
     std::uint32_t dnNonspecFree_;
@@ -140,7 +130,6 @@ class LoftSourceUnit final : public Clocked
     };
     std::unordered_map<FlowId, FlowCounters> counters_;
 
-    Cycle lastForward_ = 0;
     std::size_t queueCapacityFlits_;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;

@@ -51,7 +51,6 @@
 #include "core/loft_params.hh"
 #include "net/instrument.hh"
 #include "net/topology.hh"
-#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace noc
@@ -89,15 +88,9 @@ constexpr std::size_t kNumSchedLanes = kNumPorts + 1;
 class OutputScheduler
 {
   public:
-    /**
-     * @param pool optional backing pool for the per-quantum booking /
-     *        credit-return maps (node churn recycles through it). The
-     *        pool must outlive the scheduler; null keeps the maps on
-     *        the global heap (unit tests).
-     * @param site the owner's (node, lane); unsited by default.
-     */
+    /** @param site the owner's (node, lane); unsited by default. */
     OutputScheduler(const LoftParams &params, std::string name,
-                    Pool *pool = nullptr, SchedSite site = {});
+                    SchedSite site = {});
 
     /**
      * Register a contending flow with reservation R_ij given in flits
@@ -366,10 +359,15 @@ class OutputScheduler
     std::vector<std::int32_t> credit_;
     std::vector<CreditBlock> blocks_;
     std::vector<std::uint32_t> skipped_;
-    /** Booked quanta keyed by local slot (ordered for earliest lookup). */
-    PoolMap<std::uint64_t, SlotBooking> bookings_;
-    /** Credit returns for slots beyond the current window. */
-    PoolMap<std::uint64_t, std::uint32_t> futureReturns_;
+    /**
+     * Booked quanta as (local slot, booking), sorted by slot for the
+     * earliest lookup. Reserved at construction; grows only past its
+     * high-water mark.
+     */
+    std::vector<std::pair<std::uint64_t, SlotBooking>> bookings_;
+    /** Credit returns banked for slots beyond the current window, as
+     *  (local slot, count) sorted by slot; reserved like bookings_. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> futureReturns_;
 
     /// Flow table sorted by flow id, found by binary search.
     std::vector<FlowState> flows_;

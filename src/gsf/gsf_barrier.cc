@@ -8,15 +8,10 @@ namespace noc
 
 GsfBarrier::GsfBarrier(std::uint32_t window_frames, Cycle barrier_delay)
     : DomainLog("GsfBarrier"), window_(window_frames),
-      delay_(barrier_delay),
-      inFlight_(
-          PoolAlloc<std::pair<const std::uint64_t, std::uint64_t>>(&pool_))
+      delay_(barrier_delay), inFlight_(window_frames, 0)
 {
     if (window_frames < 2)
         fatal("GsfBarrier: window must have at least 2 frames");
-    // At most `window_` frames are active at once; doubled for the
-    // drain tail so the bucket array never rehashes mid-run.
-    inFlight_.reserve(2 * static_cast<std::size_t>(window_) + 8);
 }
 
 void
@@ -28,7 +23,7 @@ GsfBarrier::onPacketAdmitted(std::uint64_t frame, std::uint32_t flits)
         panic("GsfBarrier: admission into inactive frame %llu "
               "(head %llu)", static_cast<unsigned long long>(frame),
               static_cast<unsigned long long>(head_));
-    inFlight_[frame] += flits;
+    inFlight_[frame % window_] += flits;
     totalInFlight_ += flits;
 }
 
@@ -37,14 +32,12 @@ GsfBarrier::onFlitEjected(std::uint64_t frame)
 {
     if (defer("onFlitEjected", {frame, 0, false}))
         return;
-    auto it = inFlight_.find(frame);
-    if (it == inFlight_.end() || it->second == 0)
+    if (frame < head_ || frame > newestFrame() ||
+        inFlight_[frame % window_] == 0)
         panic("GsfBarrier: ejection from empty frame %llu",
               static_cast<unsigned long long>(frame));
-    --it->second;
+    --inFlight_[frame % window_];
     --totalInFlight_;
-    if (it->second == 0)
-        inFlight_.erase(it);
 }
 
 void
@@ -71,8 +64,7 @@ GsfBarrier::tick(Cycle now)
         return;
     }
     // Head frame drained? Start the barrier broadcast.
-    const auto it = inFlight_.find(head_);
-    if (it == inFlight_.end() || it->second == 0)
+    if (inFlight_[head_ % window_] == 0)
         advanceAt_ = now + delay_;
 }
 

@@ -9,10 +9,10 @@
 #define NOC_GSF_GSF_BARRIER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/clocked.hh"
 #include "sim/parallel.hh"
-#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace noc
@@ -66,12 +66,6 @@ class GsfBarrier final : public Clocked, public DomainLog<FrameEvent>
     /** Number of window advances so far (diagnostics). */
     std::uint64_t recycleCount() const { return recycles_; }
 
-    /** Bucket count of the in-flight table (no-rehash probe). */
-    std::size_t inFlightBucketCount() const
-    {
-        return inFlight_.bucket_count();
-    }
-
     void tick(Cycle now) override;
 
   private:
@@ -80,12 +74,13 @@ class GsfBarrier final : public Clocked, public DomainLog<FrameEvent>
     std::uint32_t window_;
     Cycle delay_;
     std::uint64_t head_ = 0;
-    /** Pool behind inFlight_'s node churn (destroyed after it). */
-    Pool pool_;
-    /** In-flight flit count per absolute frame. Admissions only land
-     *  in active frames, so the live population never exceeds the
-     *  window; the reserve pins the bucket array. */
-    PoolUMap<std::uint64_t, std::uint64_t> inFlight_;
+    /**
+     * In-flight flit count per active frame, at frame mod window.
+     * Sources admit only into the active frames after the head, and the
+     * head advances only once its frame has drained, so a counter is
+     * zero whenever the frame it next counts becomes active.
+     */
+    std::vector<std::uint64_t> inFlight_;
     std::uint64_t totalInFlight_ = 0;
     /** Cycle at which a pending advance completes (kNeverCycle: none). */
     Cycle advanceAt_ = kNeverCycle;

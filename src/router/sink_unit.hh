@@ -13,10 +13,10 @@
 #include <functional>
 
 #include "net/channel.hh"
+#include "net/ejection.hh"
 #include "net/metrics.hh"
 #include "router/wormhole_router.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 
 namespace noc
 {
@@ -39,19 +39,13 @@ class SinkUnit final : public Clocked
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
   private:
-    /** Bucket reserve for pending_ (pinned; rehash would allocate). */
-    static constexpr std::size_t kPendingReserve = 256;
-
     NodeId node_;
-    /** Pool behind pending_'s node churn (destroyed after it). */
-    Pool pool_;
     Channel<WireFlit> *in_;
     Channel<Credit> *creditReturn_;
     // loft-tidy: deferred-endpoint(MetricsCollector::mergeDomains)
     MetricsCollector *metrics_;
     std::function<void(const Flit &, Cycle)> onEject_;
-    /** Received flit count per partially received packet. */
-    PoolUMap<PacketId, std::uint32_t> pending_;
+    ReassemblyTable pending_;
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;
 };

@@ -56,6 +56,20 @@ TEST(GsfBarrier, EjectionFromEmptyFramePanics)
     EXPECT_DEATH(b.onFlitEjected(3), "empty frame");
 }
 
+TEST(GsfBarrierDeathTest, EjectionOutsideTheWindowPanics)
+{
+    // Each frame outside [head, newest] shares its counter with an
+    // active frame that holds flits; it is empty all the same.
+    GsfBarrier b(6, 1);
+    b.onPacketAdmitted(1, 4);
+    EXPECT_DEATH(b.onFlitEjected(7), "empty frame");
+    b.tick(0); // head frame 0 drained: advance at cycle 1
+    b.tick(1);
+    ASSERT_EQ(b.headFrame(), 1u);
+    b.onPacketAdmitted(6, 2);
+    EXPECT_DEATH(b.onFlitEjected(0), "empty frame");
+}
+
 TEST(GsfBarrier, InFlightAccounting)
 {
     GsfBarrier b(4, 2);

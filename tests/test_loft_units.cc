@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/data_router.hh"
@@ -234,6 +235,113 @@ TEST_F(SliceTest, SinkReassemblesInterleavedPackets)
         [&] { return net_->metrics().totalPackets() == 6; }, 2000));
     EXPECT_EQ(net_->metrics().flow(0).flitsEjected, 12u);
     EXPECT_EQ(net_->metrics().flow(1).flitsEjected, 12u);
+}
+
+/** Records every flit a sink ejects. */
+class EjectionRecorder final : public NetObserver
+{
+  public:
+    std::vector<Flit> flits;
+
+    void
+    consume(const NetEvent &e) override
+    {
+        if (e.kind == NetEvent::Kind::FlitEjected)
+            flits.push_back(e.flit);
+    }
+};
+
+TEST_F(SliceTest, EjectedFlitsCarryTheirSegmentation)
+{
+    // The NI cuts each packet into quanta of quantumFlits flits (the
+    // last one may be short) and numbers flits and quanta per flow.
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    for (const std::uint32_t q : {1u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "quantumFlits " << q);
+        LoftParams p = smallParams();
+        p.quantumFlits = q;
+        Mesh2D mesh(2, 1);
+        LoftNetwork net(mesh, p);
+        FlowSpec f;
+        f.id = 0;
+        f.src = 0;
+        f.dst = 1;
+        f.bwShare = 0.25;
+        net.registerFlows({f});
+        EjectionRecorder rec;
+        net.setObserver(&rec);
+        Simulator sim;
+        net.attach(sim);
+        net.metrics().startMeasurement(0);
+
+        // Sizes 1, 3 and 5, enqueued at distinct cycles.
+        std::vector<Packet> sent;
+        for (const std::uint32_t size : {1u, 3u, 5u}) {
+            Packet pkt;
+            pkt.id = 10 + size;
+            pkt.flow = 0;
+            pkt.src = 0;
+            pkt.dst = 1;
+            pkt.sizeFlits = size;
+            pkt.enqueuedAt = sim.now();
+            ASSERT_TRUE(net.inject(pkt));
+            sent.push_back(pkt);
+            sim.run(3);
+        }
+        ASSERT_TRUE(sim.runUntil(
+            [&] { return net.metrics().totalPackets() == 3; }, 1000));
+
+        std::vector<Flit> expect;
+        std::uint64_t flit_no = 0;
+        std::uint64_t quantum = 0;
+        for (const Packet &pkt : sent) {
+            for (std::uint32_t pos = 0; pos < pkt.sizeFlits; ++pos) {
+                const bool head = pos == 0;
+                const bool tail = pos + 1 == pkt.sizeFlits;
+                Flit e;
+                e.type = head && tail ? FlitType::HeadTail
+                       : head ? FlitType::Head
+                       : tail ? FlitType::Tail
+                       : FlitType::Body;
+                e.flow = 0;
+                e.flitNo = flit_no++;
+                e.packet = pkt.id;
+                e.src = 0;
+                e.dst = 1;
+                e.pktSize = pkt.sizeFlits;
+                e.createdAt = pkt.enqueuedAt;
+                e.quantum = quantum;
+                e.quantumLast = (pos + 1) % q == 0 || tail;
+                e.payload = flitPayload(e.flow, e.flitNo);
+                if (e.quantumLast)
+                    ++quantum;
+                expect.push_back(e);
+            }
+        }
+
+        std::vector<Flit> got = rec.flits;
+        std::sort(got.begin(), got.end(),
+                  [](const Flit &a, const Flit &b) {
+                      return a.flitNo < b.flitNo;
+                  });
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "flit " << i);
+            EXPECT_EQ(got[i].type, expect[i].type);
+            EXPECT_EQ(got[i].flow, expect[i].flow);
+            EXPECT_EQ(got[i].flitNo, expect[i].flitNo);
+            EXPECT_EQ(got[i].packet, expect[i].packet);
+            EXPECT_EQ(got[i].src, expect[i].src);
+            EXPECT_EQ(got[i].dst, expect[i].dst);
+            EXPECT_EQ(got[i].pktSize, expect[i].pktSize);
+            EXPECT_EQ(got[i].createdAt, expect[i].createdAt);
+            EXPECT_EQ(got[i].frame, expect[i].frame);
+            EXPECT_EQ(got[i].quantum, expect[i].quantum);
+            EXPECT_EQ(got[i].quantumLast, expect[i].quantumLast);
+            EXPECT_EQ(got[i].payload, expect[i].payload);
+        }
+    }
 }
 
 // ---- Output choice of one data router, driven by hand ----------------

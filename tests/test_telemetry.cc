@@ -308,7 +308,7 @@ telemetryRun(std::uint64_t seed = 7)
 TEST(TelemetryDeathTest, SchedulerEventsAreKeyedBySite)
 {
     TelemetryCollector tel(Mesh2D(2, 2));
-    const OutputScheduler sited(LoftParams{}, "any name", nullptr,
+    const OutputScheduler sited(LoftParams{}, "any name",
                                 SchedSite{3, kNiSchedLane});
     tel.consume({.kind = NetEvent::Kind::SchedGrant, .sched = &sited,
                  .flow = 1});

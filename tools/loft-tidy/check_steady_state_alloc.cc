@@ -3,8 +3,8 @@
  * loft-steady-state-alloc
  *
  * The zero-allocation invariant (docs/SCALE.md): once warm-up has
- * grown every pool, ring, and buffer to its high-water mark, the
- * measurement window must run with zero heap allocations — the
+ * grown every ring, table and reserved list to its high-water mark,
+ * the measurement window must run with zero heap allocations — the
  * census in sim/alloc.cc counts every operator new in the process and
  * the 32x32 soaks plus bench_scale gate on an exact zero.
  *
@@ -14,15 +14,16 @@
  * per-cycle steady state; inside its body every allocation-shaped
  * construct is flagged:
  *
- *   - `new` expressions (including placement new — which is the pool
- *     idiom and therefore fine, but must say so), and
- *   - `push_back` / `emplace_back` / `emplace` calls, which allocate
- *     whenever they outgrow capacity.
+ *   - `new` expressions (including placement new, which allocates
+ *     nothing but must say so), and
+ *   - `push_back` / `emplace_back` / `emplace` / `insert` calls, which
+ *     allocate whenever they outgrow capacity (a sorted list grows
+ *     through `insert`).
  *
  * A flagged line is accepted when it (or the comment line above it)
  * carries a `// loft-tidy: pooled(reason)` annotation asserting that the
- * target's capacity is pre-reserved, pool-backed, or ring-backed (the
- * reason should say where the capacity comes from), or an ordinary
+ * target's capacity is pre-reserved or ring-backed (the reason should
+ * say where the capacity comes from), or an ordinary
  * `// NOLINT(loft-steady-state-alloc)`. The annotation is a reviewed
  * claim, not a proof — the allocation census in tests/test_alloc.cc
  * and the ScaleSoak suite are the ground truth; this check exists so
@@ -32,7 +33,7 @@
  * Lexical simplifications (consistent with the rest of the engine):
  * the hot region is the first balanced `{...}` after the annotation,
  * and call names are matched textually, so a user-defined `push_back`
- * on a pool type still needs its `pooled(...)` note — which is
+ * on a ring type still needs its `pooled(...)` note — which is
  * exactly the documentation the reader wants there anyway.
  */
 
@@ -47,7 +48,8 @@ namespace
 bool
 isAllocCallName(const std::string &t)
 {
-    return t == "push_back" || t == "emplace_back" || t == "emplace";
+    return t == "push_back" || t == "emplace_back" || t == "emplace" ||
+           t == "insert";
 }
 
 void
@@ -76,7 +78,7 @@ scanHotBody(const FileUnit &u, std::size_t begin, std::size_t end,
                what +
                    " in a steady-state-hot function may heap-allocate "
                    "during the measurement window; route it through a "
-                   "pool, ring, or pre-reserved buffer and annotate "
+                   "ring or pre-reserved buffer and annotate "
                    "the line with `loft-tidy: pooled(where the "
                    "capacity comes from)`",
                out);
