@@ -1,6 +1,8 @@
 #include "core/data_router.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <tuple>
 
 #include "sim/debug.hh"
@@ -56,7 +58,7 @@ LoftDataRouter::connectInput(Port p, Channel<DataWireFlit> *data_in,
     in.dataIn = data_in;
     in.actualCreditOut = actual_credit_out;
     in.virtualCreditOut = virtual_credit_out;
-    data_in->setReader(this);
+    data_in->setReader(this, static_cast<unsigned>(portIndex(p)));
 }
 
 void
@@ -68,8 +70,11 @@ LoftDataRouter::connectOutput(Port p, Channel<DataWireFlit> *data_out,
     out.dataOut = data_out;
     out.actualCreditIn = actual_credit_in;
     out.virtualCreditIn = virtual_credit_in;
-    actual_credit_in->setReader(this);
-    virtual_credit_in->setReader(this);
+    out.recycleDue = 0;
+    const auto credit_bit =
+        static_cast<unsigned>(kNumPorts + 2 * portIndex(p));
+    actual_credit_in->setReader(this, credit_bit);
+    virtual_credit_in->setReader(this, credit_bit + 1);
 }
 
 bool
@@ -200,8 +205,11 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
 void
 LoftDataRouter::receiveCredits(Cycle now)
 {
-    for (auto &out : outputs_) {
-        if (out.actualCreditIn) {
+    for (std::uint32_t m = mail() & kCreditMail; m != 0; m &= m - 1) {
+        const auto bit =
+            static_cast<std::size_t>(std::countr_zero(m)) - kNumPorts;
+        OutputPort &out = outputs_[bit / 2];
+        if (bit % 2 == 0) {
             while (auto c = out.actualCreditIn->tryReceive(now)) {
                 if (!acceptCredit(*c, observer_, id_, now))
                     continue;
@@ -214,8 +222,7 @@ LoftDataRouter::receiveCredits(Cycle now)
                     panic("router %u: actual credit overflow", id_);
                 }
             }
-        }
-        if (out.virtualCreditIn) {
+        } else {
             while (auto c = out.virtualCreditIn->tryReceive(now)) {
                 if (!acceptCredit(*c, observer_, id_, now))
                     continue;
@@ -226,12 +233,26 @@ LoftDataRouter::receiveCredits(Cycle now)
 }
 
 void
+LoftDataRouter::advanceSchedulers(Cycle now)
+{
+    // advanceTo with no frame recycle due only stamps the advance
+    // cycle, which book() reads after trySchedule's own advanceTo:
+    // skipping that call is invisible.
+    const Slot now_slot = params_.slotOf(now);
+    for (OutputPort &out : outputs_) {
+        if (now_slot < out.recycleDue)
+            continue;
+        out.sched->advanceTo(now);
+        out.recycleDue = out.sched->recycleDueSlot();
+    }
+}
+
+void
 LoftDataRouter::receiveData(Cycle now)
 {
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
+    for (std::uint32_t m = mail() & kDataMail; m != 0; m &= m - 1) {
+        const auto p = static_cast<std::size_t>(std::countr_zero(m));
         InputPort &ip = inputs_[p];
-        if (!ip.dataIn)
-            continue;
         while (auto wf = ip.dataIn->tryReceive(now)) {
             const Flit &flit = wf->flit;
             if (wf->spec) {
@@ -389,7 +410,9 @@ LoftDataRouter::switchOutputs(Cycle now)
     const Slot now_slot = params_.slotOf(now);
     for (std::size_t out = 0; out < kNumPorts; ++out) {
         OutputPort &op = outputs_[out];
-        if (!op.dataOut)
+        // An output with nothing scheduled has no candidate and no
+        // missed slot.
+        if (!op.dataOut || op.scheduled.empty())
             continue;
 
         // Emergent candidate: the earliest due quantum (scheduled slot
@@ -474,15 +497,17 @@ LoftDataRouter::maybeLocalReset(Cycle now)
         return;
     for (std::size_t out = 0; out < kNumPorts; ++out) {
         OutputPort &op = outputs_[out];
-        if (!op.dataOut)
+        // Section 4.3.2: the downstream non-speculative buffer must be
+        // empty (checked through the returned actual credits).
+        if (!op.dataOut || op.dnNonspecFree != params_.centralBufferFlits)
             continue;
         if (!op.sched->dirty() || !op.sched->canLocalReset())
             continue;
-        // Section 4.3.2: the downstream non-speculative buffer must be
-        // empty (checked through the returned actual credits).
-        if (op.dnNonspecFree != params_.centralBufferFlits)
-            continue;
+        [[maybe_unused]] const Slot due = op.sched->recycleDueSlot();
         op.sched->localReset(now);
+        // The reset's first recycle, one frame from now, is never
+        // earlier than the one it replaces, so recycleDue stays low.
+        assert(op.sched->recycleDueSlot() >= due);
     }
 }
 
@@ -610,10 +635,7 @@ void
 LoftDataRouter::tick(Cycle now)
 {
     receiveCredits(now);
-    for (auto &out : outputs_) {
-        if (out.dataOut)
-            out.sched->advanceTo(now);
-    }
+    advanceSchedulers(now);
     receiveData(now);
     switchOutputs(now);
     maybeLocalReset(now);
@@ -626,23 +648,17 @@ LoftDataRouter::tick(Cycle now)
 bool
 LoftDataRouter::quiescent() const
 {
-    // Inputs: no live or staged quanta, no buffered flits, and nothing
-    // arriving on the data or credit wires.
-    if (!table_.empty())
+    // Nothing arriving on the data or credit wires; inputs: no live or
+    // staged quanta and no buffered flits.
+    if (mail() != 0 || !table_.empty())
         return false;
     for (const InputPort &ip : inputs_) {
         if (ip.nonspecUsed != 0 || ip.specUsed != 0)
             return false;
-        if (ip.dataIn && !ip.dataIn->empty())
-            return false;
     }
-    // Outputs: no incoming credits and every scheduler parked (no
-    // bookings, no owed credits, reset done) so advanceTo may lag.
+    // Outputs: every scheduler parked (no bookings, no owed credits,
+    // reset done) so advanceTo may lag.
     for (const OutputPort &op : outputs_) {
-        if (op.actualCreditIn && !op.actualCreditIn->empty())
-            return false;
-        if (op.virtualCreditIn && !op.virtualCreditIn->empty())
-            return false;
         if (op.dataOut && !op.sched->quiescent())
             return false;
     }

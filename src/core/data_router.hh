@@ -19,6 +19,7 @@
 #define NOC_CORE_DATA_ROUTER_HH
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -175,6 +176,15 @@ class LoftDataRouter final : public Clocked
     {
         std::unique_ptr<OutputScheduler> sched;
         /**
+         * Absolute slot of the scheduler's next frame recycle, as read
+         * after this router last advanced it: tick() calls advanceTo
+         * only from then on. Anything else that moves the deadline
+         * (trySchedule's own advance, a local reset) only moves it
+         * later, so the copy can lag low but never high. Unconnected
+         * outputs never advance.
+         */
+        Slot recycleDue = std::numeric_limits<Slot>::max();
+        /**
          * Scheduled records routed here from every input, sorted by
          * departure slot. The scheduler grants each slot once, so the
          * slots are distinct.
@@ -191,7 +201,19 @@ class LoftDataRouter final : public Clocked
         RoundRobinArbiter arb{kNumPorts};
     };
 
+    /// @name Mail-word bits (Clocked::mail)
+    /// Data input p is bit p; output p's actual and virtual credit
+    /// inputs are bits kNumPorts + 2p and kNumPorts + 2p + 1, so an
+    /// ascending walk takes each output's credits in port order.
+    /// @{
+    static constexpr std::uint32_t kDataMail = (1u << kNumPorts) - 1;
+    static constexpr std::uint32_t kCreditMail =
+        ((1u << 2 * kNumPorts) - 1) << kNumPorts;
+    /// @}
+
     void receiveCredits(Cycle now);
+    /** Advance the output schedulers whose frame recycle is due. */
+    void advanceSchedulers(Cycle now);
     void receiveData(Cycle now);
     void switchOutputs(Cycle now);
     void maybeLocalReset(Cycle now);

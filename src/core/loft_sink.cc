@@ -14,7 +14,7 @@ LoftSink::LoftSink(NodeId node, const LoftParams &params,
       actualCreditOut_(actual_credit_out),
       virtualCreditOut_(virtual_credit_out), metrics_(metrics)
 {
-    in->setReader(this);
+    in->setReader(this, 0);
     pending_.reserve(kReassemblyReserve);
 }
 

@@ -33,7 +33,7 @@ class LoftSink final : public Clocked
 
     /** Idle whenever the ejection wire is empty: per-packet pending
      *  counts change only on flit receipt. */
-    bool quiescent() const override { return in_->empty(); }
+    bool quiescent() const override { return mail() == 0; }
 
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }

@@ -1,6 +1,7 @@
 #include "core/loft_source.hh"
 
 #include <algorithm>
+#include <cassert>
 
 #include "sim/logging.hh"
 
@@ -44,8 +45,8 @@ LoftSourceUnit::connectData(Channel<DataWireFlit> *data_out,
     dataOut_ = data_out;
     actualCreditIn_ = actual_credit_in;
     virtualCreditIn_ = virtual_credit_in;
-    actual_credit_in->setReader(this);
-    virtual_credit_in->setReader(this);
+    actual_credit_in->setReader(this, kActualCreditPort);
+    virtual_credit_in->setReader(this, kVirtualCreditPort);
 }
 
 void
@@ -54,7 +55,7 @@ LoftSourceUnit::connectLookahead(Channel<LaWireFlit> *la_out,
 {
     laOut_ = la_out;
     laCreditIn_ = la_credit_in;
-    la_credit_in->setReader(this);
+    la_credit_in->setReader(this, kLaCreditPort);
 }
 
 void
@@ -91,7 +92,8 @@ LoftSourceUnit::enqueue(const Packet &pkt)
 void
 LoftSourceUnit::receiveCredits(Cycle now)
 {
-    if (actualCreditIn_) {
+    const std::uint32_t mail_in = mail();
+    if (mail_in & 1u << kActualCreditPort) {
         while (auto c = actualCreditIn_->tryReceive(now)) {
             if (!acceptCredit(*c, observer_, node_, now))
                 continue;
@@ -105,14 +107,14 @@ LoftSourceUnit::receiveCredits(Cycle now)
             }
         }
     }
-    if (virtualCreditIn_) {
+    if (mail_in & 1u << kVirtualCreditPort) {
         while (auto c = virtualCreditIn_->tryReceive(now)) {
             if (!acceptCredit(*c, observer_, node_, now))
                 continue;
             sched_.onCreditReturn(c->departSlot);
         }
     }
-    if (laCreditIn_) {
+    if (mail_in & 1u << kLaCreditPort) {
         while (auto c = laCreditIn_->tryReceive(now)) {
             if (!acceptCredit(*c, observer_, node_, now))
                 continue;
@@ -285,14 +287,21 @@ LoftSourceUnit::maybeLocalReset(Cycle now)
     if (!sched_.dirty() || !sched_.canLocalReset() ||
         dnNonspecFree_ != params_.centralBufferFlits)
         return;
+    [[maybe_unused]] const Slot due = sched_.recycleDueSlot();
     sched_.localReset(now);
+    assert(sched_.recycleDueSlot() >= due);
 }
 
 void
 LoftSourceUnit::tick(Cycle now)
 {
     receiveCredits(now);
-    sched_.advanceTo(now);
+    // With no frame recycle due, advanceTo would only stamp the
+    // advance cycle, which emitLookahead's trySchedule restamps.
+    if (params_.slotOf(now) >= recycleDue_) {
+        sched_.advanceTo(now);
+        recycleDue_ = sched_.recycleDueSlot();
+    }
     buildNextQuantum(now);
     emitLookahead(now);
     forwardData(now);
@@ -302,14 +311,12 @@ LoftSourceUnit::tick(Cycle now)
 bool
 LoftSourceUnit::quiescent() const
 {
-    // Nothing queued, segmented or scheduled-but-unsent; empty credit
-    // wires; and the local-link scheduler parked post-reset (its
-    // advanceTo catch-up replays the skipped frames on wake-up).
-    return queue_.empty() && !pending_ && outbound_.empty() &&
-           (!actualCreditIn_ || actualCreditIn_->empty()) &&
-           (!virtualCreditIn_ || virtualCreditIn_->empty()) &&
-           (!laCreditIn_ || laCreditIn_->empty()) &&
-           sched_.quiescent();
+    // Empty credit wires; nothing queued, segmented or
+    // scheduled-but-unsent; and the local-link scheduler parked
+    // post-reset (its advanceTo catch-up replays the skipped frames on
+    // wake-up).
+    return mail() == 0 && queue_.empty() && !pending_ &&
+           outbound_.empty() && sched_.quiescent();
 }
 
 } // namespace noc

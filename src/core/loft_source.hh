@@ -86,6 +86,13 @@ class LoftSourceUnit final : public Clocked
     /** Flit @p i of quantum @p q. */
     static Flit flitOf(const Quantum &q, std::uint32_t i);
 
+    /// @name Mail-word bits (Clocked::mail), in receive order.
+    /// @{
+    static constexpr unsigned kActualCreditPort = 0;
+    static constexpr unsigned kVirtualCreditPort = 1;
+    static constexpr unsigned kLaCreditPort = 2;
+    /// @}
+
     void receiveCredits(Cycle now);
     void buildNextQuantum(Cycle now);
     void emitLookahead(Cycle now);
@@ -95,6 +102,12 @@ class LoftSourceUnit final : public Clocked
     NodeId node_;
     LoftParams params_;
     OutputScheduler sched_;
+    /**
+     * The scheduler's next frame-recycle slot as read after tick()
+     * last advanced it; tick() advances it only from then on (see
+     * LoftDataRouter::OutputPort::recycleDue).
+     */
+    Slot recycleDue_ = 0;
 
     Channel<DataWireFlit> *dataOut_ = nullptr;
     Channel<ActualCreditMsg> *actualCreditIn_ = nullptr;

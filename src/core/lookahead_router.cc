@@ -1,5 +1,7 @@
 #include "core/lookahead_router.hh"
 
+#include <bit>
+
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -30,7 +32,7 @@ LookaheadRouter::connectInput(Port p, Channel<LaWireFlit> *in,
 {
     inputs_[portIndex(p)].in = in;
     inputs_[portIndex(p)].creditReturn = credit_return;
-    in->setReader(this);
+    in->setReader(this, static_cast<unsigned>(portIndex(p)));
 }
 
 void
@@ -39,15 +41,16 @@ LookaheadRouter::connectOutput(Port p, Channel<LaWireFlit> *out,
 {
     outputs_[portIndex(p)].out = out;
     outputs_[portIndex(p)].creditIn = credit_in;
-    credit_in->setReader(this);
+    credit_in->setReader(this,
+                         static_cast<unsigned>(kNumPorts + portIndex(p)));
 }
 
 void
 LookaheadRouter::receiveCredits(Cycle now)
 {
-    for (auto &op : outputs_) {
-        if (!op.creditIn)
-            continue;
+    for (std::uint32_t m = mail() & kCreditMail; m != 0; m &= m - 1) {
+        OutputPort &op = outputs_[static_cast<std::size_t>(
+            std::countr_zero(m)) - kNumPorts];
         while (auto c = op.creditIn->tryReceive(now)) {
             if (!acceptCredit(*c, observer_, id_, now))
                 continue;
@@ -61,10 +64,9 @@ LookaheadRouter::receiveCredits(Cycle now)
 void
 LookaheadRouter::receiveFlits(Cycle now)
 {
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
+    for (std::uint32_t m = mail() & kFlitMail; m != 0; m &= m - 1) {
+        const auto p = static_cast<std::size_t>(std::countr_zero(m));
         InputPort &ip = inputs_[p];
-        if (!ip.in)
-            continue;
         while (auto wf = ip.in->tryReceive(now)) {
             if (wf->fault.corrupted) {
                 // The flit was destroyed in flight (look-ahead drop):
@@ -94,6 +96,8 @@ LookaheadRouter::admitToTables(Cycle now)
     // router pipeline write the data router's input reservation table
     // and free their virtual channel. A full table back-pressures the
     // look-ahead network through withheld credits.
+    if (buffered_ == 0)
+        return;
     for (std::size_t p = 0; p < kNumPorts; ++p) {
         InputPort &ip = inputs_[p];
         for (std::uint32_t v = 0; v < params_.laNumVCs; ++v) {
@@ -179,33 +183,14 @@ LookaheadRouter::quiescent() const
     // pending quanta in the co-located data router's input tables (the
     // data router cannot schedule them without this router's
     // allocateAndSchedule pass).
-    for (const InputPort &ip : inputs_) {
-        if (ip.in && !ip.in->empty())
-            return false;
-        for (const std::uint32_t c : ip.count)
-            if (c != 0)
-                return false;
-    }
-    for (const OutputPort &op : outputs_) {
-        if (op.creditIn && !op.creditIn->empty())
-            return false;
-    }
+    if (mail() != 0 || buffered_ != 0)
+        return false;
     // With recovery on, stay awake while unclaimed quanta wait for
     // their (possibly lost) look-ahead: the re-issue timeout runs from
     // this router's tick.
     if (params_.recovery.enabled && data_->hasUnclaimedQuanta())
         return false;
     return !data_->hasPendingQuanta();
-}
-
-std::uint64_t
-LookaheadRouter::bufferedFlits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ip : inputs_)
-        for (const std::uint32_t c : ip.count)
-            total += c;
-    return total;
 }
 
 } // namespace noc

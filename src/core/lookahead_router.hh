@@ -44,7 +44,8 @@ class LookaheadRouter final : public Clocked
     /** Attach an event observer (fault detection announcements). */
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
-    std::uint64_t bufferedFlits() const;
+    /** Look-ahead flits buffered in the input VCs. */
+    std::uint64_t bufferedFlits() const { return buffered_; }
 
   private:
     struct TimedLa
@@ -79,6 +80,14 @@ class LookaheadRouter final : public Clocked
         RoundRobinArbiter vcPick;
     };
 
+    /// @name Mail-word bits (Clocked::mail)
+    /// Input p's flit wire is bit p; output p's credit wire is bit
+    /// kNumPorts + p.
+    /// @{
+    static constexpr std::uint32_t kFlitMail = (1u << kNumPorts) - 1;
+    static constexpr std::uint32_t kCreditMail = kFlitMail << kNumPorts;
+    /// @}
+
     void receiveCredits(Cycle now);
     void receiveFlits(Cycle now);
     void admitToTables(Cycle now);
@@ -103,6 +112,7 @@ class LookaheadRouter final : public Clocked
         t.flit = f;
         t.readyAt = ready_at;
         ++ip.count[vc];
+        ++buffered_;
     }
 
     void
@@ -112,6 +122,7 @@ class LookaheadRouter final : public Clocked
         if (ip.head[vc] == params_.laVcDepth)
             ip.head[vc] = 0;
         --ip.count[vc];
+        --buffered_;
     }
     /// @}
 
@@ -122,6 +133,8 @@ class LookaheadRouter final : public Clocked
 
     std::array<InputPort, kNumPorts> inputs_;
     std::array<OutputPort, kNumPorts> outputs_;
+    /** Flits in every input VC (the sum of the count vectors). */
+    std::uint64_t buffered_ = 0;
 
     // loft-tidy: deferred-endpoint(DeferredObserver)
     NetObserver *observer_ = nullptr;

@@ -114,10 +114,25 @@ class OutputScheduler
 
     /**
      * Advance CP/HF to the frame containing @p now, recycling expired
-     * frames (Algorithm 3). Must be called every cycle before any
-     * scheduling request; @p now never decreases.
+     * frames (Algorithm 3). Must be called before any scheduling
+     * request (trySchedule does it); @p now never decreases. A call
+     * before recycleDueSlot() changes nothing but the advance cycle
+     * that book() stamps on its events, so callers may skip it until
+     * then.
      */
     void advanceTo(Cycle now);
+
+    /**
+     * The absolute slot from which advanceTo() recycles the head
+     * frame. Only advanceTo() and localReset() move it, and both only
+     * forward: a reset restarts the window at the current slot, whose
+     * frame ends no earlier than the head frame it drops.
+     */
+    Slot
+    recycleDueSlot() const
+    {
+        return toAbs(windowStartSlot() + frameSlots_);
+    }
 
     /**
      * Algorithms 1 + 2: attempt to schedule one quantum of @p flow.

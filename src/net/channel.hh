@@ -13,9 +13,10 @@
  * sending thread and published at the per-cycle barrier. Since delivery
  * cycles are stamped at send time and are always in the future,
  * receivers cannot tell buffered-then-flushed sends from direct ones
- * through tryReceive(); and because empty() then reflects
- * start-of-cycle state for every channel, quiescence decisions stop
- * depending on the per-cycle tick order too. A serial run is the
+ * through tryReceive(); and because every value enters the in-flight
+ * queue at the barrier, the reader's mail bit for the channel (see
+ * Clocked::mail) reflects start-of-cycle state, so quiescence decisions
+ * stop depending on the per-cycle tick order too. A serial run is the
  * one-domain case, which is what makes every worker count
  * bit-identical by construction. Channels driven by hand outside a
  * Simulator run (unit tests) stay in direct mode.
@@ -67,7 +68,7 @@ class ChannelFaultHook
  * channel itself does not enforce it; senders do.
  */
 template <typename T>
-class Channel : public PendingPort
+class Channel final : public PendingPort
 {
   public:
     explicit Channel(Cycle latency = 1) : latency_(latency)
@@ -128,15 +129,21 @@ class Channel : public PendingPort
         enqueue(when, std::move(value));
     }
 
-    /** True if a value is deliverable at cycle @p now. */
+    /**
+     * True if a value is deliverable at cycle @p now. A fault hook's
+     * stall is consulted only while a value is in flight, so it is
+     * detected at the first delivery it actually holds back.
+     */
     bool
     ready(Cycle now) const
     {
+        if (inFlight_.empty())
+            return false;
 #if LOFT_AUDIT_ENABLED
         if (faults_ && faults_->stalled(now))
             return false;
 #endif
-        return !inFlight_.empty() && inFlight_.front().first <= now;
+        return inFlight_.front().first <= now;
     }
 
     /** Peek the deliverable value. @pre ready(now). */
@@ -148,7 +155,10 @@ class Channel : public PendingPort
         return inFlight_.front().second;
     }
 
-    /** Remove and return the deliverable value. @pre ready(now). */
+    /**
+     * Remove and return the deliverable value; taking the last one
+     * clears the reader's mail bit. @pre ready(now).
+     */
     T
     receive(Cycle now)
     {
@@ -157,6 +167,8 @@ class Channel : public PendingPort
         LOFT_PSAN_CHANNEL_RECEIVE(psan_);
         T v = std::move(inFlight_.front().second);
         inFlight_.pop_front();
+        if (inFlight_.empty())
+            unpost();
         return v;
     }
 
@@ -172,7 +184,7 @@ class Channel : public PendingPort
     /** Number of values still in flight (any readiness). */
     std::size_t inFlightCount() const { return inFlight_.size(); }
 
-    bool empty() const { return inFlight_.empty(); }
+    bool empty() const override { return inFlight_.empty(); }
 
     Cycle latency() const { return latency_; }
 
@@ -213,15 +225,17 @@ class Channel : public PendingPort
 
     /**
      * Insert into the in-flight queue, keeping it sorted by delivery
-     * time and equal times in enqueue order. Same-latency sends arrive
-     * in order and everything already in flight was enqueued earlier,
-     * so this appends; only a fault hook's late re-delivery can be
-     * overtaken and make a later value land in the middle.
+     * time and equal times in enqueue order, and post the value to the
+     * reader. Same-latency sends arrive in order and everything
+     * already in flight was enqueued earlier, so this appends; only a
+     * fault hook's late re-delivery can be overtaken and make a later
+     * value land in the middle.
      */
     // loft-tidy: steady-state-hot
     void
     enqueue(Cycle when, T value)
     {
+        post();
         if (inFlight_.empty() || inFlight_.back().first <= when) {
             // loft-tidy: pooled(ring reserved to latency + 2 in the ctor)
             inFlight_.emplace_back(when, std::move(value));

@@ -10,7 +10,7 @@ SinkUnit::SinkUnit(NodeId node, Channel<WireFlit> *in,
                    MetricsCollector *metrics)
     : node_(node), in_(in), creditReturn_(credit_return), metrics_(metrics)
 {
-    in->setReader(this);
+    in->setReader(this, 0);
     pending_.reserve(kReassemblyReserve);
 }
 

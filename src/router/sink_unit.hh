@@ -33,7 +33,7 @@ class SinkUnit final : public Clocked
     void tick(Cycle now) override;
 
     /** Idle whenever the ejection wire is empty. */
-    bool quiescent() const override { return in_->empty(); }
+    bool quiescent() const override { return mail() == 0; }
 
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }

@@ -11,7 +11,7 @@ SourceUnit::SourceUnit(NodeId node, const WormholeParams &params,
     : node_(node), params_(params), out_(out), creditIn_(credit_in),
       queueCapacityFlits_(queue_capacity_flits), vcPick_(params.numVCs)
 {
-    credit_in->setReader(this);
+    credit_in->setReader(this, 0);
     vcs_.resize(params.numVCs);
     for (auto &vc : vcs_)
         vc.credits = params.vcDepthFlits;
@@ -45,6 +45,8 @@ SourceUnit::enqueue(const Packet &pkt)
 void
 SourceUnit::receiveCredits(Cycle now)
 {
+    if (mail() == 0)
+        return;
     while (auto c = creditIn_->tryReceive(now)) {
         VcState &vc = vcs_.at(c->vc);
         ++vc.credits;

@@ -50,15 +50,14 @@ class SourceUnit : public Clocked
     void tick(Cycle now) override;
 
     /**
-     * Idle with an empty queue, no packet mid-transmission and no
-     * credits arriving. Holds for GSF too: the frame-quota hook
+     * Idle with no credits arriving, an empty queue and no packet
+     * mid-transmission. Holds for GSF too: the frame-quota hook
      * (allowStart) is consulted only when a queued packet exists.
      */
     bool
     quiescent() const override
     {
-        return !sending_ && queue_.empty() &&
-               (!creditIn_ || creditIn_->empty());
+        return mail() == 0 && !sending_ && queue_.empty();
     }
 
     /** Flits waiting in the source queue (current packet included). */

@@ -1,5 +1,7 @@
 #include "router/wormhole_router.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace noc
@@ -40,7 +42,7 @@ WormholeRouter::connectInput(Port p, Channel<WireFlit> *in,
 {
     in_[portIndex(p)] = in;
     creditReturn_[portIndex(p)] = credit_return;
-    in->setReader(this);
+    in->setReader(this, static_cast<unsigned>(portIndex(p)));
 }
 
 void
@@ -49,7 +51,8 @@ WormholeRouter::connectOutput(Port p, Channel<WireFlit> *out,
 {
     out_[portIndex(p)] = out;
     creditIn_[portIndex(p)] = credit_in;
-    credit_in->setReader(this);
+    credit_in->setReader(this,
+                         static_cast<unsigned>(kNumPorts + portIndex(p)));
 }
 
 WormholeRouter::InputVC &
@@ -83,11 +86,10 @@ WormholeRouter::tick(Cycle now)
 void
 WormholeRouter::receiveCredits(Cycle now)
 {
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        Channel<Credit> *ch = creditIn_[p];
-        if (!ch)
-            continue;
-        while (auto c = ch->tryReceive(now)) {
+    for (std::uint32_t m = mail() & kCreditMail; m != 0; m &= m - 1) {
+        const auto p =
+            static_cast<std::size_t>(std::countr_zero(m)) - kNumPorts;
+        while (auto c = creditIn_[p]->tryReceive(now)) {
             OutputVC &o = ovc(p, c->vc);
             ++o.credits;
             if (o.credits > params_.vcDepthFlits)
@@ -104,11 +106,9 @@ WormholeRouter::receiveCredits(Cycle now)
 void
 WormholeRouter::receiveFlits(Cycle now)
 {
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        Channel<WireFlit> *ch = in_[p];
-        if (!ch)
-            continue;
-        while (auto wf = ch->tryReceive(now)) {
+    for (std::uint32_t m = mail() & kFlitMail; m != 0; m &= m - 1) {
+        const auto p = static_cast<std::size_t>(std::countr_zero(m));
+        while (auto wf = in_[p]->tryReceive(now)) {
             if (wf->vc >= params_.numVCs)
                 panic("router %u: bad VC %u on port %zu", id_, wf->vc, p);
             InputVC &v = ivc(p, wf->vc);
@@ -258,12 +258,8 @@ WormholeRouter::routeCompute(Cycle now)
 bool
 WormholeRouter::quiescent() const
 {
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        if (in_[p] && !in_[p]->empty())
-            return false;
-        if (creditIn_[p] && !creditIn_[p]->empty())
-            return false;
-    }
+    if (mail() != 0)
+        return false;
     for (const InputVC &v : inputVCs_) {
         if (v.state != VCState::Idle || v.count != 0)
             return false;

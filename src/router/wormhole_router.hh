@@ -80,12 +80,13 @@ class WormholeRouter final : public Clocked
     void tick(Cycle now) override;
 
     /**
-     * Idle when no wire has pending traffic and every input VC is
-     * drained back to Idle. An Active VC with an empty buffer (packet
-     * body still in flight upstream) keeps the router awake so its
-     * allocated output VC is eventually released; a `draining` output
-     * VC on its own is safe to sleep with — only a credit arrival can
-     * complete the drain, and that wakes us via creditIn_.
+     * Idle when no wire has pending traffic (mail() == 0) and every
+     * input VC is drained back to Idle. An Active VC with an empty
+     * buffer (packet body still in flight upstream) keeps the router
+     * awake so its allocated output VC is eventually released; a
+     * `draining` output VC on its own is safe to sleep with — only a
+     * credit arrival can complete the drain, and that wakes us via
+     * creditIn_.
      */
     bool quiescent() const override;
 
@@ -161,6 +162,14 @@ class WormholeRouter final : public Clocked
             return router.vcFront(router.inputVCs_[first + i]).flit.frame;
         }
     };
+
+    /// @name Mail-word bits (Clocked::mail)
+    /// Input p's flit wire is bit p; output p's credit wire is bit
+    /// kNumPorts + p.
+    /// @{
+    static constexpr std::uint32_t kFlitMail = (1u << kNumPorts) - 1;
+    static constexpr std::uint32_t kCreditMail = kFlitMail << kNumPorts;
+    /// @}
 
     void receiveCredits(Cycle now);
     void receiveFlits(Cycle now);

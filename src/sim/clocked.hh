@@ -15,6 +15,8 @@
 namespace noc
 {
 
+class PendingPort;
+
 /**
  * A component that performs work every clock cycle.
  *
@@ -41,6 +43,10 @@ class Clocked
      * cycle number: a component with future-dated work (a booked
      * departure slot, a pending timeout) is not quiescent.
      *
+     * A value on an input channel, deliverable yet or not, makes a
+     * component non-quiescent; mail() says which inputs hold one, so
+     * an override reads mail() == 0 instead of asking its channels.
+     *
      * The simulator probes a spatially keyed component only while it
      * is awake. Every run window starts with all components awake; a
      * probe that finds the component quiescent puts it to sleep, and
@@ -56,6 +62,19 @@ class Clocked
      * must keep the default and stay always-active.
      */
     virtual bool quiescent() const { return false; }
+
+    /**
+     * The mail word: bit p is set exactly while the channel bound as
+     * this component's input port p (PendingPort::setReader) holds a
+     * value, deliverable or not. The channel sets the bit when a value
+     * enters its in-flight queue — at the barrier flush, or on a send
+     * in direct mode outside a run — and clears it when receive()
+     * takes the last value, which only this component's own tick
+     * does. Set and clear never overlap in time, so the word needs no
+     * synchronization. Receive loops walk its set bits in ascending
+     * port order instead of polling every input.
+     */
+    std::uint32_t mail() const { return mail_; }
 
     /**
      * Mark this component awake: the simulator probes it again this
@@ -76,6 +95,7 @@ class Clocked
 
   private:
     friend class Simulator;
+    friend class PendingPort;
 
     /**
      * Word of the owning domain's awake bitset that holds this
@@ -86,6 +106,8 @@ class Clocked
     std::uint64_t awakeBit_ = 0;
     /** Domain whose bitset holds the bit (phase-sanitizer check). */
     int awakeDomain_ = 0;
+    /** Input ports holding a value (see mail()). */
+    std::uint32_t mail_ = 0;
 };
 
 } // namespace noc

@@ -15,11 +15,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "sim/clocked.hh"
+#include "sim/logging.hh"
 #include "sim/phase_sanitizer.hh"
 
 namespace noc
@@ -33,13 +35,18 @@ namespace noc
  * the in-flight queue, sorted by delivery time. Because channel latency
  * is >= 1, a value flushed at the end of cycle t is deliverable no
  * earlier than t+1, so buffering is invisible to receivers. It also
- * pins quiescence probes (empty()) to start-of-cycle state, removing
- * the tick-order dependence a direct same-cycle append would create;
- * the simulator therefore puts every registered port in concurrent
- * mode for every run, whatever the worker count.
+ * pins quiescence probes to start-of-cycle state, removing the
+ * tick-order dependence a direct same-cycle append would create; the
+ * simulator therefore puts every registered port in concurrent mode
+ * for every run, whatever the worker count.
  *
- * Each port names the component that reads it: a flush wakes that
- * reader (Clocked::wake), which is how an arrival reaches a sleeping
+ * Each port names the component that reads it and the reader's input
+ * port index. The port keeps that input's bit of the reader's mail
+ * word (Clocked::mail) equal to "the in-flight queue is non-empty":
+ * post() sets it wherever a value enters the queue (the barrier flush,
+ * a direct-mode send), unpost() clears it where receive() takes the
+ * last value (the reader's own tick). A flush also wakes the reader
+ * (Clocked::wake), which is how an arrival reaches a sleeping
  * component. The reader binds itself where it connects the channel,
  * and the simulator refuses to run a registered port without one.
  */
@@ -48,9 +55,31 @@ class PendingPort
   public:
     virtual ~PendingPort() = default;
 
-    /** Bind the component that receives from this port. */
-    void setReader(Clocked *reader) { reader_ = reader; }
+    /**
+     * Bind the component that receives from this port as its input
+     * port @p port, the bit of the reader's mail word this port owns.
+     * Panics unless @p port < 32. A port already holding a value posts
+     * it at once.
+     */
+    void
+    setReader(Clocked *reader, unsigned port)
+    {
+        if (port >= 32)
+            panic("PendingPort::setReader: input port %u does not fit "
+                  "the 32-bit mail word", port);
+        reader_ = reader;
+        mailBit_ = std::uint32_t{1} << port;
+        if (!empty())
+            post();
+    }
     Clocked *reader() const { return reader_; }
+    /** The reader's input-port index of this port. */
+    unsigned readerPort() const { return std::countr_zero(mailBit_); }
+    /** True if this port's bit of the reader's mail word is set. */
+    bool posted() const { return reader_ && (reader_->mail_ & mailBit_); }
+
+    /** True if no value is in flight (deliverable or not). */
+    virtual bool empty() const = 0;
 
     /**
      * Enter/leave deferred (concurrent-safe) mode. @pre no unflushed
@@ -58,12 +87,38 @@ class PendingPort
      */
     virtual void setConcurrent(bool on) = 0;
 
-    /** Publish pending sends into the in-flight queue and wake the
-     *  reader. */
+    /** Publish pending sends into the in-flight queue, post them and
+     *  wake the reader. */
     virtual void flushPending() = 0;
+
+    /**
+     * Fault injection (tests only): clear the reader's bit for this
+     * port while its value stays queued — the lost post the phase
+     * sanitizer's mail oracle must catch. Never called by the
+     * simulator itself.
+     */
+    void debugDropPost() { unpost(); }
+
+  protected:
+    /** A value entered the in-flight queue. */
+    void
+    post()
+    {
+        if (reader_)
+            reader_->mail_ |= mailBit_;
+    }
+
+    /** The in-flight queue became empty. */
+    void
+    unpost()
+    {
+        if (reader_)
+            reader_->mail_ &= ~mailBit_;
+    }
 
   private:
     Clocked *reader_ = nullptr;
+    std::uint32_t mailBit_ = 0;
 };
 
 /**

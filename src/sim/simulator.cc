@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cxxabi.h>
+#include <cstdlib>
+#include <string>
 #include <thread>
+#include <typeinfo>
 
 #include "sim/alloc.hh"
 #include "sim/logging.hh"
@@ -307,6 +311,40 @@ Simulator::checkSleepers(unsigned domain)
                         "mutation from outside its tick did not call "
                         "wake())");
     }
+    checkMail(static_cast<int>(domain), "runDomain");
+}
+
+void
+Simulator::checkMail(int domain, const char *method) const
+{
+    for (const PendingPort *p : ports_) {
+        const Clocked *reader = p->reader();
+        // During the phase only the reader's own thread may look at
+        // its mail word and in-flight queue; keyless readers tick on
+        // the main thread, which runs domain 0.
+        if (domain >= 0 &&
+            (reader->awake_ ? reader->awakeDomain_ : 0) != domain)
+            continue;
+        const bool holds = !p->empty();
+        if (p->posted() == holds)
+            continue;
+        std::size_t index = 0;
+        while (index < components_.size() &&
+               components_[index].component != reader)
+            ++index;
+        int status = 0;
+        char *type = abi::__cxa_demangle(typeid(*reader).name(), nullptr,
+                                         nullptr, &status);
+        const std::string rule = csprintf(
+            "mail bit of input port %u of its reader (%s) is %s though "
+            "the channel %s (a post was lost or forged)",
+            p->readerPort(), status == 0 ? type : typeid(*reader).name(),
+            holds ? "clear" : "set",
+            holds ? "holds a value" : "is empty");
+        std::free(type);
+        par::ctx().component = static_cast<std::uint32_t>(index);
+        psan::violation("Simulator", method, rule.c_str());
+    }
 }
 
 void
@@ -393,6 +431,8 @@ Simulator::runCycle()
             p->flushPending();
         list.clear();
     }
+    if (psan::enabled())
+        checkMail(-1, "runCycle");
     for (DomainMerged *m : merged_)
         m->mergeDomains();
 

@@ -167,8 +167,20 @@ class Simulator
     void runDomain(unsigned domain);
 
     /** Missed-wake oracle (phase sanitizer): every sleeping component
-     *  of @p domain must be quiescent. */
+     *  of @p domain must be quiescent, and the ports its components
+     *  read must pass checkMail. */
     void checkSleepers(unsigned domain);
+
+    /**
+     * Missed-post oracle (phase sanitizer): every registered port read
+     * by a component of @p domain (keyless readers count as domain 0;
+     * a negative @p domain takes every port) must have its reader's
+     * mail bit set exactly while it holds a value. A quiescent() that
+     * reads the mail word cannot see a lost post, so the missed-wake
+     * oracle would not catch one. @p method names the calling step in
+     * the report.
+     */
+    void checkMail(int domain, const char *method) const;
 
     /** Spawn the worker pool for the current plan, if not running. */
     void ensurePool();

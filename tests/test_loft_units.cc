@@ -19,6 +19,7 @@
 
 #include "core/data_router.hh"
 #include "core/loft_network.hh"
+#include "core/loft_source.hh"
 #include "core/lookahead_router.hh"
 #include "sim/simulator.hh"
 
@@ -704,6 +705,43 @@ TEST_F(CrowdedInputTest, FullInputBackPressuresAndKeepsPicksAcrossGrowth)
     for (std::uint64_t q = kPerFlow; q < kPerFlow + 4; ++q)
         EXPECT_TRUE(admit(1, q));
     EXPECT_FALSE(admit(1, kPerFlow + 4));
+}
+
+// ---- Advancing the output schedulers only when a frame is due -------
+
+TEST_F(OutputChoiceTest, TickLeavesNoFrameRecycleDue)
+{
+    // The router advances a scheduler only once its kept recycle slot
+    // is reached. After every tick no recycle may be left pending: the
+    // scheduler must sit where advancing it every cycle would have.
+    const LoftParams p = params();
+    const OutputScheduler &sched = router_.scheduler(Port::East);
+    const Cycle end = 6 * p.frameSlots() * p.quantumFlits;
+    for (Cycle now = 0; now < end; ++now) {
+        router_.tick(now);
+        ASSERT_GT(sched.recycleDueSlot(), p.slotOf(now)) << "cycle " << now;
+    }
+    EXPECT_EQ(sched.headFrame(), p.slotOf(end - 1) / p.frameSlots());
+}
+
+TEST(NiAdvance, TickLeavesNoFrameRecycleDue)
+{
+    // The NI keeps its scheduler's recycle slot the same way; with
+    // local status resets on, each recycle is followed by a reset that
+    // restarts the window at the current slot.
+    LoftParams p;
+    p.frameSizeFlits = 32;
+    p.centralBufferFlits = 32;
+    p.specBufferFlits = 8;
+    p.maxFlows = 4;
+    LoftSourceUnit ni(0, p);
+    for (Cycle now = 0; now < 6 * p.frameSlots() * p.quantumFlits;
+         ++now) {
+        ni.tick(now);
+        ASSERT_GT(ni.scheduler().recycleDueSlot(), p.slotOf(now))
+            << "cycle " << now;
+    }
+    EXPECT_GT(ni.scheduler().resets(), 0u);
 }
 
 // ---- Waking the co-located look-ahead router -------------------------

@@ -218,7 +218,7 @@ class LoggingReceiver final : public Clocked
   public:
     explicit LoggingReceiver(Channel<int> *in) : in_(in)
     {
-        in->setReader(this);
+        in->setReader(this, 0);
     }
 
     void
@@ -229,7 +229,7 @@ class LoggingReceiver final : public Clocked
     }
 
     /** Idle with an empty input: must wake on cross-domain arrivals. */
-    bool quiescent() const override { return in_->empty(); }
+    bool quiescent() const override { return mail() == 0; }
 
     const std::vector<std::pair<Cycle, int>> &log() const { return log_; }
 

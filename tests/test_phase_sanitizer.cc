@@ -228,6 +228,53 @@ TEST(PhaseSanitizerDeathTest, CrossDomainWakeAborts)
         "partitioned, domain 0\\)");
 }
 
+/** Reads one wire but clears its mail bit instead of draining it. */
+class PostDropper final : public Clocked
+{
+  public:
+    explicit PostDropper(Channel<int> *in) : in_(in)
+    {
+        in->setReader(this, 2);
+    }
+
+    void tick(Cycle) override { in_->debugDropPost(); }
+
+    bool quiescent() const override { return mail() == 0; }
+
+  private:
+    Channel<int> *in_;
+};
+
+TEST(PhaseSanitizerDeathTest, LostPostAborts)
+{
+    if (!psan::kCompiledIn)
+        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The value sent at cycle 2 wakes the reader for cycle 3, whose
+    // tick drops the post with the value still queued: the reader
+    // would sleep on it, and its quiescent() cannot tell.
+    EXPECT_DEATH(
+        {
+            psan::setEnabledForTest(1);
+            Simulator sim;
+            Channel<int> wire(1);
+            PostDropper reader(&wire);
+            Napper sender;
+            sim.add(&reader, 0);
+            sim.add(&sender, 0);
+            sim.addPort(&wire);
+            sender.work = 5;
+            sender.onTick = [&](Cycle now) {
+                if (now == 2)
+                    wire.send(now, 1);
+            };
+            sim.run(5);
+        },
+        "PhaseSanitizer: Simulator::runCycle: mail bit of input port 2 "
+        "of its reader \\(.*PostDropper\\) is clear though the channel "
+        "holds a value .*\\(component 0, cycle 3, phase barrier");
+}
+
 /// ---------------------------------------------------------------
 /// Gating: every shim sits behind the enable check, so a disabled
 /// sanitizer never inspects (or aborts on) anything.

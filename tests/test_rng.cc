@@ -5,12 +5,33 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "sim/rng.hh"
 
 namespace noc
 {
 namespace
 {
+
+TEST(Rng, HeldOutDosSeedSharesNoSubSeedWithSeedOne)
+{
+    // perfbench's DoS workload runs LOFT on sub-seeds mixSeed(seed, i),
+    // i < 16. mixSeed depends only on a ^ (b + golden), so master
+    // seeds 0-15 (and 48-63) reuse some of seed 1's sub-seeds: seed 11
+    // shares 6 of them. A held-out DoS seed must share none; 17 does.
+    std::set<std::uint64_t> one;
+    for (std::uint64_t i = 0; i < 16; ++i)
+        one.insert(mixSeed(1, i));
+    std::size_t shared11 = 0;
+    std::size_t shared17 = 0;
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        shared11 += one.count(mixSeed(11, i));
+        shared17 += one.count(mixSeed(17, i));
+    }
+    EXPECT_EQ(shared17, 0u);
+    EXPECT_EQ(shared11, 6u);
+}
 
 TEST(Rng, DeterministicForSameSeed)
 {

@@ -243,7 +243,7 @@ class WireReader final : public Clocked
   public:
     explicit WireReader(Channel<int> *in) : in_(in)
     {
-        in->setReader(this);
+        in->setReader(this, 0);
     }
 
     void
@@ -254,7 +254,7 @@ class WireReader final : public Clocked
             received.push_back(now);
     }
 
-    bool quiescent() const override { return in_->empty(); }
+    bool quiescent() const override { return mail() == 0; }
 
     std::vector<Cycle> ticked;
     std::vector<Cycle> received;

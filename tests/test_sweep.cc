@@ -6,13 +6,14 @@
  * network architectures. Also covers the active-set scheduler the
  * engine's throughput rests on: idle networks must go fully quiescent
  * (GSF excepted: its frame barrier is time-driven) and wake back up
- * for traffic.
+ * for traffic, and seeded runs tick a pinned set of components.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/sweep.hh"
 #include "qos/allocation.hh"
+#include "traffic/generator.hh"
 
 namespace noc
 {
@@ -260,6 +261,76 @@ TEST_P(DrainsBackToQuiescence, AfterDeliveringAPacket)
 INSTANTIATE_TEST_SUITE_P(Networks, DrainsBackToQuiescence,
                          ::testing::Values(NetKind::Loft, NetKind::Gsf,
                                            NetKind::Wormhole));
+
+/// ---------------------------------------------------------------
+/// The tick set. Which components tick, and how often a woken one is
+/// probed, is not in any fingerprint; these pins make a kernel or
+/// component change that alters it show, even when every simulated
+/// metric stays the same. Update them only for a change meant to
+/// alter the tick set, and say so where the change is recorded.
+/// ---------------------------------------------------------------
+
+struct TickCounts
+{
+    std::uint64_t executed = 0;
+    std::uint64_t skipped = 0;
+};
+
+/** Seeded 8x8 run in two windows (each restarts with all awake). */
+TickCounts
+countTicks(NetKind kind, TrafficPattern pattern, double rate)
+{
+    RunConfig c;
+    c.kind = kind;
+    c.meshWidth = 8;
+    c.meshHeight = 8;
+    c.seed = 5;
+    Mesh2D mesh(8, 8);
+    setEqualSharesByMaxFlows(pattern.flows, c.loft.maxFlows);
+    auto net = buildNetwork(c, mesh);
+    net->registerFlows(pattern.flows);
+    TrafficGenerator gen(*net, c.packetSizeFlits, c.seed);
+    gen.configure(pattern.flows,
+                  uniformRates(pattern.flows.size(), rate));
+    Simulator sim;
+    sim.add(&gen);
+    net->attach(sim);
+    sim.run(500);
+    sim.run(1500);
+    return {sim.ticksExecuted(), sim.ticksSkipped()};
+}
+
+TEST(TickSet, LoftUniformIsPinned)
+{
+    const TickCounts t =
+        countTicks(NetKind::Loft, uniformPattern(Mesh2D(8, 8)), 0.1);
+    EXPECT_EQ(t.executed, 213455u);
+    EXPECT_EQ(t.skipped, 18461u);
+}
+
+TEST(TickSet, LoftNeighborIsPinned)
+{
+    const TickCounts t =
+        countTicks(NetKind::Loft, neighborPattern(Mesh2D(8, 8)), 0.05);
+    EXPECT_EQ(t.executed, 62715u);
+    EXPECT_EQ(t.skipped, 8840u);
+}
+
+TEST(TickSet, GsfUniformIsPinned)
+{
+    const TickCounts t =
+        countTicks(NetKind::Gsf, uniformPattern(Mesh2D(8, 8)), 0.1);
+    EXPECT_EQ(t.executed, 140791u);
+    EXPECT_EQ(t.skipped, 13920u);
+}
+
+TEST(TickSet, WormholeUniformIsPinned)
+{
+    const TickCounts t =
+        countTicks(NetKind::Wormhole, uniformPattern(Mesh2D(8, 8)), 0.1);
+    EXPECT_EQ(t.executed, 138876u);
+    EXPECT_EQ(t.skipped, 14194u);
+}
 
 } // namespace
 } // namespace noc

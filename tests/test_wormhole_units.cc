@@ -164,7 +164,7 @@ class PortFeeder final : public Clocked
                std::uint32_t credits)
         : out_(out), creditIn_(credit_in), credits_(credits)
     {
-        credit_in->setReader(this);
+        credit_in->setReader(this, 0);
     }
 
     void
@@ -177,8 +177,9 @@ class PortFeeder final : public Clocked
     void
     tick(Cycle now) override
     {
-        while (creditIn_->tryReceive(now))
-            ++credits_;
+        if (mail() != 0)
+            while (creditIn_->tryReceive(now))
+                ++credits_;
         if (next_ < flits_.size() && credits_ > 0) {
             out_->send(now, WireFlit{flits_[next_++], 0});
             --credits_;
@@ -188,7 +189,7 @@ class PortFeeder final : public Clocked
     bool
     quiescent() const override
     {
-        return next_ == flits_.size() && creditIn_->empty();
+        return mail() == 0 && next_ == flits_.size();
     }
 
   private:
@@ -206,7 +207,7 @@ class EjectLog final : public Clocked
     EjectLog(Channel<WireFlit> *in, Channel<Credit> *credit_out)
         : in_(in), creditOut_(credit_out)
     {
-        in->setReader(this);
+        in->setReader(this, 0);
     }
 
     void
@@ -218,7 +219,7 @@ class EjectLog final : public Clocked
         }
     }
 
-    bool quiescent() const override { return in_->empty(); }
+    bool quiescent() const override { return mail() == 0; }
 
     std::vector<Flit> flits;
 
