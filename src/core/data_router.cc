@@ -146,21 +146,27 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
     // Serve flows round-robin; within a flow, the oldest quantum
     // first. pend is ordered by (flow, quantum), so a flow's head is
     // its first entry: walk once around the list from the first flow
-    // past the last served one, visiting heads only. A failed request
-    // still moves the flow's scheduler state, so the visiting order is
-    // part of the behaviour.
+    // past the last served one, jumping from head to head. A failed
+    // request still moves the flow's scheduler state, so the visiting
+    // order is part of the behaviour.
     FlowId &ptr = flowPointer_[portIndex(outp)];
+    // First entry at or after @p from whose flow is above @p flow.
+    const auto past = [&pend](std::size_t from, FlowId flow) {
+        return static_cast<std::size_t>(
+            std::upper_bound(pend.begin() + static_cast<std::ptrdiff_t>(from),
+                             pend.end(), flow,
+                             [](FlowId f, const PendingEntry &e) {
+                                 return f < e.flow;
+                             }) -
+            pend.begin());
+    };
+    // Each step visits one flow's head and skips the rest of its run;
+    // the runs cover the list once, wrapping from its end to its front.
     const std::size_t n = pend.size();
-    const std::size_t start = static_cast<std::size_t>(
-        std::upper_bound(pend.begin(), pend.end(), ptr,
-                         [](FlowId f, const PendingEntry &e) {
-                             return f < e.flow;
-                         }) -
-        pend.begin());
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t at = start + k < n ? start + k : start + k - n;
-        if (at != 0 && pend[at].flow == pend[at - 1].flow)
-            continue; // not its flow's head
+    std::size_t next = 0;
+    for (std::size_t at = past(0, ptr) % n, seen = 0; seen < n;
+         seen += next - at, at = next % n) {
+        next = past(at, pend[at].flow);
         const Handle h = pend[at].rec;
         QuantumRecord &rec = table_[h];
         const FlowId flow = rec.la.flow;

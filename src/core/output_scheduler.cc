@@ -110,6 +110,13 @@ OutputScheduler::flowLowerBound(FlowId flow) const
 std::size_t
 OutputScheduler::flowIndex(FlowId flow) const
 {
+    // A table holding ids 0..n-1 keeps flow f at index f.
+    if (!flows_.empty()) {
+        const std::size_t guess =
+            std::min<std::size_t>(flow, flows_.size() - 1);
+        if (flows_[guess].id == flow)
+            return guess;
+    }
     const auto it = flowLowerBound(flow);
     if (it == flows_.end() || it->id != flow)
         return flows_.size();

@@ -105,7 +105,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     {
         using Traits = FaultTraits<T>;
         if constexpr (Traits::droppable) {
-            if (Cycle at; consumeArmed(FaultKind::LookaheadDrop, now, at)) {
+            if (consumeArmed(FaultKind::LookaheadDrop, now)) {
                 noteInjected(FaultKind::LookaheadDrop, now);
                 // The payload is destroyed but the link-level frame
                 // still arrives: the receiver discards it on CRC and
@@ -117,7 +117,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
             }
         }
         if constexpr (Traits::credit) {
-            if (Cycle at; consumeArmed(FaultKind::CreditLoss, now, at)) {
+            if (consumeArmed(FaultKind::CreditLoss, now)) {
                 noteInjected(FaultKind::CreditLoss, now);
                 FaultStamp &st = Traits::stamp(value);
                 st.resync = true;
@@ -129,7 +129,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
                              std::move(value));
                 return;
             }
-            if (Cycle at; consumeArmed(FaultKind::CreditCorrupt, now, at)) {
+            if (consumeArmed(FaultKind::CreditCorrupt, now)) {
                 noteInjected(FaultKind::CreditCorrupt, now);
                 // The corrupted message arrives on time (and will fail
                 // its CRC at the receiver); the intact original follows
@@ -150,7 +150,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
             }
         }
         if constexpr (Traits::corruptible) {
-            if (Cycle at; consumeArmed(FaultKind::DataCorrupt, now, at)) {
+            if (consumeArmed(FaultKind::DataCorrupt, now)) {
                 noteInjected(FaultKind::DataCorrupt, now);
                 Traits::corrupt(
                     value,
@@ -191,7 +191,6 @@ class FaultingChannel final : public ChannelFaultHook<T>,
         double rate = 0.0;
         Cycle nextAt = kNeverCycle;
         bool armed = false;
-        Cycle armedAt = 0;
     };
 
     /** Advance @p st past @p now, arming on any event crossed. */
@@ -204,14 +203,13 @@ class FaultingChannel final : public ChannelFaultHook<T>,
                 return;
             }
             st.armed = true;
-            st.armedAt = st.nextAt;
             st.nextAt += faultGap(st.rng, st.rate);
         }
     }
 
     /** True (once) if an event of @p kind is pending at @p now. */
     bool
-    consumeArmed(FaultKind kind, Cycle now, Cycle &at)
+    consumeArmed(FaultKind kind, Cycle now)
     {
         auto &st = kinds_[static_cast<std::size_t>(kind)];
         if (st.rate <= 0.0)
@@ -220,29 +218,38 @@ class FaultingChannel final : public ChannelFaultHook<T>,
         if (!st.armed)
             return false;
         st.armed = false;
-        at = st.armedAt;
         return true;
     }
 
+    /**
+     * Take in every stall event up to @p now, each at its own time:
+     * unlike the send-side kinds, stalls do not fold into one armed
+     * event, so the injected count does not depend on how often the
+     * receiver asks.
+     */
     void
     advanceStall(Cycle now)
     {
         auto &st = kinds_[static_cast<std::size_t>(FaultKind::LinkStall)];
         if (st.rate <= 0.0)
             return;
-        advance(st, now);
-        if (!st.armed)
-            return;
-        st.armed = false;
-        // Stall from the event time, so a stall that began (and maybe
-        // partly expired) while the link was idle is handled
-        // identically no matter when it is first queried.
-        const Cycle end = st.armedAt + shared_->stallCycles;
-        noteInjected(FaultKind::LinkStall, st.armedAt);
-        if (end > stallUntil_) {
-            stallStart_ = st.armedAt;
-            stallUntil_ = end;
-            stallReported_ = false;
+        while (st.nextAt <= now) {
+            if (st.nextAt >= shared_->stopCycle) {
+                st.nextAt = kNeverCycle;
+                return;
+            }
+            const Cycle at = st.nextAt;
+            st.nextAt += faultGap(st.rng, st.rate);
+            // Stall from the event time, so a stall that began (and
+            // maybe partly expired) while the link was idle is handled
+            // identically no matter when it is first queried.
+            noteInjected(FaultKind::LinkStall, at);
+            const Cycle end = at + shared_->stallCycles;
+            if (end > stallUntil_) {
+                stallStart_ = at;
+                stallUntil_ = end;
+                stallReported_ = false;
+            }
         }
     }
 

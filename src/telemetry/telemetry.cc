@@ -22,7 +22,50 @@ laneName(std::size_t lane)
     return "NI";
 }
 
+/** The counters stored under index @p i of a sparse epoch row, or a
+ *  zero record. */
+template <typename Counters>
+const Counters &
+sparseAt(const std::vector<std::pair<std::uint32_t, Counters>> &entries,
+         std::size_t i)
+{
+    static const Counters kZero{};
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), i,
+        [](const auto &e, std::size_t k) { return e.first < k; });
+    return it != entries.end() && it->first == i ? it->second : kZero;
+}
+
+/** Store each nonzero delta(i), i < count, as (i, delta) in index
+ *  order, allocating @p rows once at its final size. */
+template <typename Counters, typename Delta>
+void
+keepNonzero(std::vector<std::pair<std::uint32_t, Counters>> &rows,
+            std::size_t count, const Delta &delta)
+{
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        nonzero += delta(i) != Counters{};
+    rows.reserve(nonzero);
+    for (std::size_t i = 0; i < count; ++i) {
+        if (const Counters d = delta(i); d != Counters{})
+            rows.emplace_back(static_cast<std::uint32_t>(i), d);
+    }
+}
+
 } // namespace
+
+const LaneCounters &
+TelemetryEpoch::lane(std::size_t i) const
+{
+    return sparseAt(lanes, i);
+}
+
+const NodeCounters &
+TelemetryEpoch::node(std::size_t n) const
+{
+    return sparseAt(nodes, n);
+}
 
 TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
                                        TelemetryConfig config,
@@ -121,6 +164,13 @@ void
 TelemetryCollector::traceEvent(std::string json)
 {
     trace_.add(std::move(json));
+}
+
+void
+TelemetryCollector::consume(const NetEvent &e)
+{
+    if (!finished_)
+        NetObserver::consume(e);
 }
 
 // ---------------------------------------------------------------------
@@ -314,7 +364,7 @@ TelemetryCollector::onFaultRecovered(FaultKind kind, NodeId node, Cycle,
 void
 TelemetryCollector::tick(Cycle now)
 {
-    if (now + 1 >= epochStart_ + cfg_.epochCycles)
+    if (now + 1 >= epochStart_ + cfg_.epochCycles && !finished_)
         closeEpoch(now + 1);
 }
 
@@ -326,6 +376,7 @@ TelemetryCollector::finish(Cycle now)
     if (now > epochStart_)
         closeEpoch(now);
     finished_ = true;
+    std::unordered_map<PacketId, LivePacket>().swap(live_);
 }
 
 void
@@ -343,14 +394,10 @@ TelemetryCollector::closeEpoch(Cycle end)
         cur_[idx].tableOccupancy = n;
     }
 
-    TelemetryEpoch ep;
-    ep.start = epochStart_;
-    ep.end = end;
-    ep.lanes.resize(cur_.size());
-    for (std::size_t i = 0; i < cur_.size(); ++i) {
+    const auto lane_delta = [this](std::size_t i) {
         const LaneCounters &a = lastLanes_[i];
         const LaneCounters &b = cur_[i];
-        LaneCounters &d = ep.lanes[i];
+        LaneCounters d;
         d.flitsForwarded = b.flitsForwarded - a.flitsForwarded;
         d.specForwards = b.specForwards - a.specForwards;
         d.missedSlots = b.missedSlots - a.missedSlots;
@@ -360,20 +407,23 @@ TelemetryCollector::closeEpoch(Cycle end)
         d.skippedQuanta = b.skippedQuanta - a.skippedQuanta;
         d.localResets = b.localResets - a.localResets;
         d.tableOccupancy = b.tableOccupancy; // gauge, not a delta
-    }
-    ep.nodes.resize(numNodes_);
-    for (std::size_t n = 0; n < numNodes_; ++n) {
-        ep.nodes[n].bufferOccupancy = buffered_[n]; // gauge
-        ep.nodes[n].flitsEjected = ejected_[n] - lastEjected_[n];
-        ep.nodes[n].packetsDelivered =
-            delivered_[n] - lastDelivered_[n];
-        ep.nodes[n].faultsInjected =
-            faultsInjected_[n] - lastFaultsInjected_[n];
-        ep.nodes[n].faultsDetected =
-            faultsDetected_[n] - lastFaultsDetected_[n];
-        ep.nodes[n].faultsRecovered =
-            faultsRecovered_[n] - lastFaultsRecovered_[n];
-    }
+        return d;
+    };
+    const auto node_delta = [this](std::size_t n) {
+        NodeCounters d;
+        d.bufferOccupancy = buffered_[n]; // gauge
+        d.flitsEjected = ejected_[n] - lastEjected_[n];
+        d.packetsDelivered = delivered_[n] - lastDelivered_[n];
+        d.faultsInjected = faultsInjected_[n] - lastFaultsInjected_[n];
+        d.faultsDetected = faultsDetected_[n] - lastFaultsDetected_[n];
+        d.faultsRecovered = faultsRecovered_[n] - lastFaultsRecovered_[n];
+        return d;
+    };
+    TelemetryEpoch ep;
+    ep.start = epochStart_;
+    ep.end = end;
+    keepNonzero(ep.lanes, cur_.size(), lane_delta);
+    keepNonzero(ep.nodes, numNodes_, node_delta);
     epochs_.push_back(std::move(ep));
     lastLanes_ = cur_;
     lastEjected_ = ejected_;
@@ -401,12 +451,11 @@ TelemetryCollector::timeSeriesCsv() const
         const TelemetryEpoch &ep = epochs_[e];
         for (std::size_t n = 0; n < numNodes_; ++n) {
             for (std::size_t l = 0; l < kNumLanes; ++l) {
-                const LaneCounters &c =
-                    ep.lanes[n * kNumLanes + l];
+                const LaneCounters &c = ep.lane(n * kNumLanes + l);
                 // Node-level gauges ride on the NI lane row so every
                 // (epoch, node) has them exactly once.
                 const bool node_row = l == kNiLane;
-                const NodeCounters &nc = ep.nodes[n];
+                const NodeCounters &nc = ep.node(n);
                 out += csprintf(
                     "%zu,%" PRIu64 ",%" PRIu64 ",%zu,%s,%" PRIu64
                     ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64

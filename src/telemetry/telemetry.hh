@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/metrics.hh"
@@ -81,6 +82,8 @@ struct LaneCounters
     /** Live bookings in the lane's output reservation table, sampled
      *  at the epoch close (a gauge, not a delta). */
     std::uint64_t tableOccupancy = 0;
+
+    bool operator==(const LaneCounters &) const = default;
 };
 
 /** Node-level values of one epoch. */
@@ -94,16 +97,29 @@ struct NodeCounters
     std::uint64_t faultsInjected = 0;
     std::uint64_t faultsDetected = 0;
     std::uint64_t faultsRecovered = 0;
+
+    bool operator==(const NodeCounters &) const = default;
 };
 
-/** One closed sampling epoch: [start, end) in cycles. */
+/**
+ * One closed sampling epoch: [start, end) in cycles. Most lanes of a
+ * mesh are idle in most epochs, so only the lanes and nodes with a
+ * nonzero counter are stored; lane() and node() read zero for the
+ * rest.
+ */
 struct TelemetryEpoch
 {
     Cycle start = 0;
     Cycle end = 0;
-    /** node-major, lane-minor; size numNodes * kNumLanes. */
-    std::vector<LaneCounters> lanes;
-    std::vector<NodeCounters> nodes;
+    /** (node * kNumLanes + lane, counters), ascending index. */
+    std::vector<std::pair<std::uint32_t, LaneCounters>> lanes;
+    /** (node, counters), ascending node. */
+    std::vector<std::pair<std::uint32_t, NodeCounters>> nodes;
+
+    /** Counters of lane index @p i (node-major, lane-minor). */
+    const LaneCounters &lane(std::size_t i) const;
+    /** Node-level values of node @p n. */
+    const NodeCounters &node(std::size_t n) const;
 };
 
 // Hooks the collector leaves at NetObserver's empty defaults, and why:
@@ -152,8 +168,13 @@ class TelemetryCollector final : public NetObserver, public Clocked
     void stopMeasurement(Cycle now);
     /// @}
 
-    /** Close the trailing partial epoch; call once after the run. */
+    /** Close the trailing partial epoch and free the packets still in
+     *  flight, which no export reads; call once after the run. Later
+     *  events and ticks are ignored. */
     void finish(Cycle now);
+
+    /** Drops every event once finish() has run. */
+    void consume(const NetEvent &e) override;
 
     /// @name Results
     /// @{

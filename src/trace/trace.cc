@@ -198,13 +198,13 @@ TraceCollector::TraceCollector(const Mesh2D &mesh, TraceConfig config,
     blameRings_.resize(numNodes_ * kNumLanes);
     if (cfg_.flightRecorder)
         flight_.resize(numNodes_);
-    spans_.metadata("{\"name\":\"process_name\",\"ph\":\"M\","
-                    "\"pid\":2,\"args\":{\"name\":\"loft-trace\"}}");
-    for (std::size_t n = 0; n < numNodes_; ++n)
-        spans_.metadata(csprintf(
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,"
-            "\"tid\":%zu,\"args\":{\"name\":\"node %zu\"}}",
-            n, n));
+}
+
+void
+TraceCollector::consume(const NetEvent &e)
+{
+    if (!finished_)
+        NetObserver::consume(e);
 }
 
 bool
@@ -651,8 +651,10 @@ TraceCollector::finalizePacket(PacketId id, LivePacket &lp, NodeId node,
 
     if (!sampled && !tail)
         return;
-    if (sampled)
+    if (sampled) {
         ++packetsSampled_;
+        sampledOrder_.push_back(id);
+    }
 
     Exemplar ex;
     ex.id = id;
@@ -666,13 +668,28 @@ TraceCollector::finalizePacket(PacketId id, LivePacket &lp, NodeId node,
     ex.stages = lp.stages;
     ex.srcBlame = std::move(lp.srcBlame);
     ex.hops = std::move(lp.hops);
-    if (sampled)
-        emitSpans(ex);
     exemplars_[id] = std::move(ex);
 }
 
+const ChromeTraceWriter &
+TraceCollector::spanWriter() const
+{
+    std::call_once(spansBuilt_, [this] {
+        spans_.metadata("{\"name\":\"process_name\",\"ph\":\"M\","
+                        "\"pid\":2,\"args\":{\"name\":\"loft-trace\"}}");
+        for (std::size_t n = 0; n < numNodes_; ++n)
+            spans_.metadata(csprintf(
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,"
+                "\"tid\":%zu,\"args\":{\"name\":\"node %zu\"}}",
+                n, n));
+        for (const PacketId id : sampledOrder_)
+            emitSpans(exemplars_.at(id));
+    });
+    return spans_;
+}
+
 void
-TraceCollector::emitSpans(const Exemplar &ex)
+TraceCollector::emitSpans(const Exemplar &ex) const
 {
     spans_.add(csprintf(
         "{\"cat\":\"trace\",\"name\":\"flow%u\",\"ph\":\"b\","
@@ -916,6 +933,9 @@ TraceCollector::finish(Cycle now)
 {
     if (!cfg_.dumpDir.empty())
         dumpToFile("blame", now);
+    finished_ = true;
+    std::vector<BlameRing>().swap(blameRings_);
+    std::unordered_map<PacketId, LivePacket>().swap(live_);
 }
 
 } // namespace noc

@@ -54,6 +54,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -186,8 +187,13 @@ class TraceCollector final : public NetObserver
     const TraceConfig &config() const { return cfg_; }
 
     /** Close the run: emits the end-of-run dump file ("blame") when
-     *  dumpDir is configured. Call once after the simulation. */
+     *  dumpDir is configured, then frees the blame rings and the
+     *  packets still in flight, which no export reads. Events that
+     *  arrive afterwards are ignored. Call once after the simulation. */
     void finish(Cycle now);
+
+    /** Drops every event once finish() has run. */
+    void consume(const NetEvent &e) override;
 
     /// @name Results
     /// @{
@@ -217,8 +223,11 @@ class TraceCollector final : public NetObserver
     std::string dumpToFile(const std::string &reason, Cycle now);
 
     /** Chrome trace spans (pid 2) of sampled packets; merge with the
-     *  telemetry writer via chromeTraceJson({...}). */
-    const ChromeTraceWriter &spanWriter() const { return spans_; }
+     *  telemetry writer via chromeTraceJson({...}). Built on the first
+     *  call from the sampled exemplars, in delivery order and under
+     *  the maxSpanEvents cap, so call it after finish(); later calls
+     *  return the same writer. */
+    const ChromeTraceWriter &spanWriter() const;
     /// @}
 
   protected:
@@ -388,7 +397,7 @@ class TraceCollector final : public NetObserver
 
     void finalizePacket(PacketId id, LivePacket &lp, NodeId node,
                         Cycle now);
-    void emitSpans(const Exemplar &ex);
+    void emitSpans(const Exemplar &ex) const;
 
     std::uint32_t width_;
     std::uint32_t height_;
@@ -413,6 +422,9 @@ class TraceCollector final : public NetObserver
     std::array<std::uint64_t, kNumTraceStages> stageCycles_{};
 
     std::map<PacketId, Exemplar> exemplars_;
+    /** Sampled packets in delivery order: their exemplars are never
+     *  evicted, and spanWriter() emits them in this order. */
+    std::vector<PacketId> sampledOrder_;
     /** The K largest latencies among delivered packets: latency ->
      *  packet id (the tail set exported with `"tail": true`). */
     std::multimap<std::uint64_t, PacketId> tailRank_;
@@ -420,8 +432,10 @@ class TraceCollector final : public NetObserver
     std::vector<BlameRing> blameRings_; ///< numNodes * kNumLanes
     std::vector<FlightRing> flight_;    ///< per node
 
-    ChromeTraceWriter spans_;
+    mutable ChromeTraceWriter spans_;
+    mutable std::once_flag spansBuilt_;
     std::set<std::string> dumpedReasons_;
+    bool finished_ = false;
 };
 
 } // namespace noc

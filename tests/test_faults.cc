@@ -242,6 +242,43 @@ TEST(FaultingChannel, LinkStallGatesReadinessAndIsDetectedOnce)
     EXPECT_EQ(obs.detected[0].injectedAt, 1u);
 }
 
+TEST(FaultingChannel, StallTallyIsIndependentOfQueryCadence)
+{
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.linkStallRate = 1e-2;
+    plan.seed = 4;
+    FaultInjector every_inj(plan);
+    FaultInjector seventh_inj(plan);
+    RecordingObserver every_obs;
+    RecordingObserver seventh_obs;
+    every_inj.setObserver(&every_obs);
+    seventh_inj.setObserver(&seventh_obs);
+    Channel<DataWireFlit> every(1);
+    Channel<DataWireFlit> seventh(1);
+    every_inj.instrument(every, LinkClass::DataFlit, 3);
+    seventh_inj.instrument(seventh, LinkClass::DataFlit, 3);
+    // A value held in flight makes every ready() ask the stall stream.
+    every.send(0, DataWireFlit{});
+    seventh.send(0, DataWireFlit{});
+
+    constexpr auto kStall = static_cast<std::size_t>(FaultKind::LinkStall);
+    std::size_t stalled_answers = 0;
+    for (Cycle t = 1; t <= 20000; ++t) {
+        const bool ready = every.ready(t);
+        if (t % 7 != 0)
+            continue;
+        // Events that fall between two of the sparse receiver's queries
+        // are each injected, not folded into one.
+        EXPECT_EQ(seventh.ready(t), ready) << "cycle " << t;
+        EXPECT_EQ(seventh_obs.injected[kStall], every_obs.injected[kStall])
+            << "cycle " << t;
+        stalled_answers += !ready;
+    }
+    EXPECT_GT(every_obs.injected[kStall], 100u);
+    EXPECT_GT(stalled_answers, 0u);
+}
+
 TEST(FaultingChannel, StreamsAreDeterministicPerSeed)
 {
     const auto trace = [](std::uint64_t seed) {

@@ -509,16 +509,19 @@ TEST_F(OutputChoiceTest, RoundRobinVisitsEachFlowHeadOnceFromThePointer)
     sched.registerFlow(1, 2);
     for (const FlowId f : {2u, 3u})
         sched.registerFlow(f, 4);
-    for (std::uint64_t q = 0; q < 3; ++q)
+    for (std::uint64_t q = 0; q < 8; ++q)
         admit(Port::West, 1, q);
     EXPECT_EQ(scheduleNext(), 1u);
     // Flow 1's head (quantum 1) needs the next frame, which condition
     // (1) closes while the head frame holds a booking: it is refused
     // from now on, and each refusal still updates the flow's state.
-    // Its quantum 2 is never asked.
-    for (const FlowId f : {2u, 3u})
-        for (std::uint64_t q = 0; q < 2; ++q)
-            admit(Port::Local, f, q);
+    // Its later quanta are never asked. The same holds for flow 3 once
+    // its two slots are booked, so long runs of one flow's quanta lie
+    // below the pointer (flow 1) and above it (flow 3).
+    for (std::uint64_t q = 0; q < 2; ++q)
+        admit(Port::Local, 2, q);
+    for (std::uint64_t q = 0; q < 8; ++q)
+        admit(Port::Local, 3, q);
 
     std::vector<FlowId> served;
     std::vector<std::uint64_t> refused;
@@ -532,10 +535,11 @@ TEST_F(OutputChoiceTest, RoundRobinVisitsEachFlowHeadOnceFromThePointer)
     }
     // Starting past the last served flow, every flow's head is asked
     // once per call, in flow order and wrapping once: flow 1's refused
-    // head is asked on each wrap, and a flow's second quantum never
-    // overtakes another flow's head.
+    // head is asked on each wrap, a flow's second quantum never
+    // overtakes another flow's head, and the last call asks flow 1's
+    // and flow 3's heads once each, none of the quanta behind them.
     EXPECT_EQ(served, (std::vector<FlowId>{2, 3, 2, 3}));
-    EXPECT_EQ(refused, (std::vector<std::uint64_t>{0, 0, 1, 0, 1}));
+    EXPECT_EQ(refused, (std::vector<std::uint64_t>{0, 0, 1, 0, 2}));
     EXPECT_TRUE(router_.hasPendingQuanta());
 }
 

@@ -115,6 +115,8 @@ struct Lockstep
         for (std::uint64_t f = ref.headFrame();
              f < ref.headFrame() + params.windowFrames; ++f)
             check("skippedAt", f, real.skippedAt(f), ref.skippedAt(f));
+        for (FlowId id = 0; id < probeIdsBelow; ++id)
+            check("hasFlow", id, real.hasFlow(id), ref.hasFlow(id));
         for (const FlowId id : flows) {
             check("flowRemaining", id, real.flowRemaining(id),
                   ref.flowRemaining(id));
@@ -128,15 +130,26 @@ struct Lockstep
     OutputScheduler real;
     ReferenceOutputScheduler ref;
     std::vector<FlowId> flows; ///< registered ids, in registration order
+    /** hasFlow is compared for every id below this one. */
+    FlowId probeIdsBelow = 0;
+};
+
+/** How randomFlowSet picks the flow ids of a set of n flows. */
+enum class FlowIds
+{
+    Random, ///< distinct ids below 1000
+    Dense,  ///< 0..n-1: flow f sits at table index f
+    Above,  ///< distinct sparse ids, all n or above
 };
 
 /**
- * An admissible flow set (sum R <= F slots) with distinct sparse ids,
- * shuffled so registration is not in id order. Reservations carry up to
- * a quantum of extra flits, which registerFlow rounds away.
+ * An admissible flow set (sum R <= F slots) with distinct ids laid out
+ * as @p ids says, shuffled so registration is not in id order.
+ * Reservations carry up to a quantum of extra flits, which registerFlow
+ * rounds away.
  */
 std::vector<std::pair<FlowId, std::uint32_t>>
-randomFlowSet(Rng &rng, const LoftParams &p)
+randomFlowSet(Rng &rng, const LoftParams &p, FlowIds ids = FlowIds::Random)
 {
     const std::uint32_t fs = p.frameSlots();
     const auto n = static_cast<std::uint32_t>(
@@ -150,10 +163,14 @@ randomFlowSet(Rng &rng, const LoftParams &p)
         const auto r =
             static_cast<std::uint32_t>(1 + rng.randRange(left - later));
         left -= r;
-        FlowId id = 0;
-        do {
-            id = static_cast<FlowId>(rng.randRange(1000));
-        } while (!used.insert(id).second);
+        FlowId id = i;
+        if (ids == FlowIds::Above)
+            id = static_cast<FlowId>(n + 3 * i + rng.randRange(3));
+        if (ids == FlowIds::Random) {
+            do {
+                id = static_cast<FlowId>(rng.randRange(1000));
+            } while (!used.insert(id).second);
+        }
         const auto extra =
             static_cast<std::uint32_t>(rng.randRange(p.quantumFlits));
         set.emplace_back(id, r * p.quantumFlits + extra);
@@ -175,11 +192,13 @@ struct Coverage
 /** Drive one pair through @p calls random calls, comparing after each. */
 void
 runLockstep(const LoftParams &p, std::uint64_t seed, int calls,
-            Coverage &cov)
+            Coverage &cov, FlowIds ids = FlowIds::Random)
 {
     Rng rng(seed);
     Lockstep ls(p);
-    const auto set = randomFlowSet(rng, p);
+    const auto set = randomFlowSet(rng, p, ids);
+    if (ids != FlowIds::Random)
+        ls.probeIdsBelow = static_cast<FlowId>(4 * set.size() + 2);
     // Register part of the set now, the rest mid-run.
     std::size_t registered = 1 + rng.randRange(set.size());
     for (std::size_t i = 0; i < registered; ++i)
@@ -331,6 +350,31 @@ TEST_P(SchedulerOracle, AgreesWithReferenceOnRandomCalls)
     EXPECT_GT(cov.throttles, 0u);
     EXPECT_GT(cov.violations, 0u);
     EXPECT_GT(cov.resets, 0u);
+}
+
+TEST(SchedulerOracleIds, DenseAndSparseTablesAgreeWithReference)
+{
+    // Dense ids are found at their own index; ids above the table size
+    // all probe its last entry first. Registration in shuffled order,
+    // part of it mid-run, leaves the table both dense and holed, and
+    // hasFlow is compared for registered and absent ids alike.
+    Coverage cov;
+    for (const FlowIds ids : {FlowIds::Dense, FlowIds::Above}) {
+        for (const std::uint32_t fs : {5u, 12u, 40u}) {
+            LoftParams p;
+            p.quantumFlits = 1;
+            p.frameSizeFlits = fs;
+            p.centralBufferFlits = fs;
+            p.specBufferFlits = 0;
+            p.maxFlows = 6;
+            runLockstep(p, mixSeed(fs, static_cast<std::uint64_t>(ids)),
+                        fs < 40 ? 1500 : 300, cov, ids);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(cov.grants, 0u);
+    EXPECT_GT(cov.throttles, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,8 +3,8 @@
  * Tests for the telemetry subsystem: the ObserverMux fan-out and the
  * NetObserver::consume decode, counter conservation of the
  * TelemetryCollector against the MetricsCollector on a small mesh,
- * epoch-sampling semantics, and the shape of the CSV / Chrome-trace
- * exports.
+ * epoch-sampling semantics and the sparse closed epochs, a finished
+ * collector, and the shape of the CSV / Chrome-trace exports.
  */
 
 #include <gtest/gtest.h>
@@ -374,7 +374,7 @@ TEST(Telemetry, EpochsTileTheRunContiguously)
     std::vector<std::uint64_t> forwarded(lanes, 0);
     for (const TelemetryEpoch &ep : t.epochs())
         for (std::size_t i = 0; i < lanes; ++i)
-            forwarded[i] += ep.lanes[i].flitsForwarded;
+            forwarded[i] += ep.lane(i).flitsForwarded;
     for (NodeId n = 0; n < 16; ++n)
         for (std::size_t l = 0; l < TelemetryCollector::kNumLanes; ++l)
             EXPECT_EQ(forwarded[n * TelemetryCollector::kNumLanes + l],
@@ -513,6 +513,79 @@ TEST(Telemetry, FlowTailLatencyIsReportedByDefault)
         EXPECT_LE(r.flowP99Latency[i], r.flowMaxLatency[i] + 1e-9);
     }
     EXPECT_GE(r.p99PacketLatency, r.p50PacketLatency);
+}
+
+TEST(Telemetry, ClosedEpochsKeepOnlyNonzeroRows)
+{
+    TelemetryConfig cfg;
+    cfg.epochCycles = 10;
+    TelemetryCollector tel(Mesh2D(2, 2), cfg);
+    Flit f;
+    f.flow = 1;
+    tel.consume({.kind = NetEvent::Kind::FlitForwarded, .node = 2,
+                 .port = Port::East, .flit = f, .now = 3});
+    tel.consume({.kind = NetEvent::Kind::FlitEjected, .node = 1, .flit = f,
+                 .now = 4});
+    tel.tick(9);  // closes [0, 10)
+    tel.tick(19); // closes [10, 20), an idle epoch
+    ASSERT_EQ(tel.epochs().size(), 2u);
+
+    const std::size_t east2 =
+        2 * TelemetryCollector::kNumLanes + portIndex(Port::East);
+    const TelemetryEpoch &busy = tel.epochs()[0];
+    ASSERT_EQ(busy.lanes.size(), 1u);
+    EXPECT_EQ(busy.lanes[0].first, east2);
+    EXPECT_EQ(busy.lane(east2).flitsForwarded, 1u);
+    ASSERT_EQ(busy.nodes.size(), 1u);
+    EXPECT_EQ(busy.nodes[0].first, 1u);
+    EXPECT_EQ(busy.node(1).flitsEjected, 1u);
+    // Rows not stored read zero, on either side of a stored one.
+    EXPECT_TRUE(busy.lane(0) == LaneCounters{});
+    EXPECT_TRUE(busy.lane(east2 + 1) == LaneCounters{});
+    EXPECT_TRUE(busy.node(0) == NodeCounters{});
+    EXPECT_TRUE(busy.node(3) == NodeCounters{});
+
+    const TelemetryEpoch &idle = tel.epochs()[1];
+    EXPECT_TRUE(idle.lanes.empty());
+    EXPECT_TRUE(idle.nodes.empty());
+    EXPECT_TRUE(idle.lane(east2) == LaneCounters{});
+    // The time series still has one row per (epoch, node, lane).
+    const std::string csv = tel.timeSeriesCsv();
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(csv.begin(), csv.end(), '\n')),
+              1 + 2 * 4 * TelemetryCollector::kNumLanes);
+}
+
+TEST(Telemetry, FinishedCollectorIgnoresLateEvents)
+{
+    TelemetryConfig cfg;
+    cfg.epochCycles = 10;
+    TelemetryCollector tel(Mesh2D(2, 2), cfg);
+    Packet pkt;
+    pkt.id = 5;
+    pkt.flow = 1;
+    pkt.src = 0;
+    pkt.dst = 3;
+    tel.startMeasurement(0);
+    tel.consume({.kind = NetEvent::Kind::PacketAccepted, .node = 0,
+                 .pkt = pkt, .now = 1});
+    tel.finish(5);
+    const std::string series = tel.timeSeriesCsv();
+    const std::string spans = tel.chromeTraceJson();
+
+    // The packet still in flight at finish() was let go.
+    Flit f;
+    f.flow = 1;
+    tel.consume({.kind = NetEvent::Kind::FlitForwarded, .node = 0,
+                 .port = Port::East, .flit = f, .now = 6});
+    tel.consume({.kind = NetEvent::Kind::PacketDelivered, .node = 3,
+                 .flow = 1, .packet = 5, .now = 7});
+    tel.tick(19);
+    EXPECT_EQ(tel.lane(0, portIndex(Port::East)).flitsForwarded, 0u);
+    EXPECT_EQ(tel.classLatency(0).count(), 0u);
+    EXPECT_EQ(tel.epochs().size(), 1u);
+    EXPECT_EQ(tel.timeSeriesCsv(), series);
+    EXPECT_EQ(tel.chromeTraceJson(), spans);
 }
 
 } // namespace

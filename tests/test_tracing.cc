@@ -2,16 +2,22 @@
  * @file
  * Tests for the causal trace collector (src/trace): exact stage
  * decomposition on all three NetKinds, blame attribution, dump
- * determinism, summary consolidation, and the flight recorder.
+ * determinism, summary consolidation, the flight recorder, a finished
+ * collector, and pinned hashes of every trace and telemetry export.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "qos/allocation.hh"
+#include "traffic/generator.hh"
+#include "traffic/pattern.hh"
 
 namespace noc
 {
@@ -244,6 +250,163 @@ TEST(Tracing, SpanExportMergesWithTelemetry)
     EXPECT_NE(merged.find("\"pid\":1"), std::string::npos);
     EXPECT_NE(merged.find("\"pid\":2"), std::string::npos);
     EXPECT_NE(merged.find("\"cat\":\"stage\""), std::string::npos);
+}
+
+TEST(Tracing, FinishedCollectorIgnoresLateEvents)
+{
+    TraceConfig cfg;
+    cfg.sampleRate = 1.0;
+    TraceCollector tc(Mesh2D(2, 2), cfg, "wormhole", 0);
+    Packet pkt;
+    pkt.id = 9;
+    pkt.flow = 1;
+    pkt.src = 0;
+    pkt.dst = 1;
+    Flit head;
+    head.type = FlitType::HeadTail;
+    head.packet = 9;
+    head.flow = 1;
+    tc.consume({.kind = NetEvent::Kind::PacketAccepted, .node = 0,
+                .pkt = pkt, .now = 1});
+    tc.consume({.kind = NetEvent::Kind::FlitSourced, .node = 0,
+                .flit = head, .now = 2});
+    tc.finish(3);
+    const std::string dump = tc.dumpJson("test", 3);
+
+    // The packet in flight at finish() was let go with the blame rings,
+    // so its delivery and a forward through a ring's lane are ignored.
+    tc.consume({.kind = NetEvent::Kind::FlitForwarded, .node = 0,
+                .port = Port::East, .flit = head, .now = 4});
+    tc.consume({.kind = NetEvent::Kind::FlitEjected, .node = 1,
+                .flit = head, .now = 5});
+    tc.consume({.kind = NetEvent::Kind::PacketDelivered, .node = 1,
+                .flow = 1, .packet = 9, .now = 6});
+    EXPECT_EQ(tc.packetsTraced(), 0u);
+    EXPECT_EQ(tc.dumpJson("test", 3), dump);
+    // Track names only: nothing was sampled before finish().
+    EXPECT_EQ(tc.spanWriter().size(), 5u);
+}
+
+// ---- Every observer export, pinned -----------------------------------
+
+/** 64-bit FNV-1a of @p text, as 16 hex digits. */
+std::string
+fnv1aHex(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/** Hashes of every export of one finished traced, telemetered run. */
+struct ExportHashes
+{
+    std::string timeSeries, heatmap, telemetryTrace, dump, spans;
+    std::uint64_t spansDropped = 0;
+};
+
+/**
+ * A seeded 8x8 Fig. 12 DoS run of @p kind (victim at 0.2, aggressors
+ * at 0.8) with trace and telemetry on: 3000 cycles, 500-cycle epochs.
+ */
+ExportHashes
+dosExportHashes(NetKind kind, bool trace_packets,
+                std::size_t max_span_events = 100000)
+{
+    RunConfig c;
+    c.kind = kind;
+    c.meshWidth = 8;
+    c.meshHeight = 8;
+    c.warmupCycles = 500;
+    c.measureCycles = 2500;
+    c.seed = 5;
+    c.loft.specBufferFlits = 12;
+    c.telemetry.enabled = true;
+    c.telemetry.epochCycles = 500;
+    c.telemetry.tracePackets = trace_packets;
+    c.trace.enabled = true;
+    c.trace.sampleRate = 0.05;
+    c.trace.maxSpanEvents = max_span_events;
+    std::vector<FlowRate> rates(3);
+    rates[0].flitsPerCycle = 0.2;
+    rates[0].process = InjectionProcess::Periodic;
+    rates[1].flitsPerCycle = 0.8;
+    rates[2].flitsPerCycle = 0.8;
+    const RunResult r = runExperiment(c, dosPattern(Mesh2D(8, 8)), rates);
+    EXPECT_NE(r.telemetry, nullptr);
+    EXPECT_NE(r.trace, nullptr);
+    if (!r.telemetry || !r.trace)
+        return {};
+    ExportHashes h;
+    h.timeSeries = fnv1aHex(r.telemetry->timeSeriesCsv());
+    h.heatmap = fnv1aHex(r.telemetry->heatmapCsv());
+    h.telemetryTrace = fnv1aHex(r.telemetry->chromeTraceJson());
+    h.dump = fnv1aHex(r.trace->dumpJson("pin", 3000));
+    const std::string spans = chromeTraceJson(r.trace->spanWriter(), 8, 8);
+    // A second call returns the same writer, unchanged.
+    EXPECT_EQ(chromeTraceJson(r.trace->spanWriter(), 8, 8), spans);
+    h.spans = fnv1aHex(spans);
+    h.spansDropped = r.trace->spanWriter().dropped();
+    return h;
+}
+
+// The expected hashes were measured by building this test on the code
+// before the finished collectors started dropping their run-time
+// state, so they pin that every export stayed byte-identical.
+
+TEST(ObserverExports, LoftExportsArePinned)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    for (const bool trace_packets : {true, false}) {
+        SCOPED_TRACE(trace_packets ? "packet spans on" : "packet spans off");
+        const ExportHashes h = dosExportHashes(NetKind::Loft, trace_packets);
+        EXPECT_EQ(h.timeSeries, "1ed28a0ab1d6ee72");
+        EXPECT_EQ(h.heatmap, "75edb26367670536");
+        EXPECT_EQ(h.telemetryTrace,
+                  trace_packets ? "8d8a735870b09900" : "32bce8355987b795");
+        EXPECT_EQ(h.dump, "80fb28f2eb59381d");
+        EXPECT_EQ(h.spans, "60c3ab166924db98");
+        EXPECT_EQ(h.spansDropped, 0u);
+    }
+}
+
+TEST(ObserverExports, GsfExportsArePinned)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    for (const bool trace_packets : {true, false}) {
+        SCOPED_TRACE(trace_packets ? "packet spans on" : "packet spans off");
+        const ExportHashes h = dosExportHashes(NetKind::Gsf, trace_packets);
+        EXPECT_EQ(h.timeSeries, "bb10e596fd578fd7");
+        EXPECT_EQ(h.heatmap, "3392174cb99ff35d");
+        EXPECT_EQ(h.telemetryTrace,
+                  trace_packets ? "d7ebb65baf14315e" : "32bce8355987b795");
+        EXPECT_EQ(h.dump, "bc4785e5e8de3dcf");
+        EXPECT_EQ(h.spans, "efe6af959858d656");
+        EXPECT_EQ(h.spansDropped, 0u);
+    }
+}
+
+TEST(ObserverExports, CappedSpanDocumentsArePinned)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // The 65 track names count towards the cap but are exempt from it:
+    // at 50 every one of the run's 485 spans is dropped, at 300 the
+    // first 235 are kept.
+    const ExportHashes none = dosExportHashes(NetKind::Loft, false, 50);
+    EXPECT_EQ(none.spans, "b00b0d0e64953873");
+    EXPECT_EQ(none.spansDropped, 485u);
+    const ExportHashes some = dosExportHashes(NetKind::Loft, false, 300);
+    EXPECT_EQ(some.spans, "ce7eca014a3689d7");
+    EXPECT_EQ(some.spansDropped, 250u);
 }
 
 } // namespace
