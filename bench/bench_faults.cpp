@@ -153,12 +153,6 @@ main(int argc, char **argv)
     if (threads < 1)
         threads = 1;
 
-    if (!kAuditCompiledIn) {
-        std::printf("bench_faults: fault hooks compiled out "
-                    "(-DLOFT_AUDIT=OFF); nothing to measure\n");
-        return 0;
-    }
-
     const SweepConfig sc = faultSweepConfig(threads);
     std::printf("bench_faults: %zu cases (3 kinds x %zu rates x %zu "
                 "seeds), 4x4 mesh, load %.2f\n",

@@ -214,9 +214,7 @@ main(int argc, char **argv)
     // ---- Trace section -------------------------------------------
     // Serial sweep once more with sampled causal tracing attached:
     // the fingerprint must not move (tracing is passive) and the wall
-    // delta is the observation overhead. Compiled-out instrumentation
-    // (-DLOFT_AUDIT=OFF) degenerates to a plain re-run: overhead ~0,
-    // zero packets traced.
+    // delta is the observation overhead.
     SweepConfig traced_cfg = benchSweepConfig(1, 1);
     traced_cfg.base.trace.enabled = true;
     traced_cfg.base.trace.sampleRate = 0.05;

@@ -64,10 +64,6 @@ void
 runTraceSmoke(const std::string &name, const RunConfig &config,
               const TrafficPattern &p, const char *tdir)
 {
-    if (!kAuditCompiledIn) {
-        std::printf("trace: hooks compiled out; smoke skipped\n");
-        return;
-    }
     std::vector<FlowRate> rates(3);
     rates[0].flitsPerCycle = 0.2;
     rates[0].process = InjectionProcess::Periodic;

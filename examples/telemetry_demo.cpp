@@ -127,11 +127,6 @@ main(int argc, char **argv)
     timeInterleaved(3, audited, cfg, pattern, rates, audit_ref, r,
                     audit_s, instr_s);
 
-    if (!r.telemetry) {
-        std::printf("telemetry hooks are compiled out "
-                    "(-DLOFT_AUDIT=OFF); nothing to export.\n");
-        return 0;
-    }
     const TelemetryCollector &t = *r.telemetry;
 
     const bool passive =

@@ -7,8 +7,7 @@
  * The audit library is an external check on the simulator: it rebuilds
  * the protocol state it expects from the event stream published through
  * NetObserver (net/instrument.hh) and cross-checks it against the
- * actual component state. It must never influence simulation results;
- * with -DLOFT_AUDIT=OFF the hooks it feeds from compile away entirely.
+ * actual component state. It must never influence simulation results.
  */
 
 #ifndef NOC_AUDIT_AUDIT_HH

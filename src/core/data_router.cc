@@ -601,7 +601,7 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
         la.departureSlot = params_.slotOf(u.firstArrival);
         // admitLookahead claims the record in place and overwrites its
         // look-ahead, so take what the observer needs by value first.
-        [[maybe_unused]] const Cycle firstArrival = u.firstArrival;
+        const Cycle firstArrival = u.firstArrival;
         if (admitLookahead(u.inPort, la, now, now)) {
             ++laReissues_;
             NOC_OBSERVE(observer_,

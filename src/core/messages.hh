@@ -98,9 +98,6 @@ acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now)
         NOC_OBSERVE(obs, {.kind = NetEvent::Kind::FaultDetected,
                           .fault = FaultKind::CreditCorrupt, .node = node,
                           .injectedAt = f.faultAt, .now = now});
-        (void)obs;
-        (void)node;
-        (void)now;
         return false;
     }
     if (f.resync) {

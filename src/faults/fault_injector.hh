@@ -10,9 +10,6 @@
  * call consumes a link id whether or not any fault class applies, the
  * numbering — and therefore each link's fault sequence — is stable
  * across plans that enable different subsets of fault classes.
- *
- * Under -DLOFT_AUDIT=OFF instrument() compiles to nothing and the
- * injector is inert.
  */
 
 #ifndef NOC_FAULTS_FAULT_INJECTOR_HH
@@ -73,7 +70,6 @@ class FaultInjector
     void
     instrument(Channel<T> &ch, LinkClass cls, NodeId receiver)
     {
-#if LOFT_AUDIT_ENABLED
         const std::uint64_t linkId = nextLinkId_++;
         if (!plan_.active())
             return;
@@ -87,11 +83,6 @@ class FaultInjector
             &shared_, rates, receiver, mixSeed(plan_.seed, linkId));
         ch.setFaultHook(site.get());
         sites_.push_back(std::move(site));
-#else
-        (void)ch;
-        (void)cls;
-        (void)receiver;
-#endif
     }
 
     std::size_t faultedLinks() const { return sites_.size(); }

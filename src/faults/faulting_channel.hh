@@ -18,9 +18,6 @@
  * and hand their results to Channel::deliverAt(), which buffers like
  * any other send; the stall stream and the stall window advance only
  * in stalled(), i.e. on the receiver's ready() queries inside its tick.
- *
- * The whole mechanism is compiled out together with the observer hooks
- * under -DLOFT_AUDIT=OFF.
  */
 
 #ifndef NOC_FAULTS_FAULTING_CHANNEL_HH
@@ -71,8 +68,6 @@ class FaultSiteBase
   public:
     virtual ~FaultSiteBase() = default;
 };
-
-#if LOFT_AUDIT_ENABLED
 
 template <typename T>
 class FaultingChannel final : public ChannelFaultHook<T>,
@@ -268,8 +263,6 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     Cycle stallStart_ = 0;
     bool stallReported_ = false;
 };
-
-#endif // LOFT_AUDIT_ENABLED
 
 } // namespace noc
 

@@ -5,10 +5,8 @@
  * delivered. Any lossless in-order network must hand every flow the
  * same flits in the same per-flow packet order, whatever its internal
  * protocol — so LOFT can be checked against the much simpler wormhole
- * baseline as an executable specification.
- *
- * Delivery is observed through the audit instrumentation, so this
- * harness requires a build with LOFT_AUDIT on (the default).
+ * baseline as an executable specification. Delivery is observed
+ * through the audit instrumentation.
  */
 
 #ifndef NOC_HARNESS_DIFFERENTIAL_HH

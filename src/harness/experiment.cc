@@ -82,10 +82,6 @@ FaultPlan
 effectiveFaultPlan(const RunConfig &config)
 {
     FaultPlan plan = config.faults;
-    if (!kAuditCompiledIn) {
-        plan.enabled = false;
-        return plan;
-    }
     if (config.kind != NetKind::Loft) {
         // Look-ahead and LOFT-credit faults have no physical meaning
         // on the wormhole/GSF fabrics; only the shared-fabric classes
@@ -148,7 +144,7 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
     auto *gsf = dynamic_cast<GsfNetwork *>(net.get());
 
     std::unique_ptr<NetworkAuditor> auditor;
-    if (cfg.audit && kAuditCompiledIn)
+    if (cfg.audit)
         auditor = std::make_unique<NetworkAuditor>(*net);
 
     std::unique_ptr<FaultMonitor> monitor;
@@ -156,7 +152,7 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
         monitor = std::make_unique<FaultMonitor>();
 
     std::shared_ptr<TraceCollector> trace;
-    if (cfg.trace.enabled && kAuditCompiledIn) {
+    if (cfg.trace.enabled) {
         TraceConfig tc = cfg.trace;
         if (tc.seed == 0)
             tc.seed = cfg.seed;
@@ -170,7 +166,7 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
     }
 
     std::shared_ptr<TelemetryCollector> telemetry;
-    if (cfg.telemetry.enabled && kAuditCompiledIn) {
+    if (cfg.telemetry.enabled) {
         std::vector<std::uint32_t> class_of;
         for (std::size_t i = 0; i < pattern.flows.size() &&
                                 i < pattern.groups.size();

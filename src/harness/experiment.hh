@@ -65,9 +65,7 @@ struct RunConfig
 
     /**
      * Attach a NetworkAuditor for the run (src/audit). Default on so
-     * every experiment doubles as an invariant check; a no-op in
-     * builds configured with -DLOFT_AUDIT=OFF, where the hooks the
-     * auditor feeds from are compiled out.
+     * every experiment doubles as an invariant check.
      */
     bool audit = true;
 
@@ -75,9 +73,8 @@ struct RunConfig
      * Attach a TelemetryCollector (src/telemetry) for the run. Off by
      * default; set telemetry.enabled = true to turn it on. Composable
      * with `audit` — the harness fans the observer hook out through an
-     * ObserverMux when both are requested. A no-op in builds with
-     * -DLOFT_AUDIT=OFF. The per-flow QoS classes of the collector are
-     * taken from the traffic pattern's group labels.
+     * ObserverMux when both are requested. The per-flow QoS classes of
+     * the collector are taken from the traffic pattern's group labels.
      */
     TelemetryConfig telemetry;
 
@@ -88,8 +85,7 @@ struct RunConfig
      * Passive — the sweep fingerprint and all metrics are bit-identical
      * with tracing on or off, for any worker count. When an auditor is
      * also attached its violations trigger automatic flight-recorder
-     * dumps (trace.dumpDir). trace.seed == 0 inherits the run seed. A
-     * no-op in builds with -DLOFT_AUDIT=OFF.
+     * dumps (trace.dumpDir). trace.seed == 0 inherits the run seed.
      */
     TraceConfig trace;
 
@@ -100,8 +96,7 @@ struct RunConfig
      * channel of the network, attaches a FaultMonitor, and — for LOFT,
      * when faults.autoRecovery — enables loft.recovery. Fault classes
      * that have no physical meaning on the selected network (look-ahead
-     * drops, credit loss/corruption outside LOFT) are ignored there. A
-     * no-op in builds with -DLOFT_AUDIT=OFF.
+     * drops, credit loss/corruption outside LOFT) are ignored there.
      */
     FaultPlan faults;
 
@@ -159,7 +154,7 @@ struct RunResult
      */
     std::vector<double> linkUtilization;
 
-    /// @name Invariant audit (zero when auditing is off / compiled out)
+    /// @name Invariant audit (zero when auditing is off)
     /// @{
     /** Hard violations (everything except the soft watchdog). */
     std::uint64_t auditHardViolations = 0;
@@ -190,18 +185,16 @@ struct RunResult
 
     /**
      * The run's telemetry collector (null unless
-     * RunConfig::telemetry.enabled and the hooks are compiled in).
-     * Epochs are closed and ready for export when runExperiment
-     * returns.
+     * RunConfig::telemetry.enabled). Epochs are closed and ready for
+     * export when runExperiment returns.
      */
     std::shared_ptr<TelemetryCollector> telemetry;
 
     /**
-     * The run's trace collector (null unless RunConfig::trace.enabled
-     * and the hooks are compiled in). finish() has been called; dumps
-     * and span export are ready. NOT serialized into
-     * sweepFingerprint — tracing stays invisible to determinism
-     * identities.
+     * The run's trace collector (null unless RunConfig::trace.enabled).
+     * finish() has been called; dumps and span export are ready. NOT
+     * serialized into sweepFingerprint — tracing stays invisible to
+     * determinism identities.
      */
     std::shared_ptr<TraceCollector> trace;
     /** Rollup of the trace collector (enabled == false when absent). */
@@ -219,8 +212,7 @@ std::unique_ptr<Network> buildNetwork(const RunConfig &config,
 
 /**
  * The fault plan as the harness applies it to @p config: fault classes
- * without physical meaning on the selected network are zeroed, and the
- * whole plan is inert when the hooks are compiled out.
+ * without physical meaning on the selected network are zeroed.
  */
 FaultPlan effectiveFaultPlan(const RunConfig &config);
 

@@ -45,8 +45,7 @@ class Channel;
 /**
  * Fault-injection seam (src/faults). A hook installed on a channel sees
  * every send and may drop, mutate, delay, or re-schedule the value, and
- * may stall delivery. Compiled out with the audit/instrumentation
- * machinery (-DLOFT_AUDIT=OFF); on un-faulted channels the cost is one
+ * may stall delivery. On un-faulted channels the cost is one
  * null-pointer check per send/ready.
  */
 template <typename T>
@@ -90,12 +89,10 @@ class Channel final : public PendingPort
     void
     send(Cycle now, T value)
     {
-#if LOFT_AUDIT_ENABLED
         if (faults_) {
             faults_->processSend(*this, now, std::move(value));
             return;
         }
-#endif
         deliverAt(now + latency_, std::move(value));
     }
 
@@ -139,10 +136,8 @@ class Channel final : public PendingPort
     {
         if (inFlight_.empty())
             return false;
-#if LOFT_AUDIT_ENABLED
         if (faults_ && faults_->stalled(now))
             return false;
-#endif
         return inFlight_.front().first <= now;
     }
 
@@ -213,10 +208,8 @@ class Channel final : public PendingPort
             r->wake();
     }
 
-#if LOFT_AUDIT_ENABLED
     /** Install (or clear) the fault-injection hook. */
     void setFaultHook(ChannelFaultHook<T> *hook) { faults_ = hook; }
-#endif
 
   private:
     /** Per-cycle send burst covered without growth (sends per cycle
@@ -267,11 +260,9 @@ class Channel final : public PendingPort
     /** Sends buffered during a parallel phase (sender thread only). */
     std::vector<std::pair<Cycle, T>> pending_;
     bool concurrent_ = false;
-#if LOFT_AUDIT_ENABLED
     ChannelFaultHook<T> *faults_ = nullptr;
     /** Phase-sanitizer scratch (sim/phase_sanitizer.hh). */
     psan::PortState psan_;
-#endif
 };
 
 /** Credit message for conventional credit-based VC flow control. */

@@ -47,18 +47,15 @@ constexpr std::size_t kReassemblyReserve = 32;
  */
 template <typename ReturnCredits>
 void
-ejectFlit(NodeId node, const Flit &flit,
-          [[maybe_unused]] Cycle corrupted_at, Cycle now,
+ejectFlit(NodeId node, const Flit &flit, Cycle corrupted_at, Cycle now,
           ReassemblyTable &pending, MetricsCollector *metrics,
-          [[maybe_unused]] NetObserver *obs,
-          ReturnCredits &&return_credits)
+          NetObserver *obs, ReturnCredits &&return_credits)
 {
     if (flit.payload != flitPayload(flit.flow, flit.flitNo)) {
         // End-to-end payload check (the software CRC a real NI would
         // run). Header ECC kept the flit routable, so delivery still
         // completes — the damage is detected and announced here.
-        [[maybe_unused]] const Cycle at =
-            corrupted_at ? corrupted_at : now;
+        const Cycle at = corrupted_at ? corrupted_at : now;
         NOC_OBSERVE(obs, {.kind = NetEvent::Kind::FaultDetected,
                           .fault = FaultKind::DataCorrupt, .node = node,
                           .injectedAt = at, .now = now});

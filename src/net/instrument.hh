@@ -2,8 +2,8 @@
  * @file
  * Network instrumentation: a passive observer interface that every
  * network implementation (LOFT, GSF, wormhole) publishes its
- * micro-architectural events to, plus the hook macro that makes the
- * whole mechanism compile-time zero-cost.
+ * micro-architectural events to, plus the hook macro that announces
+ * them.
  *
  * An event is one NetEvent record: a kind tag plus the fields of that
  * kind. Components hold a `NetObserver *` (null by default) and
@@ -12,10 +12,8 @@
  *     NOC_OBSERVE(observer_, {.kind = NetEvent::Kind::FlitEjected,
  *                             .node = node_, .flit = flit, .now = now});
  *
- * which hands the record to NetObserver::consume(). With
- * LOFT_AUDIT_ENABLED == 0 (CMake option -DLOFT_AUDIT=OFF) the macro
- * expands to nothing, so no observer call — not even the null check —
- * remains in the hot path.
+ * which hands the record to NetObserver::consume(). With no observer
+ * attached the hook costs one null-pointer check.
  *
  * The observer sees five groups of events:
  *  - flit life cycle: sourced at an NI, arrived at a router input,
@@ -44,29 +42,16 @@
 #include "net/topology.hh"
 #include "sim/types.hh"
 
-#ifndef LOFT_AUDIT_ENABLED
-#define LOFT_AUDIT_ENABLED 1
-#endif
-
-#if LOFT_AUDIT_ENABLED
 #define NOC_OBSERVE(obs, ...)                                           \
     do {                                                                \
         if (obs)                                                        \
             (obs)->consume(::noc::NetEvent __VA_ARGS__);                \
     } while (0)
-#else
-#define NOC_OBSERVE(obs, ...)                                           \
-    do {                                                                \
-    } while (0)
-#endif
 
 namespace noc
 {
 
 class OutputScheduler;
-
-/** True if instrumentation hooks are compiled into this build. */
-constexpr bool kAuditCompiledIn = LOFT_AUDIT_ENABLED != 0;
 
 /**
  * The injectable fault classes (src/faults). Also the vocabulary of the

@@ -76,11 +76,10 @@ class Network
 
     /**
      * Publish micro-architectural events to @p obs (null detaches).
-     * Implementations distribute the pointer to all their components;
-     * with auditing compiled out the hooks are inert and this is a
-     * no-op. The network holds a single pointer; install an
-     * ObserverMux (net/observer_mux.hh) to fan events out to several
-     * consumers (e.g. auditor + telemetry) at once.
+     * Implementations distribute the pointer to all their components.
+     * The network holds a single pointer; install an ObserverMux
+     * (net/observer_mux.hh) to fan events out to several consumers
+     * (e.g. auditor + telemetry) at once.
      */
     virtual void setObserver(NetObserver *obs) { (void)obs; }
 };

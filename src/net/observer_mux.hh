@@ -9,9 +9,8 @@
  * observers (e.g. the NetworkAuditor and the TelemetryCollector of the
  * same run).
  *
- * The mux is as passive as its targets: it owns nothing, mutates no
- * network state, and with -DLOFT_AUDIT=OFF never receives an event
- * because the NOC_OBSERVE hook sites are compiled out.
+ * The mux is as passive as its targets: it owns nothing and mutates no
+ * network state.
  */
 
 #ifndef NOC_NET_OBSERVER_MUX_HH

@@ -130,15 +130,6 @@ AdmissionController::maxAdmissibleShare(NodeId src, NodeId dst) const
     return static_cast<double>(min_free) / params_.frameSlots();
 }
 
-double
-AdmissionController::residualShare(NodeId node, Port out) const
-{
-    const LinkState &ls = links_[linkIndex(node, out)];
-    return static_cast<double>(params_.frameSlots() -
-                               ls.reservedSlots) /
-           params_.frameSlots();
-}
-
 std::vector<FlowSpec>
 AdmissionController::admittedFlows() const
 {

@@ -55,9 +55,6 @@ class AdmissionController
      */
     double maxAdmissibleShare(NodeId src, NodeId dst) const;
 
-    /** Residual share of a specific link. */
-    double residualShare(NodeId node, Port out) const;
-
     /** Flows currently admitted. */
     std::vector<FlowSpec> admittedFlows() const;
 

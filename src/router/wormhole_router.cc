@@ -61,12 +61,6 @@ WormholeRouter::ivc(std::size_t port, std::uint32_t vc)
     return inputVCs_[port * params_.numVCs + vc];
 }
 
-const WormholeRouter::InputVC &
-WormholeRouter::ivc(std::size_t port, std::uint32_t vc) const
-{
-    return inputVCs_[port * params_.numVCs + vc];
-}
-
 WormholeRouter::OutputVC &
 WormholeRouter::ovc(std::size_t port, std::uint32_t vc)
 {
@@ -280,41 +274,6 @@ std::uint32_t
 WormholeRouter::outputCredits(Port p, std::uint32_t vc) const
 {
     return outputVCs_[portIndex(p) * params_.numVCs + vc].credits;
-}
-
-void
-WormholeRouter::debugDump() const
-{
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        for (std::uint32_t vc = 0; vc < params_.numVCs; ++vc) {
-            const InputVC &v = ivc(p, vc);
-            if (v.state == VCState::Idle && v.count == 0)
-                continue;
-            const char *st = v.state == VCState::Idle ? "Idle"
-                : v.state == VCState::VCWait ? "VCWait" : "Active";
-            std::fprintf(stderr,
-                "  r%u in %s.%u st=%s buf=%u out=%s.%u", id_,
-                portName(static_cast<Port>(p)), vc, st, v.count,
-                portName(v.outPort), v.outVC);
-            if (v.count != 0) {
-                const Flit &f = vcFront(v).flit;
-                std::fprintf(stderr, " head{flow %u frame %llu %s}",
-                    f.flow, (unsigned long long)f.frame,
-                    f.isTail() ? "tail" : f.isHead() ? "head" : "body");
-            }
-            std::fprintf(stderr, "\n");
-        }
-        for (std::uint32_t vc = 0; vc < params_.numVCs; ++vc) {
-            const OutputVC &o = outputVCs_[p * params_.numVCs + vc];
-            if (!o.allocated && o.credits == params_.vcDepthFlits)
-                continue;
-            std::fprintf(stderr,
-                "  r%u out %s.%u alloc=%d drain=%d cred=%u owner=%zu.%u\n",
-                id_, portName(static_cast<Port>(p)), vc,
-                o.allocated ? 1 : 0, o.draining ? 1 : 0, o.credits,
-                o.ownerPort, o.ownerVC);
-        }
-    }
 }
 
 } // namespace noc

@@ -96,9 +96,6 @@ class WormholeRouter final : public Clocked
     /** Free credit count seen for an output VC (testing aid). */
     std::uint32_t outputCredits(Port p, std::uint32_t vc) const;
 
-    /** Print all VC states (debugging aid). */
-    void debugDump() const;
-
   private:
     /** Lifecycle of one input virtual channel. */
     enum class VCState : std::uint8_t
@@ -178,7 +175,6 @@ class WormholeRouter final : public Clocked
     void routeCompute(Cycle now);
 
     InputVC &ivc(std::size_t port, std::uint32_t vc);
-    const InputVC &ivc(std::size_t port, std::uint32_t vc) const;
     OutputVC &ovc(std::size_t port, std::uint32_t vc);
 
     /// @name Fixed-ring VC buffer primitives (over bufStore_).

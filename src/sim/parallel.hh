@@ -299,7 +299,7 @@ class DomainLog : public DomainMerged
      */
     // loft-tidy: steady-state-hot
     bool
-    defer([[maybe_unused]] const char *hook, const Record &r)
+    defer(const char *hook, const Record &r)
     {
         const int d = par::currentDomain();
         if (d == par::kDirect || !open_) {

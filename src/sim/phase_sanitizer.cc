@@ -50,8 +50,6 @@ setEnabledForTest(int v)
     g_enabled.store(v < 0 ? -1 : (v != 0), std::memory_order_relaxed);
 }
 
-#if LOFT_AUDIT_ENABLED
-
 void
 violation(const char *owner, const char *method, const char *rule)
 {
@@ -148,25 +146,6 @@ resetPort(PortState &st)
     st.sendCycle = kNeverCycle;
     st.recvOwner = nullptr;
 }
-
-#else // !LOFT_AUDIT_ENABLED: keep the API linkable in audit-off builds
-
-void
-violation(const char *owner, const char *method, const char *rule)
-{
-    panic("PhaseSanitizer: %s::%s: %s (compiled out)", owner, method,
-          rule);
-}
-
-void checkBarrierSeam(const char *, const char *) {}
-void checkChannelSend(PortState &) {}
-void checkChannelReceive(PortState &) {}
-void checkDeferredBuffer(const char *, const char *) {}
-void checkDirectDelivery(const char *, const char *) {}
-void checkWake(int) {}
-void resetPort(PortState &) {}
-
-#endif // LOFT_AUDIT_ENABLED
 
 } // namespace psan
 } // namespace noc

@@ -27,9 +27,7 @@
  * as its domain's phase starts, i.e. some mutation from outside its
  * tick skipped wake() (the missed-wake oracle in Simulator::runDomain).
  *
- * Cost model: compiled out entirely with the audit layer
- * (-DLOFT_AUDIT=OFF — every macro below expands to nothing); when
- * compiled in, disabled shims cost one relaxed atomic load and a
+ * Cost model: disabled shims cost one relaxed atomic load and a
  * predictable branch, and the sanitizer is enabled per-process with
  * LOFT_PHASE_SANITIZER=1 (or psan::setEnabledForTest from tests). The
  * shims only read simulation state, so enabling the sanitizer cannot
@@ -43,12 +41,6 @@
 #include <cstdint>
 
 #include "sim/types.hh"
-
-// Mirrors net/instrument.hh (sim/ cannot include net/): the sanitizer
-// is part of the audit/instrumentation layer and compiles out with it.
-#ifndef LOFT_AUDIT_ENABLED
-#define LOFT_AUDIT_ENABLED 1
-#endif
 
 namespace noc
 {
@@ -68,9 +60,6 @@ const char *simPhaseName(SimPhase p);
 namespace psan
 {
 
-/** True when the sanitizer machinery is compiled into this build. */
-constexpr bool kCompiledIn = LOFT_AUDIT_ENABLED != 0;
-
 /** Cached LOFT_PHASE_SANITIZER tristate: -1 unknown, 0 off, 1 on. */
 extern std::atomic<int> g_enabled;
 
@@ -83,14 +72,10 @@ void setEnabledForTest(int v);
 inline bool
 enabled()
 {
-#if LOFT_AUDIT_ENABLED
     const int e = g_enabled.load(std::memory_order_relaxed);
     if (e >= 0)
         return e != 0;
     return enabledSlow();
-#else
-    return false;
-#endif
 }
 
 /** Per-thread phase tag, stamped by the Simulator's parallel loop. */
@@ -100,15 +85,13 @@ struct ThreadState
     Cycle cycle = 0;
 };
 
-#if LOFT_AUDIT_ENABLED
 inline thread_local ThreadState tlPhase;
-#endif
 
 /**
- * Per-channel sanitizer scratch (lives in Channel under the audit
- * gate). Owners are thread identities (&tlPhase); in a correct run each
- * field is only ever written by the one thread that legitimately owns
- * the seam, so the scratch itself introduces no data race.
+ * Per-channel sanitizer scratch (lives in Channel). Owners are thread
+ * identities (&tlPhase); in a correct run each field is only ever
+ * written by the one thread that legitimately owns the seam, so the
+ * scratch itself introduces no data race.
  */
 struct PortState
 {
@@ -134,8 +117,6 @@ void resetPort(PortState &st);
 
 } // namespace psan
 } // namespace noc
-
-#if LOFT_AUDIT_ENABLED
 
 /** Stamp the calling thread's (phase, cycle). Simulator only. */
 #define LOFT_PSAN_SET_PHASE(phase_, cycle_)                              \
@@ -194,18 +175,5 @@ void resetPort(PortState &st);
         if (::noc::psan::enabled())                                      \
             ::noc::psan::checkWake(domain_);                             \
     } while (0)
-
-#else // !LOFT_AUDIT_ENABLED — zero cost, argument tokens discarded
-
-#define LOFT_PSAN_SET_PHASE(phase_, cycle_) ((void)0)
-#define LOFT_PSAN_BARRIER_SEAM(owner_, method_) ((void)0)
-#define LOFT_PSAN_CHANNEL_SEND(st_) ((void)0)
-#define LOFT_PSAN_CHANNEL_RECEIVE(st_) ((void)0)
-#define LOFT_PSAN_DEFERRED_BUFFER(owner_, hook_) ((void)0)
-#define LOFT_PSAN_DIRECT_DELIVERY(owner_, hook_) ((void)0)
-#define LOFT_PSAN_PORT_RESET(st_) ((void)0)
-#define LOFT_PSAN_WAKE(domain_) ((void)0)
-
-#endif // LOFT_AUDIT_ENABLED
 
 #endif // NOC_SIM_PHASE_SANITIZER_HH

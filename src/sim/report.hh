@@ -73,7 +73,6 @@ class ReportDocument
     void add(ReportTable table) { tables_.push_back(std::move(table)); }
 
     const std::string &title() const { return title_; }
-    std::size_t numTables() const { return tables_.size(); }
     const ReportTable &table(std::size_t i) const
     {
         return tables_.at(i);

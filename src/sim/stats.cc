@@ -58,58 +58,6 @@ RunningStat::merge(const RunningStat &other)
     max_ = std::max(max_, other.max_);
 }
 
-Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : bucketWidth_(bucket_width), buckets_(num_buckets, 0)
-{
-    if (bucket_width <= 0.0 || num_buckets == 0)
-        panic("Histogram requires positive bucket width and count");
-}
-
-void
-Histogram::sample(double x)
-{
-    ++count_;
-    maxSample_ = std::max(maxSample_, x);
-    if (x < 0.0)
-        x = 0.0;
-    // Compare in double before converting: casting a quotient that
-    // exceeds size_t range (huge samples, inf, NaN) to size_t is UB.
-    // The !(<) form also routes NaN into the overflow bucket.
-    const double idx = x / bucketWidth_;
-    if (!(idx < static_cast<double>(buckets_.size())))
-        ++overflow_;
-    else
-        ++buckets_[static_cast<std::size_t>(idx)];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    count_ = 0;
-    maxSample_ = 0.0;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (count_ == 0)
-        return 0.0;
-    p = std::clamp(p, 0.0, 1.0);
-    const double target = p * static_cast<double>(count_);
-    double cum = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const double next = cum + static_cast<double>(buckets_[i]);
-        if (next >= target && buckets_[i] > 0) {
-            const double frac = (target - cum) / static_cast<double>(buckets_[i]);
-            return (static_cast<double>(i) + frac) * bucketWidth_;
-        }
-        cum = next;
-    }
-    return maxSample_;
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t num_buckets)
     : buckets_(num_buckets, 0)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: counters, running mean/stddev,
- * histograms, and a named group that can be printed or reset (used to
- * discard warmup samples).
+ * Lightweight statistics primitives: running mean/stddev, a
+ * log-bucketed histogram, and a fairness summary.
  */
 
 #ifndef NOC_SIM_STATS_HH
@@ -17,18 +16,6 @@
 
 namespace noc
 {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t n = 1) { value_ += n; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Streaming mean / variance / min / max via Welford's algorithm.
@@ -59,35 +46,6 @@ class RunningStat
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-/**
- * Fixed-bucket histogram over [0, bucketWidth * numBuckets), with an
- * overflow bucket. Used for packet latency distributions.
- */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width = 16.0, std::size_t num_buckets = 64);
-
-    void sample(double x);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-    std::uint64_t overflow() const { return overflow_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    double bucketWidth() const { return bucketWidth_; }
-
-    /** p in [0, 1]; linear interpolation within the bucket. */
-    double percentile(double p) const;
-
-  private:
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
-    double maxSample_ = 0.0;
 };
 
 /**

@@ -13,6 +13,9 @@ namespace noc
 namespace
 {
 
+/** Hard cap on buffered trace events; overflow is counted. */
+constexpr std::size_t kMaxTraceEvents = 200000;
+
 /** Lane display names: the router ports, then the NI. */
 const char *
 laneName(std::size_t lane)
@@ -84,7 +87,7 @@ TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
       schedOfLane_(numNodes_ * kNumLanes, nullptr),
       classOf_(std::move(class_of)),
       classNames_(std::move(class_names)),
-      trace_(config.maxTraceEvents)
+      trace_(kMaxTraceEvents)
 {
     if (cfg_.epochCycles == 0)
         panic("TelemetryCollector: epochCycles must be positive");
@@ -99,9 +102,8 @@ TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
             csprintf("class%zu", classNames_.size()));
     live_.reserve(1024);
     // Trace metadata: one process, one track (tid) per node.
-    if (cfg_.tracePackets || cfg_.traceFlits) {
-        trace_.reserve(std::min<std::size_t>(cfg_.maxTraceEvents,
-                                             1 << 14));
+    if (cfg_.tracePackets) {
+        trace_.reserve(1 << 14);
         trace_.metadata("{\"name\":\"process_name\",\"ph\":\"M\","
                         "\"pid\":1,\"args\":{\"name\":\"loft-noc\"}}");
         for (std::size_t n = 0; n < numNodes_; ++n)
@@ -181,8 +183,7 @@ void
 TelemetryCollector::onPacketAccepted(NodeId node, const Packet &pkt,
                                      Cycle now)
 {
-    live_[pkt.id] =
-        LivePacket{pkt.flow, pkt.src, pkt.dst, pkt.createdAt};
+    live_[pkt.id] = LivePacket{pkt.flow, pkt.src, pkt.dst, now};
     if (cfg_.tracePackets) {
         traceEvent(csprintf(
             "{\"cat\":\"packet\",\"name\":\"flow%u\",\"ph\":\"b\","
@@ -218,9 +219,8 @@ TelemetryCollector::onFlitArrived(NodeId node, Port in, const Flit &flit,
 }
 
 void
-TelemetryCollector::onFlitForwarded(NodeId node, Port out,
-                                    const Flit &flit, bool spec,
-                                    Cycle now)
+TelemetryCollector::onFlitForwarded(NodeId node, Port out, const Flit &,
+                                    bool spec, Cycle)
 {
     LaneCounters &c = laneRef(node, portIndex(out));
     ++c.flitsForwarded;
@@ -228,15 +228,6 @@ TelemetryCollector::onFlitForwarded(NodeId node, Port out,
         ++c.specForwards;
     if (buffered_[node] > 0)
         --buffered_[node];
-    if (cfg_.traceFlits) {
-        traceEvent(csprintf(
-            "{\"cat\":\"flit\",\"name\":\"fwd %s\",\"ph\":\"i\","
-            "\"s\":\"t\",\"pid\":1,\"tid\":%u,\"ts\":%" PRIu64
-            ",\"args\":{\"flow\":%u,\"flit\":%" PRIu64
-            ",\"spec\":%d}}",
-            portName(out), node, now, flit.flow, flit.flitNo,
-            spec ? 1 : 0));
-    }
 }
 
 void

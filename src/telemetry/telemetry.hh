@@ -15,16 +15,13 @@
  *    MetricsCollector, which owns the per-flow and network-wide
  *    window statistics;
  *  - a Chrome trace-event JSON (loadable in Perfetto / about:tracing)
- *    of packet lifecycle spans keyed by packet id, optionally with
- *    per-flit hop instants;
+ *    of packet lifecycle spans keyed by packet id;
  *  - CSV exports: the epoch time series and a width x height
  *    link-utilization heatmap.
  *
  * Like the auditor, the collector only observes — an instrumented run
- * is cycle-for-cycle identical to a bare one — and in builds with
- * -DLOFT_AUDIT=OFF it is never constructed because the hook sites it
- * feeds from are compiled out. See docs/TELEMETRY.md for the export
- * schemas.
+ * is cycle-for-cycle identical to a bare one. See docs/TELEMETRY.md
+ * for the export schemas.
  */
 
 #ifndef NOC_TELEMETRY_TELEMETRY_HH
@@ -56,10 +53,6 @@ struct TelemetryConfig
     Cycle epochCycles = 1000;
     /** Emit packet lifecycle spans into the Chrome trace. */
     bool tracePackets = true;
-    /** Also emit one instant event per flit forward (verbose). */
-    bool traceFlits = false;
-    /** Hard cap on buffered trace events; overflow is counted. */
-    std::size_t maxTraceEvents = 200000;
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "sim/logging.hh"
+#include "sim/report.hh"
 #include "sim/rng.hh"
 
 namespace noc
@@ -12,6 +13,13 @@ namespace noc
 
 namespace
 {
+
+/** Flight-recorder ring capacity, events per node. */
+constexpr std::size_t kFlightRingEvents = 128;
+/** Blame ring capacity, forwards per (node, lane). */
+constexpr std::size_t kBlameRingEvents = 256;
+/** Interference-matrix entries exported into the summary and dump. */
+constexpr std::size_t kMaxInterferencePairs = 64;
 
 /** Flight-recorder event vocabulary (FlightEvent::kind). */
 enum FlightKind : std::uint8_t
@@ -75,25 +83,6 @@ traceLaneName(std::size_t lane)
     if (lane < kNumPorts)
         return portName(static_cast<Port>(lane));
     return "NI";
-}
-
-/** Minimal JSON string escaping (quotes/backslash/control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    return out;
 }
 
 /** `"stages":{...}` fragment shared by summary/flow/exemplar rows. */
@@ -164,7 +153,6 @@ mergeTraceSummaries(const std::vector<TraceSummary> &parts)
 {
     TraceSummary out;
     std::map<std::pair<FlowId, FlowId>, std::uint64_t> matrix;
-    std::size_t cap = 0;
     for (const TraceSummary &p : parts) {
         if (!p.enabled)
             continue;
@@ -177,12 +165,10 @@ mergeTraceSummaries(const std::vector<TraceSummary> &parts)
             out.stageCycles[s] += p.stageCycles[s];
         out.blameAttributed += p.blameAttributed;
         out.blameUnattributed += p.blameUnattributed;
-        cap = std::max(cap, p.topInterference.size());
         for (const TraceInterference &i : p.topInterference)
             matrix[{i.victim, i.aggressor}] += i.cycles;
     }
-    out.topInterference =
-        rankInterference(matrix, std::max<std::size_t>(cap, 64));
+    out.topInterference = rankInterference(matrix, kMaxInterferencePairs);
     return out;
 }
 
@@ -196,8 +182,7 @@ TraceCollector::TraceCollector(const Mesh2D &mesh, TraceConfig config,
 {
     live_.reserve(1024);
     blameRings_.resize(numNodes_ * kNumLanes);
-    if (cfg_.flightRecorder)
-        flight_.resize(numNodes_);
+    flight_.resize(numNodes_);
 }
 
 void
@@ -227,10 +212,8 @@ void
 TraceCollector::notePortBusy(NodeId node, std::size_t lane, FlowId flow,
                              Cycle now)
 {
-    if (cfg_.blameRingEvents == 0)
-        return;
     BlameRing &ring = blameRings_[laneIndex(node, lane)];
-    if (ring.buf.size() < cfg_.blameRingEvents) {
+    if (ring.buf.size() < kBlameRingEvents) {
         ring.buf.emplace_back(now, flow);
         return;
     }
@@ -244,8 +227,6 @@ TraceCollector::noteFlight(NodeId node, std::uint8_t kind, FlowId flow,
                            std::size_t lane, bool spec, std::uint64_t a,
                            Cycle now)
 {
-    if (!cfg_.flightRecorder || cfg_.flightRingEvents == 0)
-        return;
     FlightRing &ring = flight_[node];
     FlightEvent e;
     e.cycle = now;
@@ -254,7 +235,7 @@ TraceCollector::noteFlight(NodeId node, std::uint8_t kind, FlowId flow,
     e.lane = static_cast<std::uint8_t>(lane);
     e.spec = spec;
     e.a = a;
-    if (ring.buf.size() < cfg_.flightRingEvents) {
+    if (ring.buf.size() < kFlightRingEvents) {
         ring.buf.push_back(e);
         return;
     }
@@ -755,7 +736,7 @@ TraceCollector::summary() const
     s.blameAttributed = blameAttributed_;
     s.blameUnattributed = blameUnattributed_;
     s.topInterference =
-        rankInterference(interference_, cfg_.maxInterferencePairs);
+        rankInterference(interference_, kMaxInterferencePairs);
     return s;
 }
 
@@ -781,7 +762,7 @@ TraceCollector::dumpJson(const std::string &reason, Cycle now) const
                     ",\"unattributed\":%" PRIu64 ",\"pairs\":[",
                     blameAttributed_, blameUnattributed_);
     const std::vector<TraceInterference> pairs =
-        rankInterference(interference_, cfg_.maxInterferencePairs);
+        rankInterference(interference_, kMaxInterferencePairs);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         out += csprintf("%s{\"victim\":%u,\"aggressor\":%u,"
                         "\"cycles\":%" PRIu64 "}",
@@ -877,7 +858,7 @@ TraceCollector::dumpJson(const std::string &reason, Cycle now) const
         // Logical ring order, oldest first.
         const std::size_t sz = ring.buf.size();
         const std::size_t start =
-            sz < cfg_.flightRingEvents ? 0 : ring.head;
+            sz < kFlightRingEvents ? 0 : ring.head;
         for (std::size_t i = 0; i < sz; ++i) {
             const FlightEvent &e = ring.buf[(start + i) % sz];
             out += csprintf("%s{\"cycle\":%" PRIu64

@@ -43,9 +43,7 @@
  * RNG stream — sampling is a mixSeed hash of the packet id — and
  * sits downstream of the DeferredObserver merge), so results and
  * dumps are bit-identical for any worker count, and runs are
- * cycle-identical with tracing on or off. With -DLOFT_AUDIT=OFF it is
- * never constructed because its hook sites are compiled out. See
- * docs/TRACING.md.
+ * cycle-identical with tracing on or off. See docs/TRACING.md.
  */
 
 #ifndef NOC_TRACE_TRACE_HH
@@ -85,16 +83,8 @@ struct TraceConfig
      *  regardless of sampling (the >= p99 tail of any run with
      *  >= 100/K packets per flow). */
     std::uint32_t tailExemplars = 8;
-    /** Flight-recorder ring capacity, events per node. */
-    std::uint32_t flightRingEvents = 128;
-    /** Blame ring capacity, forwards per (node, lane). */
-    std::uint32_t blameRingEvents = 256;
-    /** Interference-matrix entries exported into the summary/dump. */
-    std::uint32_t maxInterferencePairs = 64;
     /** Cap on buffered Chrome trace span events. */
     std::size_t maxSpanEvents = 100000;
-    /** Keep the per-router flight recorder rings. */
-    bool flightRecorder = true;
     /** Directory for automatic postmortem / end-of-run dump files
      *  (empty disables file output; dumpJson() always works). */
     std::string dumpDir;
@@ -146,7 +136,7 @@ struct TraceSummary
     /** Stall cycles with no competing forward in the ring window. */
     std::uint64_t blameUnattributed = 0;
     /** Largest interference pairs, descending by cycles (then by
-     *  victim, aggressor), capped at maxInterferencePairs. */
+     *  victim, aggressor), capped at 64 entries. */
     std::vector<TraceInterference> topInterference;
 };
 
@@ -175,7 +165,7 @@ class TraceCollector final : public NetObserver
   public:
     /**
      * @param mesh            topology (dumps bake the dimensions in).
-     * @param config          sampling / ring / dump knobs.
+     * @param config          sampling / span / dump knobs.
      * @param kind_name       NetKind label for dumps ("loft", ...).
      * @param cycles_per_slot LOFT quantum slot length in cycles; 0 on
      *                        fabrics without slot reservations, which

@@ -269,22 +269,16 @@ TEST(SteadyState, LoftUniform16MeasurePhaseIsAllocationFree)
 
 TEST(SteadyState, LoftWithAuditIsAllocationFree)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     expectZeroSteadyAllocs(NetKind::Loft, true);
 }
 
 TEST(SteadyState, GsfWithAuditIsAllocationFree)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     expectZeroSteadyAllocs(NetKind::Gsf, true);
 }
 
 TEST(SteadyState, WormholeWithAuditIsAllocationFree)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     expectZeroSteadyAllocs(NetKind::Wormhole, true);
 }
 

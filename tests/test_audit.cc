@@ -7,19 +7,26 @@
  *    conservation or the reservation protocol;
  *  - deliberately corrupted component state (a reservation-table
  *    entry, a virtual-credit counter) is reported within one frame
- *    window, proving the auditor is live, not vacuously quiet;
+ *    window, proving the auditor is live, not vacuously quiet, and
+ *    a violation triggers one trace postmortem dump per kind;
  *  - the deadlock/starvation watchdog trips on stalled flits and is
  *    soft (excluded from the hard violation count).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "audit/network_auditor.hh"
 #include "harness/experiment.hh"
+#include "net/observer_mux.hh"
 #include "qos/allocation.hh"
 #include "sim/rng.hh"
+#include "trace/trace.hh"
 #include "traffic/generator.hh"
 
 namespace noc
@@ -90,18 +97,13 @@ TEST(SpeculativeReordering, AuditCleanWithSpeculationExercised)
     TrafficPattern p = uniformPattern(mesh);
     setEqualSharesByMaxFlows(p.flows, 16);
     const RunResult r = runExperiment(c, p, 0.15);
-    if (kAuditCompiledIn) {
-        EXPECT_GT(r.speculativeForwards, 0u)
-            << "speculation not exercised; property vacuous";
-    }
+    EXPECT_GT(r.speculativeForwards, 0u)
+        << "speculation not exercised; property vacuous";
     EXPECT_EQ(r.auditHardViolations, 0u) << r.auditReport;
 }
 
 TEST(SpeculativeReordering, DrainedRunLeavesEmptyLedger)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     Mesh2D mesh(4, 4);
     LoftParams p;
     p.frameSizeFlits = 64;
@@ -231,27 +233,33 @@ struct FaultRig
         }
         return best;
     }
+
+    /**
+     * Run until a booking departs at least two deep-audit periods
+     * ahead, so an audit is guaranteed to inspect it while still live,
+     * and corrupt its flow. Returns the corruption cycle, or nullopt
+     * when no such booking turned up.
+     */
+    std::optional<Cycle>
+    corruptFutureBooking()
+    {
+        sim.run(500);
+        for (int attempt = 0; attempt < 100; ++attempt) {
+            sim.run(20);
+            if (const auto v = findFutureBooking(params.frameSizeFlits / 2)) {
+                v->sched->debugCorruptBookingFlow(v->slot);
+                return sim.now();
+            }
+        }
+        return std::nullopt;
+    }
 };
 
 TEST(FaultInjection, CorruptedReservationEntryDetectedWithinWindow)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     FaultRig rig;
-    rig.sim.run(500);
-
-    std::optional<FaultRig::Victim> v;
-    for (int attempt = 0; attempt < 100 && !v; ++attempt) {
-        rig.sim.run(20);
-        // Departure at least two deep-audit periods away: an audit is
-        // guaranteed to inspect the corrupted entry while still live.
-        v = rig.findFutureBooking(rig.params.frameSizeFlits / 2);
-    }
-    ASSERT_TRUE(v) << "no future booking found to corrupt";
-
-    const Cycle corrupted = rig.sim.now();
-    v->sched->debugCorruptBookingFlow(v->slot);
+    const std::optional<Cycle> corrupted = rig.corruptFutureBooking();
+    ASSERT_TRUE(corrupted) << "no future booking found to corrupt";
     ASSERT_EQ(rig.auditor->countOf(AuditKind::StateMismatch), 0u);
 
     rig.sim.run(rig.frameWindowCycles());
@@ -261,17 +269,62 @@ TEST(FaultInjection, CorruptedReservationEntryDetectedWithinWindow)
     bool inTime = false;
     for (const auto &viol : rig.auditor->violations()) {
         if (viol.kind == AuditKind::StateMismatch &&
-            viol.cycle <= corrupted + rig.frameWindowCycles())
+            viol.cycle <= *corrupted + rig.frameWindowCycles())
             inTime = true;
     }
     EXPECT_TRUE(inTime) << rig.auditor->report();
 }
 
+TEST(FaultInjection, PostmortemWritesOneTraceDumpPerKind)
+{
+    // runExperiment's postmortem wiring, by hand: every recorded
+    // violation asks the trace collector for a flight-recorder dump.
+    FaultRig rig;
+    const std::string dir = ::testing::TempDir() + "/loft_audit_postmortem";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    TraceConfig tc;
+    tc.dumpDir = dir;
+    TraceCollector trace(rig.mesh, tc, "loft", rig.params.quantumFlits);
+    ObserverMux mux;
+    mux.add(rig.auditor.get());
+    mux.add(&trace);
+    rig.net->setObserver(&mux);
+    rig.auditor->setPostmortem([&trace](AuditKind kind, Cycle now) {
+        return trace.dumpToFile(std::string("audit_") + auditKindName(kind),
+                                now);
+    });
+
+    ASSERT_TRUE(rig.corruptFutureBooking())
+        << "no future booking found to corrupt";
+    rig.sim.run(rig.frameWindowCycles());
+    ASSERT_GE(rig.auditor->countOf(AuditKind::StateMismatch), 1u)
+        << rig.auditor->report();
+
+    // One file per violated kind, however often it fired, and the
+    // first record of each kind names its file.
+    std::vector<std::string> want;
+    for (std::size_t k = 0; k < kNumAuditKinds; ++k) {
+        const auto kind = static_cast<AuditKind>(k);
+        if (rig.auditor->countOf(kind) == 0)
+            continue;
+        const std::string path = dir + "/trace_audit_" +
+                                 auditKindName(kind) + ".json";
+        want.push_back(path);
+        EXPECT_NE(rig.auditor->report().find(path), std::string::npos)
+            << rig.auditor->report();
+    }
+    std::vector<std::string> got;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        got.push_back(entry.path().string());
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(FaultInjection, CorruptedCreditCounterDetectedWithinWindow)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     FaultRig rig;
     rig.sim.run(500);
 
@@ -298,9 +351,6 @@ TEST(FaultInjection, CorruptedCreditCounterDetectedWithinWindow)
 
 TEST(FaultInjection, DeepAuditReportsSchedulersInFirstSeenOrder)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     FaultRig rig;
     rig.sim.run(500);
 

@@ -274,13 +274,6 @@ corruptSchedulers(LoftNetwork &net)
 
 class AuditOracle : public ::testing::TestWithParam<NetKind>
 {
-  protected:
-    void
-    SetUp() override
-    {
-        if (!kAuditCompiledIn)
-            GTEST_SKIP() << "instrumentation compiled out";
-    }
 };
 
 TEST_P(AuditOracle, CleanRunAgrees)
@@ -329,8 +322,6 @@ INSTANTIATE_TEST_SUITE_P(Networks, AuditOracle,
 
 TEST(AuditOracleFaults, LoftFaultPlanAgrees)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     RunConfig c = oracleConfig(NetKind::Loft);
     c.faults.enabled = true;
     c.faults.lookaheadDropRate = 1e-3;

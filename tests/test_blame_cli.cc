@@ -149,8 +149,6 @@ TEST(BlameCli, RejectsMalformedInput)
 
 TEST(BlameCli, RealDumpRoundTrips)
 {
-    if (!noc::kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     noc::RunConfig c;
     c.kind = noc::NetKind::Loft;
     c.meshWidth = 4;

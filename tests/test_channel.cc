@@ -186,7 +186,6 @@ TEST(ChannelMail, LateDeliveryLandingMidQueueKeepsTheBit)
     EXPECT_EQ(r.mail(), 0u);
 }
 
-#if LOFT_AUDIT_ENABLED
 /** A fault hook that holds every delivery back until a fixed cycle. */
 class StuckLink final : public ChannelFaultHook<int>
 {
@@ -229,7 +228,6 @@ TEST(ChannelMail, StalledLinkKeepsTheBitWhileNotReady)
     EXPECT_EQ(ch.receive(8), 9);
     EXPECT_EQ(r.mail(), 0u);
 }
-#endif // LOFT_AUDIT_ENABLED
 
 TEST(ChannelMail, TwoChannelsOnOneReaderKeepIndependentBits)
 {

@@ -84,9 +84,6 @@ class DifferentialSweep : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(DifferentialSweep, LoftMatchesWormholeReference)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     const Trace trace = randomTrace(GetParam(), 120, 3000);
 
     const ReplayOutcome loft = replayTrace(loftConfig(), trace);
@@ -114,9 +111,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSweep,
 
 TEST(Differential, SpeculationOffStillMatchesReference)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     const Trace trace = randomTrace(5, 80, 2000);
     RunConfig plain = loftConfig();
     plain.loft.speculativeSwitching = false;
@@ -132,9 +126,6 @@ TEST(Differential, SpeculationOffStillMatchesReference)
 
 TEST(Differential, ReplayLogMatchesTrace)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     // The single-VC wormhole reference is a strict per-flow FIFO, so
     // its log must hold each flow's trace flits and packets in trace
     // order (the replayer numbers packets 1 + trace index).

@@ -65,10 +65,8 @@ TEST(FaultInjector, SkipsClassesWithoutApplicableRates)
     Channel<ActualCreditMsg> credit(1);
     inj.instrument(data, LinkClass::DataFlit, 0);
     inj.instrument(credit, LinkClass::ActualCredit, 0);
-    EXPECT_EQ(inj.faultedLinks(), kAuditCompiledIn ? 1u : 0u);
+    EXPECT_EQ(inj.faultedLinks(), 1u);
 }
-
-#if LOFT_AUDIT_ENABLED
 
 /** Records every onFault* event for the channel-level tests. */
 struct RecordingObserver final : NetObserver
@@ -303,8 +301,6 @@ TEST(FaultingChannel, StreamsAreDeterministicPerSeed)
     EXPECT_NE(trace(7), trace(8));
 }
 
-#endif // LOFT_AUDIT_ENABLED
-
 /// ---------------------------------------------------------------
 /// End-to-end: faulted runs through the experiment harness.
 /// ---------------------------------------------------------------
@@ -345,9 +341,6 @@ countOf(const std::array<std::uint64_t, kNumFaultKinds> &a, FaultKind k)
 
 TEST(FaultRuns, EveryClassInjectedDetectedAndSurvivedOnLoft)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "fault hooks compiled out";
-
     const RunResult r = faultyRun(faultyLoft(42, allFaultsPlan(1e-3)));
 
     for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
@@ -372,9 +365,6 @@ TEST(FaultRuns, EveryClassInjectedDetectedAndSurvivedOnLoft)
 
 TEST(FaultRuns, LookaheadDropsAreReissuedByRecovery)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "fault hooks compiled out";
-
     FaultPlan plan;
     plan.enabled = true;
     plan.lookaheadDropRate = 2e-3;
@@ -392,9 +382,6 @@ TEST(FaultRuns, LookaheadDropsAreReissuedByRecovery)
 
 TEST(FaultRuns, FaultedRunsAreDeterministic)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "fault hooks compiled out";
-
     const RunConfig c = faultyLoft(42, allFaultsPlan(1e-3));
     EXPECT_EQ(sweepFingerprint(faultyRun(c)),
               sweepFingerprint(faultyRun(c)));
@@ -407,9 +394,6 @@ TEST(FaultRuns, FaultedRunsAreDeterministic)
 
 TEST(FaultRuns, NonLoftNetworksSeeOnlyFabricFaultClasses)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "fault hooks compiled out";
-
     for (const NetKind kind : {NetKind::Wormhole, NetKind::Gsf}) {
         RunConfig c = faultyLoft(42, allFaultsPlan(1e-3));
         c.kind = kind;
@@ -426,17 +410,6 @@ TEST(FaultRuns, NonLoftNetworksSeeOnlyFabricFaultClasses)
         EXPECT_GT(countOf(r.faultsDetected, FaultKind::DataCorrupt), 0u);
         EXPECT_GT(r.packetSurvivalRate, 0.9);
     }
-}
-
-TEST(FaultRuns, PlanIsInertWhenHooksCompiledOut)
-{
-    if (kAuditCompiledIn)
-        GTEST_SKIP() << "covered by the audit-off CI job";
-
-    const RunResult r = faultyRun(faultyLoft(42, allFaultsPlan(1e-2)));
-    for (std::size_t k = 0; k < kNumFaultKinds; ++k)
-        EXPECT_EQ(r.faultsInjected[k], 0u);
-    EXPECT_EQ(r.packetSurvivalRate, 1.0);
 }
 
 } // namespace

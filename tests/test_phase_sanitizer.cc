@@ -60,8 +60,6 @@ smallPattern()
 
 TEST(PhaseSanitizerDeathTest, FlushPendingInsidePartitionedPhaseAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
@@ -80,8 +78,6 @@ TEST(PhaseSanitizerDeathTest, FlushPendingInsidePartitionedPhaseAborts)
 
 TEST(PhaseSanitizerDeathTest, SendWhileBarrierPublishesAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
@@ -99,8 +95,6 @@ TEST(PhaseSanitizerDeathTest, SendWhileBarrierPublishesAborts)
 
 TEST(PhaseSanitizerDeathTest, MergeDomainsInsidePartitionedPhaseAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
@@ -116,8 +110,6 @@ TEST(PhaseSanitizerDeathTest, MergeDomainsInsidePartitionedPhaseAborts)
 
 TEST(PhaseSanitizerDeathTest, DirectDeliveryInsidePartitionedPhaseAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // A shared consumer whose hook takes the direct path while the
     // partitioned phase runs: exactly the PR-6 bug class at runtime.
@@ -134,8 +126,6 @@ TEST(PhaseSanitizerDeathTest, DirectDeliveryInsidePartitionedPhaseAborts)
 
 TEST(PhaseSanitizerDeathTest, LeakedDomainContextAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // A thread still claiming a domain after the partitioned phase
     // ended would keep buffering events the barrier already merged.
@@ -174,8 +164,6 @@ class Napper final : public Clocked
 
 TEST(PhaseSanitizerDeathTest, MutationWithoutWakeAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // A hands b work from its tick but forgets b.wake(): b stays
     // asleep though no longer quiescent, and the next phase start
@@ -202,8 +190,6 @@ TEST(PhaseSanitizerDeathTest, MutationWithoutWakeAborts)
 
 TEST(PhaseSanitizerDeathTest, CrossDomainWakeAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // Keys 0 and 3 split into domains 0 and 1 at two workers; domain
     // 1's bitset belongs to the worker thread during the phase.
@@ -247,8 +233,6 @@ class PostDropper final : public Clocked
 
 TEST(PhaseSanitizerDeathTest, LostPostAborts)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // The value sent at cycle 2 wakes the reader for cycle 3, whose
     // tick drops the post with the value still queued: the reader
@@ -282,8 +266,6 @@ TEST(PhaseSanitizerDeathTest, LostPostAborts)
 
 TEST(PhaseSanitizer, DisabledShimsAreInert)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     Channel<int> ch;
     ch.setConcurrent(true);
     psan::setEnabledForTest(1);
@@ -308,8 +290,6 @@ TEST(PhaseSanitizer, DisabledShimsAreInert)
 
 TEST(PhaseSanitizer, FingerprintIdenticalWithSanitizerEnabled)
 {
-    if (!psan::kCompiledIn)
-        GTEST_SKIP() << "audit layer compiled out (-DLOFT_AUDIT=OFF)";
     const TrafficPattern pattern = smallPattern();
     RunConfig nonspec = smallConfig(NetKind::Loft);
     nonspec.loft.speculativeSwitching = false;

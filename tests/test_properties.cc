@@ -316,9 +316,6 @@ class ConditionOne : public ::testing::TestWithParam<SchedCase>
 
 TEST_P(ConditionOne, RandomReservationMixNeverBreaksConditionOne)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     const SchedCase sc = GetParam();
     LoftParams p;
     p.quantumFlits = 1;
@@ -383,9 +380,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConditionOneFuture, AggressiveFlowIsPushedIntoFutureFrames)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     // One flow requesting every cycle with prompt credit returns runs
     // ahead of the head frame, so condition (1) actually gets
     // exercised on future-frame grants (not vacuously true).

@@ -184,9 +184,6 @@ telemetryDeterminismRun(std::uint64_t seed)
 
 TEST(Determinism, TelemetryExportsAreByteIdenticalForSameSeed)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     const RunResult a = telemetryDeterminismRun(42);
     const RunResult b = telemetryDeterminismRun(42);
     ASSERT_NE(a.telemetry, nullptr);
@@ -246,8 +243,7 @@ TEST(Determinism, TracingObservationDoesNotPerturbTheRun)
 {
     // Tracing is passive: with the collector attached, every metric —
     // and therefore the sweep fingerprint — is bit-identical to the
-    // untraced run. Also holds trivially with -DLOFT_AUDIT=OFF, where
-    // the collector is never constructed.
+    // untraced run.
     const std::string bare = fingerprint(determinismRun(42));
     const std::string traced =
         fingerprint(tracedDeterminismRun(42, 1));
@@ -256,9 +252,6 @@ TEST(Determinism, TracingObservationDoesNotPerturbTheRun)
 
 TEST(Determinism, TraceDumpsAreByteIdenticalAcrossWorkerCounts)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
-
     // The collector sits downstream of the DeferredObserver merge, so
     // a spatially partitioned run feeds it the exact serial event
     // order: dumps and span exports match a serial run byte for byte.

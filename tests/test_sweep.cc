@@ -146,17 +146,13 @@ TEST_P(ParallelIdentity, ParallelSweepIsBitIdenticalToSerial)
         EXPECT_EQ(a.auditWatchdogs, 0u) << a.auditReport;
         EXPECT_EQ(b.auditWatchdogs, 0u) << b.auditReport;
 
-        // Telemetry exports, byte for byte (collectors exist only
-        // when the instrumentation hooks are compiled in).
-        ASSERT_EQ(a.telemetry == nullptr, b.telemetry == nullptr);
-        if (a.telemetry) {
-            EXPECT_EQ(a.telemetry->timeSeriesCsv(),
-                      b.telemetry->timeSeriesCsv());
-            EXPECT_EQ(a.telemetry->chromeTraceJson(),
-                      b.telemetry->chromeTraceJson());
-            EXPECT_EQ(a.telemetry->heatmapCsv(),
-                      b.telemetry->heatmapCsv());
-        }
+        // Telemetry exports, byte for byte.
+        ASSERT_TRUE(a.telemetry && b.telemetry);
+        EXPECT_EQ(a.telemetry->timeSeriesCsv(),
+                  b.telemetry->timeSeriesCsv());
+        EXPECT_EQ(a.telemetry->chromeTraceJson(),
+                  b.telemetry->chromeTraceJson());
+        EXPECT_EQ(a.telemetry->heatmapCsv(), b.telemetry->heatmapCsv());
     }
 }
 

@@ -2,14 +2,19 @@
  * @file
  * Tests for the causal trace collector (src/trace): exact stage
  * decomposition on all three NetKinds, blame attribution, dump
- * determinism, summary consolidation, the flight recorder, a finished
- * collector, and pinned hashes of every trace and telemetry export.
+ * determinism, summary consolidation, the flight recorder, the
+ * end-of-run dump file, a finished collector, and pinned hashes of
+ * every trace and telemetry export.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -60,8 +65,6 @@ class TraceKinds : public ::testing::TestWithParam<NetKind>
 
 TEST_P(TraceKinds, StageDecompositionSumsExactly)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     Mesh2D mesh(4, 4);
     const RunResult r =
         runExperiment(tracedConfig(GetParam()), flows(mesh), 0.15);
@@ -89,8 +92,6 @@ TEST_P(TraceKinds, StageDecompositionSumsExactly)
 
 TEST_P(TraceKinds, DumpJsonIsWellFormedAndDeterministic)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     Mesh2D mesh(4, 4);
     const RunConfig c = tracedConfig(GetParam());
     const RunResult a = runExperiment(c, flows(mesh), 0.15);
@@ -111,8 +112,6 @@ INSTANTIATE_TEST_SUITE_P(Kinds, TraceKinds,
 
 TEST(Tracing, LoftUsesReservationStages)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     Mesh2D mesh(4, 4);
     const RunResult r = runExperiment(tracedConfig(NetKind::Loft),
                                       flows(mesh), 0.15);
@@ -132,8 +131,6 @@ TEST(Tracing, LoftUsesReservationStages)
 
 TEST(Tracing, ContentionProducesBlame)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     Mesh2D mesh(4, 4);
     TrafficPattern p = hotspotPattern(mesh, 15);
     setEqualSharesByMaxFlows(p.flows, 16);
@@ -155,8 +152,6 @@ TEST(Tracing, ContentionProducesBlame)
 
 TEST(Tracing, SamplingBoundsExemplarsButNotAggregates)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     Mesh2D mesh(4, 4);
     RunConfig c = tracedConfig(NetKind::Loft);
     c.trace.sampleRate = 0.0;
@@ -211,8 +206,6 @@ TEST(Tracing, DisabledConfigAttachesNoCollector)
 
 TEST(Tracing, SweepConsolidationMergesTracedCases)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     SweepConfig sc;
     sc.base = tracedConfig(NetKind::Loft);
     sc.seeds = {1, 2};
@@ -232,8 +225,6 @@ TEST(Tracing, SweepConsolidationMergesTracedCases)
 
 TEST(Tracing, SpanExportMergesWithTelemetry)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     Mesh2D mesh(4, 4);
     RunConfig c = tracedConfig(NetKind::Loft);
     c.telemetry.enabled = true;
@@ -285,6 +276,29 @@ TEST(Tracing, FinishedCollectorIgnoresLateEvents)
     EXPECT_EQ(tc.dumpJson("test", 3), dump);
     // Track names only: nothing was sampled before finish().
     EXPECT_EQ(tc.spanWriter().size(), 5u);
+}
+
+TEST(Tracing, DumpDirGetsOneEndOfRunBlameDump)
+{
+    const std::string dir = ::testing::TempDir() + "/loft_trace_blame_dump";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    RunConfig c = tracedConfig(NetKind::Loft);
+    c.trace.dumpDir = dir;
+    const RunResult r = runExperiment(c, flows(Mesh2D(4, 4)), 0.15);
+    ASSERT_NE(r.trace, nullptr);
+
+    const Cycle end = c.warmupCycles + c.measureCycles;
+    std::ifstream in(dir + "/trace_blame.json", std::ios::binary);
+    std::ostringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), r.trace->dumpJson("blame", end));
+    // finish() already dumped this reason; a second dump writes nothing.
+    EXPECT_EQ(r.trace->dumpToFile("blame", end), "");
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
+    std::filesystem::remove_all(dir);
 }
 
 // ---- Every observer export, pinned -----------------------------------
@@ -358,19 +372,19 @@ dosExportHashes(NetKind kind, bool trace_packets,
 
 // The expected hashes were measured by building this test on the code
 // before the finished collectors started dropping their run-time
-// state, so they pin that every export stayed byte-identical.
+// state, so they pin that every export stayed byte-identical. The LOFT
+// telemetry trace with packet spans was measured again when its spans
+// began at NI enqueue instead of at packet creation.
 
 TEST(ObserverExports, LoftExportsArePinned)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     for (const bool trace_packets : {true, false}) {
         SCOPED_TRACE(trace_packets ? "packet spans on" : "packet spans off");
         const ExportHashes h = dosExportHashes(NetKind::Loft, trace_packets);
         EXPECT_EQ(h.timeSeries, "1ed28a0ab1d6ee72");
         EXPECT_EQ(h.heatmap, "75edb26367670536");
         EXPECT_EQ(h.telemetryTrace,
-                  trace_packets ? "8d8a735870b09900" : "32bce8355987b795");
+                  trace_packets ? "9c7cf8027e22d09d" : "32bce8355987b795");
         EXPECT_EQ(h.dump, "80fb28f2eb59381d");
         EXPECT_EQ(h.spans, "60c3ab166924db98");
         EXPECT_EQ(h.spansDropped, 0u);
@@ -379,8 +393,6 @@ TEST(ObserverExports, LoftExportsArePinned)
 
 TEST(ObserverExports, GsfExportsArePinned)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     for (const bool trace_packets : {true, false}) {
         SCOPED_TRACE(trace_packets ? "packet spans on" : "packet spans off");
         const ExportHashes h = dosExportHashes(NetKind::Gsf, trace_packets);
@@ -396,8 +408,6 @@ TEST(ObserverExports, GsfExportsArePinned)
 
 TEST(ObserverExports, CappedSpanDocumentsArePinned)
 {
-    if (!kAuditCompiledIn)
-        GTEST_SKIP() << "instrumentation compiled out";
     // The 65 track names count towards the cap but are exempt from it:
     // at 50 every one of the run's 485 spans is dropped, at 300 the
     // first 235 are kept.
