@@ -6,10 +6,10 @@
  * latency, fault detection/recovery counts and watchdog trips per
  * (network, rate) point, averaged over seeds.
  *
- * LOFT runs with the recovery machinery auto-enabled by the harness
- * (FaultPlan::autoRecovery); GSF and wormhole only receive the fabric
- * fault classes (payload corruption, link stalls) since look-ahead and
- * LOFT-credit faults have no meaning there.
+ * LOFT runs with the recovery machinery enabled by the harness; GSF
+ * and wormhole only receive the fabric fault classes (payload
+ * corruption, link stalls), since their wires carry no look-ahead flits
+ * or LOFT credits.
  *
  * With --json PATH the table is written as BENCH_faults.json for the
  * CI regression gate. Exit status is non-zero if any run trips the

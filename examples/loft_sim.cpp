@@ -26,9 +26,11 @@
  *   share            per-flow bandwidth share         (1/64)
  *   format           text | csv | json                (text)
  *   flows            also print the per-flow table    (false)
+ *   links            also print the ten busiest links (false)
  *   spec             LOFT speculative buffer, flits   (12)
  *   frame            LOFT frame size F, flits         (256)
  *   window           LOFT frame window WF             (2)
+ *   central          LOFT central buffer, flits       (frame)
  *   speculative, reset, guard   LOFT mechanism toggles (true)
  *   gsf_frame, gsf_window, gsf_barrier, gsf_queue     GSF knobs
  */

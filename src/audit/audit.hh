@@ -59,6 +59,15 @@ struct AuditViolation
     std::string detail;
 };
 
+/**
+ * Grace period (cycles) between a non-speculative data arrival and the
+ * look-ahead admission that must justify it. Covers intra-cycle
+ * tick-ordering skew between the look-ahead and data planes; a
+ * reservation still missing this long after the data arrived is a
+ * protocol violation.
+ */
+constexpr Cycle kReservationGrace = 8;
+
 /** Tuning knobs of the NetworkAuditor. */
 struct AuditConfig
 {
@@ -71,20 +80,11 @@ struct AuditConfig
      */
     Cycle deepAuditPeriod = 0;
 
-    /** Enable the deadlock/starvation watchdog. */
-    bool watchdog = true;
-
-    /** Cycles without any flit movement before the watchdog trips. */
-    Cycle watchdogWindow = 20000;
-
     /**
-     * Grace period (cycles) between a non-speculative data arrival and
-     * the look-ahead admission that must justify it. Covers intra-cycle
-     * tick-ordering skew between the look-ahead and data planes; a
-     * reservation still missing this long after the data arrived is a
-     * protocol violation.
+     * Cycles without any flit movement before the deadlock/starvation
+     * watchdog, which every deep audit runs, trips.
      */
-    Cycle reservationGrace = 8;
+    Cycle watchdogWindow = 20000;
 
     /** Cap on violations kept with full detail (counters never stop). */
     std::size_t maxRecorded = 64;

@@ -261,7 +261,7 @@ NetworkAuditor::onLookaheadAdmitted(NodeId node, Port,
         suspicions_.begin(), suspicions_.end(), key,
         [](const Suspicion &s, const QuantumKey &k) { return s.key < k; });
     if (sus != suspicions_.end() && sus->key == key &&
-        now <= sus->arrived + cfg_.reservationGrace)
+        now <= sus->arrived + kReservationGrace)
         suspicions_.erase(sus);
 }
 
@@ -280,7 +280,7 @@ NetworkAuditor::matureSuspicions(Cycle now)
 {
     std::size_t kept = 0;
     for (const Suspicion &s : suspicions_) {
-        if (now <= s.arrived + cfg_.reservationGrace) {
+        if (now <= s.arrived + kReservationGrace) {
             suspicions_[kept++] = s;
             continue;
         }
@@ -535,8 +535,7 @@ NetworkAuditor::deepAudit(Cycle now)
     for (std::uint32_t site : seenSites_)
         auditScheduler(site, now);
     pruneShadows();
-    if (cfg_.watchdog)
-        runWatchdog(now);
+    runWatchdog(now);
 
     // Bound reservation-tracking memory: quanta whose last flit was
     // dropped from a speculative buffer never redeem their entry.
@@ -549,7 +548,7 @@ NetworkAuditor::deepAudit(Cycle now)
 void
 NetworkAuditor::finalCheck(Cycle now)
 {
-    matureSuspicions(now + cfg_.reservationGrace + 1);
+    matureSuspicions(now + kReservationGrace + 1);
     for (std::uint32_t site : seenSites_)
         auditScheduler(site, now);
     pruneShadows();

@@ -22,6 +22,11 @@ namespace
  */
 constexpr std::size_t kInitialRecords = 32;
 
+/** Base backoff (cycles) between re-issue attempts of one quantum. */
+constexpr Cycle kReissueBackoffCycles = 64;
+/** Re-issue attempts before a quantum is dropped and accounted. */
+constexpr std::uint32_t kMaxReissues = 8;
+
 } // namespace
 
 LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
@@ -92,7 +97,7 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
         h = addRecord(in, la.flow, la.quantumNo,
                       InputTable::State::Claimed);
     } else if (table_[h].state == InputTable::State::Claimed) {
-        if (params_.recovery.enabled) {
+        if (params_.recovery) {
             // The original look-ahead survived after all (e.g. stalled
             // long enough for the timeout to re-synthesize it). The
             // reservation exists; absorb the redundant flit.
@@ -287,7 +292,7 @@ LoftDataRouter::receiveData(Cycle now)
                 u.nextReissueAt = now + params_.lookaheadTimeout();
                 // The look-ahead router sleeps unless unclaimed quanta
                 // keep its re-issue timer running.
-                if (params_.recovery.enabled && lookahead_)
+                if (params_.recovery && lookahead_)
                     lookahead_->wake();
             } else if (table_[h].inPort != static_cast<Port>(p)) {
                 panic("router %u: flow %u quantum %llu on two inputs",
@@ -543,7 +548,7 @@ LoftDataRouter::dropQuantum(Handle h, Cycle now)
 void
 LoftDataRouter::recoverLostLookaheads(Cycle now)
 {
-    if (!params_.recovery.enabled || !table_.anyUnclaimed())
+    if (!params_.recovery || !table_.anyUnclaimed())
         return;
     // Re-issue in (input, quantum-id) order: re-issues compete for
     // output slots and fire observer events, so arena order would leak
@@ -575,16 +580,16 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
         const bool complete = last.flit.quantumLast ||
                               flits.size() >= params_.quantumFlits;
         if (!complete) {
-            u.nextReissueAt = now + params_.recovery.reissueBackoffCycles;
+            u.nextReissueAt = now + kReissueBackoffCycles;
             continue;
         }
-        if (u.reissues >= params_.recovery.maxReissues) {
+        if (u.reissues >= kMaxReissues) {
             dropQuantum(h, now);
             continue;
         }
         ++u.reissues;
         u.nextReissueAt =
-            now + (params_.recovery.reissueBackoffCycles
+            now + (kReissueBackoffCycles
                    << std::min<std::uint32_t>(u.reissues, 6));
         LookaheadFlit la;
         la.flow = first.flit.flow;
@@ -645,7 +650,7 @@ LoftDataRouter::tick(Cycle now)
     receiveData(now);
     switchOutputs(now);
     maybeLocalReset(now);
-    if (params_.recovery.enabled && now >= nextScrubAt_) {
+    if (params_.recovery && now >= nextScrubAt_) {
         nextScrubAt_ = now + params_.scrubPeriod();
         scrubStaleRecords(now);
     }

@@ -103,7 +103,7 @@ class LoftDataRouter final : public Clocked
      * dropped and its buffer space and upstream credits released.
      * Driven by the co-located look-ahead router's tick (the re-issue
      * logically happens on the look-ahead plane). No-op unless
-     * params().recovery.enabled.
+     * params().recovery.
      */
     void recoverLostLookaheads(Cycle now);
 

@@ -12,11 +12,11 @@ namespace noc
 template <typename T>
 Channel<T> *
 LoftNetwork::newChannel(std::vector<std::unique_ptr<Channel<T>>> &pool,
-                        LinkClass cls, NodeId receiver)
+                        NodeId receiver)
 {
     pool.push_back(std::make_unique<Channel<T>>(params_.linkLatency));
     if (faults_)
-        faults_->instrument(*pool.back(), cls, receiver);
+        faults_->instrument(*pool.back(), receiver);
     return pool.back().get();
 }
 
@@ -45,17 +45,14 @@ LoftNetwork::LoftNetwork(const Mesh2D &mesh, const LoftParams &params,
             const Port back = oppositePort(p);
 
             // Credits flow opposite the data (nb -> id).
-            auto *data = newChannel(dataChannels_, LinkClass::DataFlit, nb);
-            auto *act =
-                newChannel(actChannels_, LinkClass::ActualCredit, id);
-            auto *vcr =
-                newChannel(vcrChannels_, LinkClass::VirtualCredit, id);
+            auto *data = newChannel(dataChannels_, nb);
+            auto *act = newChannel(actChannels_, id);
+            auto *vcr = newChannel(vcrChannels_, id);
             dataRouters_[id]->connectOutput(p, data, act, vcr);
             dataRouters_[nb]->connectInput(back, data, act, vcr);
 
-            auto *la = newChannel(laChannels_, LinkClass::LookaheadFlit, nb);
-            auto *lac =
-                newChannel(laCredChannels_, LinkClass::LookaheadCredit, id);
+            auto *la = newChannel(laChannels_, nb);
+            auto *lac = newChannel(laCredChannels_, id);
             laRouters_[id]->connectOutput(p, la, lac);
             laRouters_[nb]->connectInput(back, la, lac);
         }
@@ -65,25 +62,20 @@ LoftNetwork::LoftNetwork(const Mesh2D &mesh, const LoftParams &params,
     for (NodeId id = 0; id < n; ++id) {
         auto src = std::make_unique<LoftSourceUnit>(id, params_);
 
-        auto *data = newChannel(dataChannels_, LinkClass::DataFlit, id);
-        auto *act =
-            newChannel(actChannels_, LinkClass::ActualCredit, id);
-        auto *vcr =
-            newChannel(vcrChannels_, LinkClass::VirtualCredit, id);
+        auto *data = newChannel(dataChannels_, id);
+        auto *act = newChannel(actChannels_, id);
+        auto *vcr = newChannel(vcrChannels_, id);
         src->connectData(data, act, vcr);
         dataRouters_[id]->connectInput(Port::Local, data, act, vcr);
 
-        auto *la = newChannel(laChannels_, LinkClass::LookaheadFlit, id);
-        auto *lac =
-            newChannel(laCredChannels_, LinkClass::LookaheadCredit, id);
+        auto *la = newChannel(laChannels_, id);
+        auto *lac = newChannel(laCredChannels_, id);
         src->connectLookahead(la, lac);
         laRouters_[id]->connectInput(Port::Local, la, lac);
 
-        auto *eject = newChannel(dataChannels_, LinkClass::DataFlit, id);
-        auto *eact =
-            newChannel(actChannels_, LinkClass::ActualCredit, id);
-        auto *evcr =
-            newChannel(vcrChannels_, LinkClass::VirtualCredit, id);
+        auto *eject = newChannel(dataChannels_, id);
+        auto *eact = newChannel(actChannels_, id);
+        auto *evcr = newChannel(vcrChannels_, id);
         dataRouters_[id]->connectOutput(Port::Local, eject, eact, evcr);
         sinks_.push_back(std::make_unique<LoftSink>(
             id, params_, eject, eact, evcr, &metrics_));

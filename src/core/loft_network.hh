@@ -69,7 +69,7 @@ class LoftNetwork : public Network
   private:
     template <typename T>
     Channel<T> *newChannel(std::vector<std::unique_ptr<Channel<T>>> &pool,
-                           LinkClass cls, NodeId receiver);
+                           NodeId receiver);
 
     const Mesh2D &mesh_;
     LoftParams params_;

@@ -20,35 +20,6 @@
 namespace noc
 {
 
-/**
- * Recovery machinery for injected faults (src/faults). Off by default:
- * the fault-free protocol never needs it, and with it off a run is
- * cycle-identical to one predating the subsystem. The harness switches
- * it on automatically when a FaultPlan is active on a LOFT run.
- */
-struct LoftRecovery
-{
-    bool enabled = false;
-    /**
-     * Cycles a data quantum may sit unclaimed (no matching look-ahead
-     * reservation) before the router synthesizes and re-issues the
-     * look-ahead locally. 0 = two data frames, resolved at build time.
-     */
-    Cycle lookaheadTimeoutCycles = 0;
-    /** Base backoff between re-issue attempts of one quantum. */
-    Cycle reissueBackoffCycles = 64;
-    /** Re-issue attempts before the quantum is dropped and accounted. */
-    std::uint32_t maxReissues = 8;
-    /**
-     * Age (cycles past the booked departure slot) after which a
-     * scheduled reservation-table record whose data never arrived is
-     * scrubbed and its slot reclaimed. 0 = four data frames.
-     */
-    Cycle scrubTimeoutCycles = 0;
-    /** How often the scrub pass runs. 0 = half a data frame. */
-    Cycle scrubPeriodCycles = 0;
-};
-
 struct LoftParams
 {
     /** Frame size F in flits. */
@@ -83,31 +54,29 @@ struct LoftParams
     /** NI packet queue capacity in flits (0 = unbounded). */
     std::size_t sourceQueueFlits = 64;
 
-    /** Fault-recovery knobs (inert unless recovery.enabled). */
-    LoftRecovery recovery;
+    /**
+     * Recovery machinery for injected faults (src/faults). Off by
+     * default: the fault-free protocol never needs it, and with it off
+     * a run is cycle-identical to one predating the subsystem. The
+     * harness switches it on whenever a FaultPlan is active on a LOFT
+     * run.
+     */
+    bool recovery = false;
 
-    /** lookaheadTimeoutCycles with the 0 default resolved. */
-    Cycle
-    lookaheadTimeout() const
-    {
-        return recovery.lookaheadTimeoutCycles
-                   ? recovery.lookaheadTimeoutCycles
-                   : Cycle{2} * frameSizeFlits;
-    }
-    /** scrubTimeoutCycles with the 0 default resolved. */
-    Cycle
-    scrubTimeout() const
-    {
-        return recovery.scrubTimeoutCycles ? recovery.scrubTimeoutCycles
-                                           : Cycle{4} * frameSizeFlits;
-    }
-    /** scrubPeriodCycles with the 0 default resolved. */
-    Cycle
-    scrubPeriod() const
-    {
-        return recovery.scrubPeriodCycles ? recovery.scrubPeriodCycles
-                                          : frameSizeFlits / 2;
-    }
+    /**
+     * Cycles a data quantum may sit unclaimed (no matching look-ahead
+     * reservation) before the router synthesizes and re-issues the
+     * look-ahead locally: two data frames.
+     */
+    Cycle lookaheadTimeout() const { return Cycle{2} * frameSizeFlits; }
+    /**
+     * Age (cycles past the booked departure slot) after which a
+     * scheduled reservation-table record whose data never arrived is
+     * scrubbed and its slot reclaimed: four data frames.
+     */
+    Cycle scrubTimeout() const { return Cycle{4} * frameSizeFlits; }
+    /** How often the scrub pass runs: every half data frame. */
+    Cycle scrubPeriod() const { return frameSizeFlits / 2; }
 
     /** Frame size in slots (quanta). */
     std::uint32_t frameSlots() const { return frameSizeFlits / quantumFlits; }

@@ -188,7 +188,7 @@ LookaheadRouter::quiescent() const
     // With recovery on, stay awake while unclaimed quanta wait for
     // their (possibly lost) look-ahead: the re-issue timeout runs from
     // this router's tick.
-    if (params_.recovery.enabled && data_->hasUnclaimedQuanta())
+    if (params_.recovery && data_->hasUnclaimedQuanta())
         return false;
     return !data_->hasPendingQuanta();
 }

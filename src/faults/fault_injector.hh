@@ -3,13 +3,14 @@
  * FaultInjector: owns the fault sites of one run and hands them to the
  * networks while they wire their channels.
  *
- * Networks call instrument(channel, linkClass, receiver) for every
- * channel they create, in their (deterministic) wiring order; the
- * injector numbers the links in call order and derives each site's
- * stream seed from (plan seed, link id). Because every instrument()
- * call consumes a link id whether or not any fault class applies, the
- * numbering — and therefore each link's fault sequence — is stable
- * across plans that enable different subsets of fault classes.
+ * Networks call instrument(channel, receiver) for every channel they
+ * create, in their (deterministic) wiring order; the injector numbers
+ * the links in call order and derives each site's stream seed from
+ * (plan seed, link id). Because every instrument() call consumes a
+ * link id whether or not any fault class applies, the numbering — and
+ * therefore each link's fault sequence — is stable across plans that
+ * enable different subsets of fault classes. The channel's message
+ * type alone decides which classes it can carry (FaultTraits).
  */
 
 #ifndef NOC_FAULTS_FAULT_INJECTOR_HH
@@ -29,18 +30,6 @@
 namespace noc
 {
 
-/** Which logical link a channel implements (selects the fault mix). */
-enum class LinkClass
-{
-    LookaheadFlit,   ///< LOFT look-ahead plane, flit wires
-    LookaheadCredit, ///< LOFT look-ahead plane, credit wires
-    DataFlit,        ///< LOFT data plane, flit wires
-    ActualCredit,    ///< LOFT data plane, buffer-slot credits
-    VirtualCredit,   ///< LOFT data plane, virtual credits
-    FabricFlit,      ///< wormhole/GSF fabric, flit wires
-    FabricCredit,    ///< wormhole/GSF fabric, VC credits
-};
-
 class FaultInjector
 {
   public:
@@ -55,7 +44,6 @@ class FaultInjector
         shared_.resyncLatency =
             plan.resyncLatency ? plan.resyncLatency : frameCycles;
         shared_.stallCycles = plan.stallCycles;
-        shared_.startCycle = plan.startCycle;
         shared_.stopCycle = plan.stopCycle;
     }
 
@@ -65,15 +53,15 @@ class FaultInjector
      */
     void setObserver(NetObserver *obs) { shared_.observer = obs; }
 
-    /** Attach a fault site to @p ch if the plan faults its class. */
+    /** Attach a fault site to @p ch if the plan faults its wire type. */
     template <typename T>
     void
-    instrument(Channel<T> &ch, LinkClass cls, NodeId receiver)
+    instrument(Channel<T> &ch, NodeId receiver)
     {
         const std::uint64_t linkId = nextLinkId_++;
         if (!plan_.active())
             return;
-        const auto rates = ratesFor(cls);
+        const auto rates = ratesFor<T>();
         bool any = false;
         for (double r : rates)
             any = any || r > 0.0;
@@ -88,35 +76,25 @@ class FaultInjector
     std::size_t faultedLinks() const { return sites_.size(); }
 
   private:
-    /** Fault classes that physically apply to a link class. */
+    /** The plan's rates of the fault classes a @p T wire can carry. */
+    template <typename T>
     std::array<double, kNumFaultKinds>
-    ratesFor(LinkClass cls) const
+    ratesFor() const
     {
+        using Traits = FaultTraits<T>;
         std::array<double, kNumFaultKinds> rates{};
         auto set = [&](FaultKind k) {
             rates[static_cast<std::size_t>(k)] = plan_.rateOf(k);
         };
-        switch (cls) {
-          case LinkClass::LookaheadFlit:
+        set(FaultKind::LinkStall);
+        if constexpr (Traits::droppable)
             set(FaultKind::LookaheadDrop);
-            set(FaultKind::LinkStall);
-            break;
-          case LinkClass::LookaheadCredit:
-          case LinkClass::ActualCredit:
-          case LinkClass::VirtualCredit:
+        if constexpr (Traits::credit) {
             set(FaultKind::CreditLoss);
             set(FaultKind::CreditCorrupt);
-            set(FaultKind::LinkStall);
-            break;
-          case LinkClass::DataFlit:
-          case LinkClass::FabricFlit:
-            set(FaultKind::DataCorrupt);
-            set(FaultKind::LinkStall);
-            break;
-          case LinkClass::FabricCredit:
-            set(FaultKind::LinkStall);
-            break;
         }
+        if constexpr (Traits::corruptible)
+            set(FaultKind::DataCorrupt);
         return rates;
     }
 

@@ -4,7 +4,7 @@
  *
  * A plan names per-link-cycle rates for each injectable fault class
  * plus the knobs shared by all of them (stall length, credit resync
- * latency, injection window). The plan's seed — folded with the run
+ * latency, end of injection). The plan's seed — folded with the run
  * seed by the harness — and the deterministic link numbering of the
  * network wiring are the only entropy sources, so identical
  * (seed, plan) pairs reproduce bit-identical fault sequences.
@@ -50,8 +50,7 @@ struct FaultPlan
      */
     Cycle resyncLatency = 0;
 
-    /** Faults are only injected in [startCycle, stopCycle). */
-    Cycle startCycle = 0;
+    /** Faults are only injected before this cycle. */
     Cycle stopCycle = kNeverCycle;
 
     /**
@@ -59,12 +58,6 @@ struct FaultPlan
      * in, so a sweep over seeds also sweeps the fault sequences.
      */
     std::uint64_t seed = 0;
-
-    /**
-     * Let the harness switch on the LOFT recovery machinery
-     * (LoftRecovery) whenever this plan is active on a LOFT run.
-     */
-    bool autoRecovery = true;
 
     double
     rateOf(FaultKind kind) const

@@ -1,10 +1,11 @@
 /**
  * @file
- * FaultTraits: per-message-type capabilities of the fault injector.
+ * FaultTraits: per-message-type capabilities of the fault injector,
+ * and the only statement of which fault classes a wire can carry.
  *
- * The primary template declares every message type immune; explicit
- * specializations opt the concrete wire types into the fault classes
- * that make physical sense for them:
+ * The primary template declares every message type immune to all but
+ * link stalls; explicit specializations opt the concrete wire types
+ * into the fault classes that make physical sense for them:
  *
  *  - look-ahead flits can be dropped (control plane has no retransmit;
  *    the CRC-failed frame still arrives so the receiver can return the
@@ -15,7 +16,8 @@
  *    is assumed protected, as header ECC is in real routers, so the
  *    simulation's control flow is unaffected);
  *  - every type can be delayed by a link stall (handled by the channel
- *    hook itself, no trait needed).
+ *    hook itself, no trait needed), so a fabric credit carries stalls
+ *    only.
  */
 
 #ifndef NOC_FAULTS_FAULT_TRAITS_HH

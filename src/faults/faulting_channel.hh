@@ -58,7 +58,6 @@ struct FaultSiteShared
     NetObserver *observer = nullptr;
     Cycle resyncLatency = 256;
     Cycle stallCycles = 32;
-    Cycle startCycle = 0;
     Cycle stopCycle = kNeverCycle;
 };
 
@@ -91,7 +90,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
             if (st.rate <= 0.0)
                 continue;
             st.rng.seed(mixSeed(seed, k));
-            st.nextAt = shared_->startCycle + faultGap(st.rng, st.rate);
+            st.nextAt = faultGap(st.rng, st.rate);
         }
     }
 

@@ -71,29 +71,11 @@ buildNetwork(const RunConfig &config, const Mesh2D &mesh,
       case NetKind::Gsf:
         return std::make_unique<GsfNetwork>(mesh, config.gsf, faults);
       case NetKind::Wormhole:
-        return std::make_unique<WormholeNetwork>(
-            mesh, config.wormhole, config.wormholeSourceQueueFlits,
-            faults);
+        // 0: unbounded source queues.
+        return std::make_unique<WormholeNetwork>(mesh, config.wormhole,
+                                                 0, faults);
     }
     fatal("buildNetwork: unknown network kind");
-}
-
-FaultPlan
-effectiveFaultPlan(const RunConfig &config)
-{
-    FaultPlan plan = config.faults;
-    if (config.kind != NetKind::Loft) {
-        // Look-ahead and LOFT-credit faults have no physical meaning
-        // on the wormhole/GSF fabrics; only the shared-fabric classes
-        // (payload corruption, link stalls) remain.
-        plan.lookaheadDropRate = 0.0;
-        plan.creditLossRate = 0.0;
-        plan.creditCorruptRate = 0.0;
-    }
-    // Fold the run seed in so a seed sweep also sweeps fault
-    // sequences while (seed, plan) stays fully reproducible.
-    plan.seed = mixSeed(plan.seed, config.seed);
-    return plan;
 }
 
 namespace
@@ -121,7 +103,10 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
               const std::vector<FlowRate> &rates)
 {
     RunConfig cfg = config;
-    const FaultPlan plan = effectiveFaultPlan(cfg);
+    // Fold the run seed in so a seed sweep also sweeps fault
+    // sequences while (seed, plan) stays fully reproducible.
+    FaultPlan plan = cfg.faults;
+    plan.seed = mixSeed(plan.seed, cfg.seed);
 
     // Built before the network: instrument() runs while the network
     // wires its channels. When the plan is inactive no injector exists
@@ -130,8 +115,8 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
     if (plan.active()) {
         injector =
             std::make_unique<FaultInjector>(plan, frameCyclesOf(cfg));
-        if (plan.autoRecovery && cfg.kind == NetKind::Loft)
-            cfg.loft.recovery.enabled = true;
+        if (cfg.kind == NetKind::Loft)
+            cfg.loft.recovery = true;
     }
 
     Mesh2D mesh(cfg.meshWidth, cfg.meshHeight);
@@ -147,22 +132,21 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
     if (cfg.audit)
         auditor = std::make_unique<NetworkAuditor>(*net);
 
+    // A plan whose classes no wire of this network carries faults
+    // nothing, and the run stays bare.
     std::unique_ptr<FaultMonitor> monitor;
-    if (injector)
+    if (injector && injector->faultedLinks() > 0)
         monitor = std::make_unique<FaultMonitor>();
 
     std::shared_ptr<TraceCollector> trace;
     if (cfg.trace.enabled) {
-        TraceConfig tc = cfg.trace;
-        if (tc.seed == 0)
-            tc.seed = cfg.seed;
         // Only LOFT books absolute slots; 0 routes all hop residency
         // to switch_stall on the other fabrics.
         const std::uint32_t cycles_per_slot =
             cfg.kind == NetKind::Loft ? cfg.loft.quantumFlits : 0;
-        trace = std::make_shared<TraceCollector>(mesh, std::move(tc),
-                                                 netKindName(cfg.kind),
-                                                 cycles_per_slot);
+        trace = std::make_shared<TraceCollector>(
+            mesh, cfg.trace, netKindName(cfg.kind), cycles_per_slot,
+            cfg.seed);
     }
 
     std::shared_ptr<TelemetryCollector> telemetry;

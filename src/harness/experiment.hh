@@ -53,7 +53,6 @@ struct RunConfig
     LoftParams loft;
     GsfParams gsf;
     WormholeParams wormhole;
-    std::size_t wormholeSourceQueueFlits = 0;
 
     /**
      * Worker threads advancing the mesh inside this single run
@@ -85,18 +84,19 @@ struct RunConfig
      * Passive — the sweep fingerprint and all metrics are bit-identical
      * with tracing on or off, for any worker count. When an auditor is
      * also attached its violations trigger automatic flight-recorder
-     * dumps (trace.dumpDir). trace.seed == 0 inherits the run seed.
+     * dumps (trace.dumpDir). Packet sampling hashes the run seed.
      */
     TraceConfig trace;
 
     /**
      * Deterministic fault-injection schedule (src/faults). Inert by
      * default; set faults.enabled plus at least one non-zero rate to
-     * arm it. With an active plan the harness instruments every
-     * channel of the network, attaches a FaultMonitor, and — for LOFT,
-     * when faults.autoRecovery — enables loft.recovery. Fault classes
-     * that have no physical meaning on the selected network (look-ahead
-     * drops, credit loss/corruption outside LOFT) are ignored there.
+     * arm it. With an active plan the harness offers every channel of
+     * the network to the injector, which faults a wire with the
+     * classes its message type can carry (look-ahead drops and credit
+     * loss/corruption exist only on LOFT wires); for LOFT it also
+     * enables loft.recovery. A FaultMonitor is attached when at least
+     * one wire was faulted.
      */
     FaultPlan faults;
 
@@ -209,12 +209,6 @@ struct RunResult
 std::unique_ptr<Network> buildNetwork(const RunConfig &config,
                                       const Mesh2D &mesh,
                                       FaultInjector *faults = nullptr);
-
-/**
- * The fault plan as the harness applies it to @p config: fault classes
- * without physical meaning on the selected network are zeroed.
- */
-FaultPlan effectiveFaultPlan(const RunConfig &config);
 
 /**
  * Build the configured network, register the pattern's flows, warm up,

@@ -39,7 +39,8 @@ constexpr std::size_t kReassemblyReserve = 32;
  * flit in @p metrics and to @p obs, and count it towards its packet in
  * @p pending. The packet is delivered when its last flit arrives;
  * speculative switching may deliver its flits out of order, so the
- * tail need not be last.
+ * tail need not be last. The delivery event carries that flit, and
+ * with it the packet's source and NI enqueue cycle (createdAt).
  *
  * The credits go back between the check and the counts because a
  * faulted credit link announces its faults to the observer as it
@@ -77,7 +78,7 @@ ejectFlit(NodeId node, const Flit &flit, Cycle corrupted_at, Cycle now,
         if (metrics)
             metrics->onPacketEjected(flit.flow, flit.createdAt, now);
         NOC_OBSERVE(obs, {.kind = NetEvent::Kind::PacketDelivered,
-                          .node = node, .flow = flit.flow,
+                          .node = node, .flow = flit.flow, .flit = flit,
                           .packet = flit.packet, .now = now});
         pending.erase(flit.packet);
     } else if (received > flit.pktSize) {

@@ -175,6 +175,7 @@ struct NetEvent
     Port port{};
     FlowId flow = kInvalidFlow;
     Packet pkt{};
+    /** The flit moved; on PacketDelivered, the one that completed it. */
     Flit flit{};
     LookaheadFlit la{};
     /** The flit uses the speculative path. */

@@ -130,14 +130,4 @@ AdmissionController::maxAdmissibleShare(NodeId src, NodeId dst) const
     return static_cast<double>(min_free) / params_.frameSlots();
 }
 
-std::vector<FlowSpec>
-AdmissionController::admittedFlows() const
-{
-    std::vector<FlowSpec> out;
-    out.reserve(admitted_.size());
-    for (const auto &[id, adm] : admitted_)
-        out.push_back(adm.flow);
-    return out;
-}
-
 } // namespace noc

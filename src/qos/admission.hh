@@ -55,9 +55,6 @@ class AdmissionController
      */
     double maxAdmissibleShare(NodeId src, NodeId dst) const;
 
-    /** Flows currently admitted. */
-    std::vector<FlowSpec> admittedFlows() const;
-
     std::size_t admittedCount() const { return admitted_.size(); }
 
   private:
@@ -78,8 +75,7 @@ class AdmissionController
     const Mesh2D &mesh_;
     LoftParams params_;
     std::vector<LinkState> links_;
-    /// Ordered so admittedFlows() reports in flow-id order rather than
-    /// hash order (the vector escapes into experiment setup).
+    /// Admitted flows by id (lookups only).
     std::map<FlowId, Admission> admitted_;
 };
 

@@ -13,9 +13,9 @@ MeshFabric::MeshFabric(const Mesh2D &mesh, const WormholeParams &params,
         routers_.push_back(
             std::make_unique<WormholeRouter>(id, mesh, params));
 
-    const auto instrument = [&](auto &ch, LinkClass cls, NodeId rx) {
+    const auto instrument = [&](auto &ch, NodeId rx) {
         if (faults)
-            faults->instrument(*ch, cls, rx);
+            faults->instrument(*ch, rx);
     };
 
     // Inter-router links: one flit channel and one reverse credit
@@ -29,8 +29,8 @@ MeshFabric::MeshFabric(const Mesh2D &mesh, const WormholeParams &params,
                 std::make_unique<Channel<WireFlit>>(params.linkLatency);
             auto credCh =
                 std::make_unique<Channel<Credit>>(params.linkLatency);
-            instrument(flitCh, LinkClass::FabricFlit, nb);
-            instrument(credCh, LinkClass::FabricCredit, id);
+            instrument(flitCh, nb);
+            instrument(credCh, id);
             routers_[id]->connectOutput(p, flitCh.get(), credCh.get());
             routers_[nb]->connectInput(oppositePort(p), flitCh.get(),
                                        credCh.get());
@@ -48,8 +48,8 @@ MeshFabric::MeshFabric(const Mesh2D &mesh, const WormholeParams &params,
             std::make_unique<Channel<WireFlit>>(params.linkLatency);
         localInCredit_[id] =
             std::make_unique<Channel<Credit>>(params.linkLatency);
-        instrument(localIn_[id], LinkClass::FabricFlit, id);
-        instrument(localInCredit_[id], LinkClass::FabricCredit, id);
+        instrument(localIn_[id], id);
+        instrument(localInCredit_[id], id);
         routers_[id]->connectInput(Port::Local, localIn_[id].get(),
                                    localInCredit_[id].get());
 
@@ -57,8 +57,8 @@ MeshFabric::MeshFabric(const Mesh2D &mesh, const WormholeParams &params,
             std::make_unique<Channel<WireFlit>>(params.linkLatency);
         auto ejectCred =
             std::make_unique<Channel<Credit>>(params.linkLatency);
-        instrument(ejectCh, LinkClass::FabricFlit, id);
-        instrument(ejectCred, LinkClass::FabricCredit, id);
+        instrument(ejectCh, id);
+        instrument(ejectCred, id);
         routers_[id]->connectOutput(Port::Local, ejectCh.get(),
                                     ejectCred.get());
         sinks_.push_back(std::make_unique<SinkUnit>(

@@ -37,7 +37,6 @@ categoryName(Category c)
       case Category::Reset: return "reset";
       case Category::La: return "la";
       case Category::Data: return "data";
-      case Category::Credit: return "credit";
       case Category::Gsf: return "gsf";
       case Category::NumCategories: break;
     }

@@ -28,7 +28,6 @@ enum class Category : unsigned
     Reset,   ///< local status resets
     La,      ///< look-ahead network events
     Data,    ///< data-plane switching
-    Credit,  ///< virtual/actual credit movement
     Gsf,     ///< GSF barrier and source quota events
     NumCategories,
 };

@@ -10,8 +10,6 @@ namespace noc
 namespace
 {
 
-bool informEnabled = true;
-
 std::string
 vformat(const char *fmt, va_list ap)
 {
@@ -58,24 +56,6 @@ warn(const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (!informEnabled)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-setInformEnabled(bool enabled)
-{
-    informEnabled = enabled;
 }
 
 std::string

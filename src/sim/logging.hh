@@ -7,7 +7,6 @@
  * fatal()  - the simulation cannot continue due to a user error (bad
  *            configuration, invalid arguments). Exits with code 1.
  * warn()   - something is questionable but the run continues.
- * inform() - plain status output.
  */
 
 #ifndef NOC_SIM_LOGGING_HH
@@ -29,12 +28,6 @@ namespace noc
 
 /** Print a warning; the simulation continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Enable/disable inform() output (benches silence it). */
-void setInformEnabled(bool enabled);
 
 /** printf-style formatting into a std::string. */
 std::string csprintf(const char *fmt, ...)

@@ -100,7 +100,6 @@ TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
     while (classNames_.size() < num_classes)
         classNames_.push_back(
             csprintf("class%zu", classNames_.size()));
-    live_.reserve(1024);
     // Trace metadata: one process, one track (tid) per node.
     if (cfg_.tracePackets) {
         trace_.reserve(1 << 14);
@@ -171,8 +170,26 @@ TelemetryCollector::traceEvent(std::string json)
 void
 TelemetryCollector::consume(const NetEvent &e)
 {
-    if (!finished_)
+    if (finished_)
+        return;
+    if (e.kind != NetEvent::Kind::PacketDelivered) {
         NetObserver::consume(e);
+        return;
+    }
+    // The delivering flit carries the packet's source and NI enqueue
+    // cycle, so no record of the packet is kept while it is live.
+    ++delivered_[e.node];
+    const Cycle latency = e.now - e.flit.createdAt;
+    if (measuring_)
+        classHist_[classOfFlow(e.flow)].sample(
+            static_cast<double>(latency));
+    if (cfg_.tracePackets) {
+        traceEvent(csprintf(
+            "{\"cat\":\"packet\",\"name\":\"flow%u\",\"ph\":\"e\","
+            "\"id\":%" PRIu64 ",\"pid\":1,\"tid\":%u,\"ts\":%" PRIu64
+            ",\"args\":{\"delivered_at\":%u,\"latency\":%" PRIu64 "}}",
+            e.flow, e.packet, e.flit.src, e.now, e.node, latency));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -183,7 +200,6 @@ void
 TelemetryCollector::onPacketAccepted(NodeId node, const Packet &pkt,
                                      Cycle now)
 {
-    live_[pkt.id] = LivePacket{pkt.flow, pkt.src, pkt.dst, now};
     if (cfg_.tracePackets) {
         traceEvent(csprintf(
             "{\"cat\":\"packet\",\"name\":\"flow%u\",\"ph\":\"b\","
@@ -234,30 +250,6 @@ void
 TelemetryCollector::onFlitEjected(NodeId node, const Flit &, Cycle)
 {
     ++ejected_[node];
-}
-
-void
-TelemetryCollector::onPacketDelivered(NodeId node, FlowId flow,
-                                      PacketId pkt, Cycle now)
-{
-    ++delivered_[node];
-    auto it = live_.find(pkt);
-    const bool known = it != live_.end();
-    if (measuring_ && known)
-        classHist_[classOfFlow(flow)].sample(
-            static_cast<double>(now - it->second.accepted));
-    if (known) {
-        if (cfg_.tracePackets) {
-            traceEvent(csprintf(
-                "{\"cat\":\"packet\",\"name\":\"flow%u\",\"ph\":\"e\","
-                "\"id\":%" PRIu64 ",\"pid\":1,\"tid\":%u,\"ts\":%"
-                PRIu64 ",\"args\":{\"delivered_at\":%u,\"latency\":%"
-                PRIu64 "}}",
-                flow, pkt, it->second.src, now, node,
-                now - it->second.accepted));
-        }
-        live_.erase(it);
-    }
 }
 
 void
@@ -367,7 +359,6 @@ TelemetryCollector::finish(Cycle now)
     if (now > epochStart_)
         closeEpoch(now);
     finished_ = true;
-    std::unordered_map<PacketId, LivePacket>().swap(live_);
 }
 
 void

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -161,12 +160,13 @@ class TelemetryCollector final : public NetObserver, public Clocked
     void stopMeasurement(Cycle now);
     /// @}
 
-    /** Close the trailing partial epoch and free the packets still in
-     *  flight, which no export reads; call once after the run. Later
-     *  events and ticks are ignored. */
+    /** Close the trailing partial epoch; call once after the run.
+     *  Later events and ticks are ignored. */
     void finish(Cycle now);
 
-    /** Drops every event once finish() has run. */
+    /** Drops every event once finish() has run. Takes a packet's
+     *  delivery (latency sample and closing span) straight from the
+     *  event. */
     void consume(const NetEvent &e) override;
 
     /// @name Results
@@ -233,8 +233,6 @@ class TelemetryCollector final : public NetObserver, public Clocked
     void onFlitForwarded(NodeId node, Port out, const Flit &flit,
                          bool spec, Cycle now) override;
     void onFlitEjected(NodeId node, const Flit &flit, Cycle now) override;
-    void onPacketDelivered(NodeId node, FlowId flow, PacketId pkt,
-                           Cycle now) override;
     void onLookaheadAdmitted(NodeId node, Port in, const LookaheadFlit &la,
                              Cycle now) override;
     void onMissedSlot(NodeId node, Port out, Cycle now) override;
@@ -255,15 +253,6 @@ class TelemetryCollector final : public NetObserver, public Clocked
                           Cycle now) override;
 
   private:
-    /** A packet between acceptance and delivery. */
-    struct LivePacket
-    {
-        FlowId flow = kInvalidFlow;
-        NodeId src = kInvalidNode;
-        NodeId dst = kInvalidNode;
-        Cycle accepted = 0;
-    };
-
     std::size_t laneIndex(NodeId node, std::size_t lane) const
     {
         return static_cast<std::size_t>(node) * kNumLanes + lane;
@@ -312,9 +301,6 @@ class TelemetryCollector final : public NetObserver, public Clocked
     std::vector<std::uint32_t> classOf_;
     std::vector<std::string> classNames_;
     std::vector<LogHistogram> classHist_;
-
-    /// Packet lifecycle tracking (latency source + trace spans).
-    std::unordered_map<PacketId, LivePacket> live_;
 
     ChromeTraceWriter trace_; ///< complete JSON event objects
 };

@@ -174,11 +174,12 @@ mergeTraceSummaries(const std::vector<TraceSummary> &parts)
 
 TraceCollector::TraceCollector(const Mesh2D &mesh, TraceConfig config,
                                std::string kind_name,
-                               std::uint32_t cycles_per_slot)
+                               std::uint32_t cycles_per_slot,
+                               std::uint64_t seed)
     : width_(mesh.width()), height_(mesh.height()),
       numNodes_(mesh.numNodes()), cfg_(std::move(config)),
       kindName_(std::move(kind_name)), cyclesPerSlot_(cycles_per_slot),
-      spans_(cfg_.maxSpanEvents)
+      seed_(seed), spans_(cfg_.maxSpanEvents)
 {
     live_.reserve(1024);
     blameRings_.resize(numNodes_ * kNumLanes);
@@ -202,7 +203,7 @@ TraceCollector::isSampled(FlowId flow, PacketId id) const
     // Not an RNG stream: a stateless mixSeed hash of the packet
     // identity, so the sample set is independent of event order and
     // identical for any worker count.
-    const std::uint64_t h = mixSeed(mixSeed(cfg_.seed, flow), id);
+    const std::uint64_t h = mixSeed(mixSeed(seed_, flow), id);
     const double u =
         static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
     return u < cfg_.sampleRate;
@@ -358,13 +359,26 @@ void
 TraceCollector::onPacketAccepted(NodeId node, const Packet &pkt,
                                  Cycle now)
 {
-    LivePacket lp;
-    lp.flow = pkt.flow;
-    lp.src = pkt.src;
-    lp.dst = pkt.dst;
-    lp.accepted = now;
-    live_[pkt.id] = std::move(lp);
+    // A queued packet has no timeline yet: its record opens when it
+    // leaves the source queue, so the backlog costs no memory here.
     noteFlight(node, kFlAccepted, pkt.flow, kNiLane, false, pkt.id, now);
+}
+
+TraceCollector::LivePacket &
+TraceCollector::openPacket(PacketId id, FlowId flow, NodeId src,
+                           NodeId dst, Cycle accepted,
+                           std::uint64_t head_quantum)
+{
+    const auto [it, opened] = live_.try_emplace(id);
+    LivePacket &lp = it->second;
+    if (opened) {
+        lp.flow = flow;
+        lp.src = src;
+        lp.dst = dst;
+        lp.accepted = accepted;
+        lp.headQuantum = head_quantum;
+    }
+    return lp;
 }
 
 void
@@ -373,17 +387,12 @@ TraceCollector::onNiQuantumScheduled(NodeId node, const LookaheadFlit &la,
 {
     noteFlight(node, kFlNiQuantumScheduled, la.flow, kNiLane, false,
                granted, now);
-    auto it = live_.find(la.packet);
-    if (it == live_.end())
-        return;
-    LivePacket &lp = it->second;
     // The NI schedules a packet's quanta in order, so the first grant
     // names the head quantum — the one whose timeline we follow.
-    if (!lp.haveHeadQuantum) {
-        lp.haveHeadQuantum = true;
-        lp.headQuantum = la.quantumNo;
+    LivePacket &lp = openPacket(la.packet, la.flow, la.src, la.dst,
+                                la.createdAt, la.quantumNo);
+    if (lp.niSched == kNeverCycle)
         lp.niSched = now;
-    }
 }
 
 void
@@ -395,9 +404,11 @@ TraceCollector::onFlitSourced(NodeId node, const Flit &flit, bool spec,
                now);
     if (!flit.isHead())
         return;
-    auto it = live_.find(flit.packet);
-    if (it != live_.end() && it->second.sourced == kNeverCycle)
-        it->second.sourced = now;
+    // On LOFT the NI grant opened the record already.
+    LivePacket &lp = openPacket(flit.packet, flit.flow, flit.src, flit.dst,
+                                flit.createdAt, flit.quantum);
+    if (lp.sourced == kNeverCycle)
+        lp.sourced = now;
 }
 
 void
@@ -419,7 +430,7 @@ TraceCollector::onQuantumScheduled(NodeId node, Port out,
     if (it == live_.end())
         return;
     LivePacket &lp = it->second;
-    if (!lp.haveHeadQuantum || la.quantumNo != lp.headQuantum)
+    if (la.quantumNo != lp.headQuantum)
         return;
     if (lp.hopOpen && lp.curHop.node == node) {
         // Decision after the head flit arrived (emergent path); a

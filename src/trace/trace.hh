@@ -75,10 +75,8 @@ struct TraceConfig
     bool enabled = false;
     /** Probability that a packet's full exemplar trace is retained
      *  (aggregates and blame always cover every packet). Sampling is
-     *  a mixSeed hash of (seed, flow, packet id) — no RNG stream. */
+     *  a mixSeed hash of (run seed, flow, packet id) — no RNG stream. */
     double sampleRate = 0.05;
-    /** Folded into the sampling hash (defaults to the run seed). */
-    std::uint64_t seed = 0;
     /** Full exemplar traces kept for the K largest-latency packets
      *  regardless of sampling (the >= p99 tail of any run with
      *  >= 100/K packets per flow). */
@@ -170,9 +168,11 @@ class TraceCollector final : public NetObserver
      * @param cycles_per_slot LOFT quantum slot length in cycles; 0 on
      *                        fabrics without slot reservations, which
      *                        routes all hop residency to switch_stall.
+     * @param seed            the run seed, folded into the sampling hash.
      */
     TraceCollector(const Mesh2D &mesh, TraceConfig config,
-                   std::string kind_name, std::uint32_t cycles_per_slot);
+                   std::string kind_name, std::uint32_t cycles_per_slot,
+                   std::uint64_t seed);
 
     const TraceConfig &config() const { return cfg_; }
 
@@ -282,18 +282,17 @@ class TraceCollector final : public NetObserver
         Slot booked = 0;
     };
 
-    /** A packet between acceptance and delivery. */
+    /** A packet between leaving its source queue and delivery. */
     struct LivePacket
     {
         FlowId flow = kInvalidFlow;
         NodeId src = kInvalidNode;
         NodeId dst = kInvalidNode;
-        Cycle accepted = 0;
+        Cycle accepted = 0;          ///< NI enqueue cycle
         Cycle niSched = kNeverCycle; ///< head-quantum NI grant (LOFT)
         Cycle sourced = kNeverCycle; ///< head flit on the wire
         Cycle ejected = kNeverCycle; ///< head flit consumed by the sink
         std::uint64_t headQuantum = 0;
-        bool haveHeadQuantum = false;
         bool hopOpen = false;
         HopRecord curHop;
         std::vector<PendingDecision> pendingDecisions;
@@ -381,6 +380,13 @@ class TraceCollector final : public NetObserver
                      std::vector<std::pair<FlowId, std::uint64_t>> &blame,
                      std::uint64_t attributable);
 
+    /** The record of packet @p id, opened with the given fields when
+     *  the packet leaves its source queue (first NI grant on LOFT,
+     *  head flit sourced elsewhere). */
+    LivePacket &openPacket(PacketId id, FlowId flow, NodeId src,
+                           NodeId dst, Cycle accepted,
+                           std::uint64_t head_quantum);
+
     /** Close the open hop of @p lp at @p now (head flit forwarded
      *  through @p out). */
     void closeHop(LivePacket &lp, Port out, Cycle now);
@@ -395,6 +401,7 @@ class TraceCollector final : public NetObserver
     TraceConfig cfg_;
     std::string kindName_;
     std::uint32_t cyclesPerSlot_;
+    std::uint64_t seed_;
 
     /// Lookup-only (never iterated: results would depend on hash
     /// order); every export walks std::map / vector state instead.

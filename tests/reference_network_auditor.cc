@@ -204,7 +204,7 @@ ReferenceNetworkAuditor::onLookaheadAdmitted(NodeId node, Port,
     // not a protocol violation.
     auto sus = suspicions_.find(key);
     if (sus != suspicions_.end() &&
-        now <= sus->second + cfg_.reservationGrace)
+        now <= sus->second + kReservationGrace)
         suspicions_.erase(sus);
 }
 
@@ -224,7 +224,7 @@ void
 ReferenceNetworkAuditor::matureSuspicions(Cycle now)
 {
     for (auto it = suspicions_.begin(); it != suspicions_.end();) {
-        if (now <= it->second + cfg_.reservationGrace) {
+        if (now <= it->second + kReservationGrace) {
             ++it;
             continue;
         }
@@ -453,8 +453,7 @@ ReferenceNetworkAuditor::deepAudit(Cycle now)
     matureSuspicions(now);
     for (SchedShadow &sh : shadows_)
         auditScheduler(sh, now);
-    if (cfg_.watchdog)
-        runWatchdog(now);
+    runWatchdog(now);
 
     // Bound reservation-tracking memory: quanta whose last flit was
     // dropped from a speculative buffer never redeem their entry.
@@ -470,7 +469,7 @@ ReferenceNetworkAuditor::deepAudit(Cycle now)
 void
 ReferenceNetworkAuditor::finalCheck(Cycle now)
 {
-    matureSuspicions(now + cfg_.reservationGrace + 1);
+    matureSuspicions(now + kReservationGrace + 1);
     for (SchedShadow &sh : shadows_)
         auditScheduler(sh, now);
     if (net_->flitsInFlight() == 0 && !ledger_.empty()) {

@@ -285,7 +285,8 @@ TEST(FaultInjection, PostmortemWritesOneTraceDumpPerKind)
     std::filesystem::create_directories(dir);
     TraceConfig tc;
     tc.dumpDir = dir;
-    TraceCollector trace(rig.mesh, tc, "loft", rig.params.quantumFlits);
+    TraceCollector trace(rig.mesh, tc, "loft", rig.params.quantumFlits,
+                         0);
     ObserverMux mux;
     mux.add(rig.auditor.get());
     mux.add(&trace);

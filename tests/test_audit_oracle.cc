@@ -161,7 +161,7 @@ struct OracleRig
         if (cfg.faults.active()) {
             injector = std::make_unique<FaultInjector>(
                 cfg.faults, cfg.loft.frameSizeFlits);
-            cfg.loft.recovery.enabled = cfg.kind == NetKind::Loft;
+            cfg.loft.recovery = cfg.kind == NetKind::Loft;
         }
         net = buildNetwork(cfg, mesh, injector.get());
         flat = std::make_unique<NetworkAuditor>(*net, oracleAuditConfig());

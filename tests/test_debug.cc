@@ -34,10 +34,10 @@ TEST(Debug, ConfigureSingleCategory)
 
 TEST(Debug, ConfigureList)
 {
-    debug::configure("reset,la,credit");
+    debug::configure("reset,la,data");
     EXPECT_TRUE(debug::enabled(Category::Reset));
     EXPECT_TRUE(debug::enabled(Category::La));
-    EXPECT_TRUE(debug::enabled(Category::Credit));
+    EXPECT_TRUE(debug::enabled(Category::Data));
     EXPECT_FALSE(debug::enabled(Category::Sched));
     debug::configure("");
 }

@@ -74,7 +74,6 @@ wormholeConfig()
     // wormhole network may legally reorder packets of one flow.
     c.wormhole.numVCs = 1;
     c.wormhole.vcDepthFlits = 8;
-    c.wormholeSourceQueueFlits = 0; // unbounded
     return c;
 }
 

@@ -44,13 +44,13 @@ TEST(FaultInjector, InactivePlanInstrumentsNothing)
     FaultPlan inert; // default: disabled, all rates zero
     FaultInjector off(inert);
     Channel<DataWireFlit> ch(1);
-    off.instrument(ch, LinkClass::DataFlit, 0);
+    off.instrument(ch, 0);
     EXPECT_EQ(off.faultedLinks(), 0u);
 
     FaultPlan enabled_no_rates;
     enabled_no_rates.enabled = true;
     FaultInjector still_off(enabled_no_rates);
-    still_off.instrument(ch, LinkClass::DataFlit, 0);
+    still_off.instrument(ch, 0);
     EXPECT_EQ(still_off.faultedLinks(), 0u);
 }
 
@@ -63,9 +63,68 @@ TEST(FaultInjector, SkipsClassesWithoutApplicableRates)
     FaultInjector inj(plan);
     Channel<DataWireFlit> data(1);
     Channel<ActualCreditMsg> credit(1);
-    inj.instrument(data, LinkClass::DataFlit, 0);
-    inj.instrument(credit, LinkClass::ActualCredit, 0);
+    inj.instrument(data, 0);
+    inj.instrument(credit, 0);
     EXPECT_EQ(inj.faultedLinks(), 1u);
+}
+
+/** A plan that arms only @p kind. */
+FaultPlan
+onlyPlan(FaultKind kind)
+{
+    FaultPlan plan;
+    plan.enabled = true;
+    switch (kind) {
+      case FaultKind::LookaheadDrop:
+        plan.lookaheadDropRate = 0.5;
+        break;
+      case FaultKind::CreditLoss:
+        plan.creditLossRate = 0.5;
+        break;
+      case FaultKind::CreditCorrupt:
+        plan.creditCorruptRate = 0.5;
+        break;
+      case FaultKind::DataCorrupt:
+        plan.dataCorruptRate = 0.5;
+        break;
+      case FaultKind::LinkStall:
+        plan.linkStallRate = 0.5;
+        break;
+    }
+    return plan;
+}
+
+/** The fault classes the injector attaches to a wire of type @p T. */
+template <typename T>
+std::vector<FaultKind>
+classesCarriedBy()
+{
+    std::vector<FaultKind> carried;
+    for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+        const auto kind = static_cast<FaultKind>(k);
+        FaultInjector inj(onlyPlan(kind));
+        Channel<T> ch(1);
+        inj.instrument(ch, 0);
+        if (inj.faultedLinks() != 0)
+            carried.push_back(kind);
+    }
+    return carried;
+}
+
+TEST(FaultInjector, WireTypeDecidesFaultClasses)
+{
+    using K = FaultKind;
+    const std::vector<K> credit{K::CreditLoss, K::CreditCorrupt,
+                                K::LinkStall};
+    const std::vector<K> flit{K::DataCorrupt, K::LinkStall};
+    EXPECT_EQ(classesCarriedBy<LaWireFlit>(),
+              (std::vector<K>{K::LookaheadDrop, K::LinkStall}));
+    EXPECT_EQ(classesCarriedBy<LaCredit>(), credit);
+    EXPECT_EQ(classesCarriedBy<ActualCreditMsg>(), credit);
+    EXPECT_EQ(classesCarriedBy<VirtualCreditMsg>(), credit);
+    EXPECT_EQ(classesCarriedBy<DataWireFlit>(), flit);
+    EXPECT_EQ(classesCarriedBy<WireFlit>(), flit);
+    EXPECT_EQ(classesCarriedBy<Credit>(), std::vector<K>{K::LinkStall});
 }
 
 /** Records every onFault* event for the channel-level tests. */
@@ -109,7 +168,7 @@ TEST(FaultingChannel, CreditLossResynchronizesLate)
     inj.setObserver(&obs);
 
     Channel<ActualCreditMsg> ch(1);
-    inj.instrument(ch, LinkClass::ActualCredit, 3);
+    inj.instrument(ch, 3);
     ASSERT_EQ(inj.faultedLinks(), 1u);
 
     ch.send(10, ActualCreditMsg{});
@@ -146,7 +205,7 @@ TEST(FaultingChannel, CreditCorruptDeliversGarbledCopyThenResync)
     inj.setObserver(&obs);
 
     Channel<VirtualCreditMsg> ch(1);
-    inj.instrument(ch, LinkClass::VirtualCredit, 5);
+    inj.instrument(ch, 5);
 
     VirtualCreditMsg vc;
     vc.departSlot = 7;
@@ -181,7 +240,7 @@ TEST(FaultingChannel, LookaheadDropArrivesCrcDead)
     FaultInjector inj(plan);
 
     Channel<LaWireFlit> ch(1);
-    inj.instrument(ch, LinkClass::LookaheadFlit, 2);
+    inj.instrument(ch, 2);
 
     LaWireFlit la;
     la.vc = 1;
@@ -201,7 +260,7 @@ TEST(FaultingChannel, DataCorruptFlipsExactlyOnePayloadBit)
     FaultInjector inj(plan);
 
     Channel<DataWireFlit> ch(1);
-    inj.instrument(ch, LinkClass::DataFlit, 4);
+    inj.instrument(ch, 4);
 
     DataWireFlit wf;
     wf.flit.flow = 3;
@@ -227,7 +286,7 @@ TEST(FaultingChannel, LinkStallGatesReadinessAndIsDetectedOnce)
     inj.setObserver(&obs);
 
     Channel<DataWireFlit> ch(1);
-    inj.instrument(ch, LinkClass::DataFlit, 6);
+    inj.instrument(ch, 6);
 
     ch.send(0, DataWireFlit{});
     EXPECT_FALSE(ch.ready(5)) << "stalled until cycle 17";
@@ -254,8 +313,8 @@ TEST(FaultingChannel, StallTallyIsIndependentOfQueryCadence)
     seventh_inj.setObserver(&seventh_obs);
     Channel<DataWireFlit> every(1);
     Channel<DataWireFlit> seventh(1);
-    every_inj.instrument(every, LinkClass::DataFlit, 3);
-    seventh_inj.instrument(seventh, LinkClass::DataFlit, 3);
+    every_inj.instrument(every, 3);
+    seventh_inj.instrument(seventh, 3);
     // A value held in flight makes every ready() ask the stall stream.
     every.send(0, DataWireFlit{});
     seventh.send(0, DataWireFlit{});
@@ -286,7 +345,7 @@ TEST(FaultingChannel, StreamsAreDeterministicPerSeed)
         plan.seed = seed;
         FaultInjector inj(plan);
         Channel<DataWireFlit> ch(1);
-        inj.instrument(ch, LinkClass::DataFlit, 0);
+        inj.instrument(ch, 0);
         std::vector<std::uint64_t> payloads;
         for (Cycle t = 0; t < 2000; ++t) {
             DataWireFlit wf;
@@ -409,6 +468,35 @@ TEST(FaultRuns, NonLoftNetworksSeeOnlyFabricFaultClasses)
         EXPECT_GT(countOf(r.faultsInjected, FaultKind::LinkStall), 0u);
         EXPECT_GT(countOf(r.faultsDetected, FaultKind::DataCorrupt), 0u);
         EXPECT_GT(r.packetSurvivalRate, 0.9);
+    }
+}
+
+TEST(FaultRuns, LoftOnlyClassesLeaveFabricsBare)
+{
+    // No wormhole or GSF wire carries look-ahead or credit faults, so
+    // such a plan instruments nothing there and the run stays bare.
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.lookaheadDropRate = 1e-3;
+    plan.creditLossRate = 1e-3;
+    plan.creditCorruptRate = 1e-3;
+    for (const NetKind kind : {NetKind::Wormhole, NetKind::Gsf}) {
+        RunConfig bare = faultyLoft(42, FaultPlan{});
+        bare.kind = kind;
+        bare.gsf.frameSizeFlits = 500;
+        RunConfig faulted = bare;
+        faulted.faults = plan;
+        const RunResult r = faultyRun(faulted, 0.1);
+
+        EXPECT_EQ(sweepFingerprint(r),
+                  sweepFingerprint(faultyRun(bare, 0.1)))
+            << netKindName(kind);
+        EXPECT_EQ(r.packetSurvivalRate, 1.0);
+        for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+            EXPECT_EQ(r.faultsInjected[k], 0u);
+            EXPECT_EQ(r.faultsDetected[k], 0u);
+            EXPECT_EQ(r.faultsRecovered[k], 0u);
+        }
     }
 }
 

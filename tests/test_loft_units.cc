@@ -759,7 +759,7 @@ TEST(LookaheadWake, StagedQuantumWakesTheSleepingLookaheadRouter)
     p.centralBufferFlits = 32;
     p.specBufferFlits = 8;
     p.maxFlows = 4;
-    p.recovery.enabled = true;
+    p.recovery = true;
     const Mesh2D mesh(1, 1);
     LoftDataRouter router(0, mesh, p);
     LookaheadRouter la(0, mesh, p, &router);

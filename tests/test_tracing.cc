@@ -247,7 +247,7 @@ TEST(Tracing, FinishedCollectorIgnoresLateEvents)
 {
     TraceConfig cfg;
     cfg.sampleRate = 1.0;
-    TraceCollector tc(Mesh2D(2, 2), cfg, "wormhole", 0);
+    TraceCollector tc(Mesh2D(2, 2), cfg, "wormhole", 0, 0);
     Packet pkt;
     pkt.id = 9;
     pkt.flow = 1;
