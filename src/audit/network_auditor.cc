@@ -51,7 +51,7 @@ auditKindName(AuditKind kind)
 
 NetworkAuditor::NetworkAuditor(Network &net, AuditConfig config)
     : net_(&net), cfg_(config),
-      shadows_(net.mesh().numNodes() * kNumSchedLanes)
+      shadows_(net.mesh().numNodes() * kNumLanes)
 {
     net.setObserver(this);
 }
@@ -301,9 +301,8 @@ std::uint32_t
 NetworkAuditor::siteOf(const OutputScheduler &sched)
 {
     const SchedSite &site = sched.site();
-    const std::size_t at =
-        std::size_t(site.node) * kNumSchedLanes + site.lane;
-    if (site.lane >= kNumSchedLanes || at >= shadows_.size())
+    const std::size_t at = laneIndex(site.node, site.lane);
+    if (site.lane >= kNumLanes || at >= shadows_.size())
         panic("audit: scheduler '%s' has no site in this mesh",
               sched.name().c_str());
     SchedShadow &sh = shadows_[at];

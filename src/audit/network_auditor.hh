@@ -70,8 +70,8 @@ namespace noc
 //    counts fault events for RunResult; faults reach the ledger only
 //    as dropped flits (onFlitDropped).
 // loft-tidy: phase-serial — keyless: ticked in the serial epilogue and
-//     fed through the DeferredObserver merge, never inside the
-//     partitioned phase.
+//     fed through the ObserverMux merge, never inside the partitioned
+//     phase of a run with two or more domains.
 class NetworkAuditor final : public NetObserver, public Clocked
 {
   public:

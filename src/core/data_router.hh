@@ -269,7 +269,7 @@ class LoftDataRouter final : public Clocked
     Cycle nextScrubAt_ = 0;
     /** Co-located look-ahead router (null when driven without one). */
     Clocked *lookahead_ = nullptr;
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

@@ -121,14 +121,6 @@ LoftNetwork::registerFlows(const std::vector<FlowSpec> &flows)
 }
 
 bool
-LoftNetwork::canInject(NodeId src) const
-{
-    Packet probe;
-    probe.sizeFlits = 1;
-    return sources_.at(src)->canAccept(probe);
-}
-
-bool
 LoftNetwork::inject(const Packet &pkt)
 {
     return sources_.at(pkt.src)->enqueue(pkt);

@@ -34,7 +34,6 @@ class LoftNetwork : public Network
 
     const Mesh2D &mesh() const override { return mesh_; }
     void registerFlows(const std::vector<FlowSpec> &flows) override;
-    bool canInject(NodeId src) const override;
     bool inject(const Packet &pkt) override;
     void attach(Simulator &sim) override;
     MetricsCollector &metrics() override { return metrics_; }

@@ -47,7 +47,7 @@ class LoftSink final : public Clocked
     // loft-tidy: deferred-endpoint(MetricsCollector::mergeDomains)
     MetricsCollector *metrics_;
     ReassemblyTable pending_;
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

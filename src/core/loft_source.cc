@@ -23,7 +23,7 @@ constexpr std::size_t kOutboundReserve = 8;
 LoftSourceUnit::LoftSourceUnit(NodeId node, const LoftParams &params)
     : node_(node), params_(params),
       sched_(params, csprintf("ni%u.sched", node),
-             SchedSite{node, kNiSchedLane}),
+             SchedSite{node, kNiLane}),
       dnNonspecFree_(params.centralBufferFlits),
       dnSpecFree_(params.specBufferFlits),
       laCredits_(params.laNumVCs, params.laVcDepth),
@@ -66,17 +66,10 @@ LoftSourceUnit::registerFlow(FlowId flow, std::uint32_t reservation_flits)
 }
 
 bool
-LoftSourceUnit::canAccept(const Packet &pkt) const
-{
-    if (queueCapacityFlits_ == 0)
-        return true;
-    return queuedFlits_ + pkt.sizeFlits <= queueCapacityFlits_;
-}
-
-bool
 LoftSourceUnit::enqueue(const Packet &pkt)
 {
-    if (!canAccept(pkt))
+    if (queueCapacityFlits_ != 0 &&
+        queuedFlits_ + pkt.sizeFlits > queueCapacityFlits_)
         return false;
     if (pkt.src != node_)
         panic("LoftSourceUnit %u: packet from node %u", node_, pkt.src);

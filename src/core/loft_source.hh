@@ -54,7 +54,6 @@ class LoftSourceUnit final : public Clocked
         sched_.setObserver(obs);
     }
 
-    bool canAccept(const Packet &pkt) const;
     bool enqueue(const Packet &pkt);
 
     void tick(Cycle now) override;
@@ -144,7 +143,7 @@ class LoftSourceUnit final : public Clocked
     std::unordered_map<FlowId, FlowCounters> counters_;
 
     std::size_t queueCapacityFlits_;
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

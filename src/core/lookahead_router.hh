@@ -136,7 +136,7 @@ class LookaheadRouter final : public Clocked
     /** Flits in every input VC (the sum of the count vectors). */
     std::uint64_t buffered_ = 0;
 
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

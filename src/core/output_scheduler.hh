@@ -65,8 +65,8 @@ struct SlotBooking
 
 /**
  * Where an output scheduler sits: its owner's node and the lane it
- * schedules, a router output port (0..kNumPorts-1) or kNiSchedLane for
- * the NI's local link. Observers index per-scheduler state by it. A
+ * schedules, a router output port (0..kNumPorts-1) or kNiLane for the
+ * NI's local link. Observers index per-scheduler state by it. A
  * scheduler built outside a router or NI has no site (node is
  * kInvalidNode).
  */
@@ -75,11 +75,6 @@ struct SchedSite
     NodeId node = kInvalidNode;
     std::uint32_t lane = 0;
 };
-
-/** Lane of the NI's scheduler; router ports take lanes below it. */
-constexpr std::uint32_t kNiSchedLane = kNumPorts;
-/** Lanes per node: every router output port plus the NI. */
-constexpr std::size_t kNumSchedLanes = kNumPorts + 1;
 
 // loft-tidy: phase-pure — not Clocked itself, but every method runs
 //     inside LoftDataRouter::tick and so inside the partitioned phase;
@@ -395,7 +390,7 @@ class OutputScheduler
     std::uint64_t violations_ = 0;
     bool dirty_ = false;
     Cycle lastAdvance_ = 0;
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
     SchedSite site_;
 };

@@ -56,14 +56,6 @@ GsfNetwork::registerFlows(const std::vector<FlowSpec> &flows)
 }
 
 bool
-GsfNetwork::canInject(NodeId src) const
-{
-    Packet probe;
-    probe.sizeFlits = 1;
-    return sources_.at(src)->canAccept(probe);
-}
-
-bool
 GsfNetwork::inject(const Packet &pkt)
 {
     return sources_.at(pkt.src)->enqueue(pkt);

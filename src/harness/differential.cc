@@ -59,6 +59,7 @@ replayTrace(const RunConfig &config, const Trace &trace,
     sim.add(&replayer);
     net->attach(sim);
     auditor.attach(sim);
+    sim.addMerged(&mux);
 
     const std::uint64_t expected = trace.size();
     out.drained = sim.runUntil(

@@ -6,7 +6,6 @@
 #include "audit/network_auditor.hh"
 #include "faults/fault_injector.hh"
 #include "faults/fault_monitor.hh"
-#include "net/deferred_observer.hh"
 #include "net/observer_mux.hh"
 #include "sim/logging.hh"
 #include "sim/alloc.hh"
@@ -168,43 +167,23 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
     Simulator sim;
     sim.setWorkers(cfg.intraRunWorkers);
 
-    // The network holds a single observer pointer; with more than one
-    // consumer, fan out through a mux. A partitioned run interposes
-    // the DeferredObserver so concurrent hook calls are buffered and
-    // replayed downstream in the exact serial order. The injector
-    // announces through the same observer as the network, so the
-    // monitor, auditor and telemetry see fault events merged in serial
-    // order with every other event.
+    // The network holds a single observer pointer: the mux, which fans
+    // each event out and, in a partitioned run, replays them at the
+    // cycle barrier in the exact serial order. The injector announces
+    // through the same mux as the network, so the monitor, auditor and
+    // telemetry see fault events merged in serial order with every
+    // other event. The trace goes last, so a postmortem dump triggered
+    // from the auditor reflects trace state up to (not including) the
+    // fatal event.
     ObserverMux mux;
-    std::unique_ptr<DeferredObserver> defer;
-    {
-        std::vector<NetObserver *> sinks;
-        if (auditor)
-            sinks.push_back(auditor.get());
-        if (telemetry)
-            sinks.push_back(telemetry.get());
-        if (monitor)
-            sinks.push_back(monitor.get());
-        // Last, so a postmortem dump triggered from the auditor
-        // reflects trace state up to (not including) the fatal event.
-        if (trace)
-            sinks.push_back(trace.get());
-        NetObserver *sink = nullptr;
-        if (sinks.size() == 1) {
-            sink = sinks.front();
-        } else if (sinks.size() > 1) {
-            for (NetObserver *o : sinks)
-                mux.add(o);
-            sink = &mux;
-        }
-        if (sink && sim.workers() > 1) {
-            defer = std::make_unique<DeferredObserver>(sink);
-            sink = defer.get();
-        }
-        if (sink)
-            net->setObserver(sink);
+    mux.add(auditor.get());
+    mux.add(telemetry.get());
+    mux.add(monitor.get());
+    mux.add(trace.get());
+    if (mux.numTargets() > 0) {
+        net->setObserver(&mux);
         if (injector)
-            injector->setObserver(sink);
+            injector->setObserver(&mux);
     }
     if (auditor && trace) {
         TraceCollector *tr = trace.get();
@@ -225,8 +204,7 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
         auditor->attach(sim);
     if (telemetry)
         sim.add(telemetry.get()); // last: samples end-of-cycle state
-    if (defer)
-        sim.addMerged(defer.get());
+    sim.addMerged(&mux);
 
     sim.run(cfg.warmupCycles);
     net->metrics().startMeasurement(sim.now());

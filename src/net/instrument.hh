@@ -29,9 +29,9 @@
  *
  * consume() is the only way in. Its default body decodes the record
  * into the matching protected on* hook; the hooks have empty bodies,
- * so a sink overrides only what it cares about. Transports that pass
- * records on whole (ObserverMux, DeferredObserver) override consume()
- * and never look at the kind.
+ * so a sink overrides only what it cares about. A transport that
+ * passes records on whole (ObserverMux) overrides consume() and never
+ * looks at the kind.
  */
 
 #ifndef NOC_NET_INSTRUMENT_HH

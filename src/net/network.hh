@@ -58,9 +58,6 @@ class Network
     /** Register all flows (with reservations) before running. */
     virtual void registerFlows(const std::vector<FlowSpec> &flows) = 0;
 
-    /** True if node @p src can accept another packet this cycle. */
-    virtual bool canInject(NodeId src) const = 0;
-
     /** Offer a packet to the source NI. @return false if refused. */
     virtual bool inject(const Packet &pkt) = 0;
 
@@ -79,7 +76,9 @@ class Network
      * Implementations distribute the pointer to all their components.
      * The network holds a single pointer; install an ObserverMux
      * (net/observer_mux.hh) to fan events out to several consumers
-     * (e.g. auditor + telemetry) at once.
+     * (e.g. auditor + telemetry) at once, and register it with the
+     * simulator (Simulator::addMerged) so a partitioned run delivers
+     * them in serial order.
      */
     virtual void setObserver(NetObserver *obs) { (void)obs; }
 };

@@ -33,6 +33,14 @@ portName(Port p)
     return "?";
 }
 
+const char *
+laneName(std::size_t lane)
+{
+    if (lane < kNumPorts)
+        return portName(static_cast<Port>(lane));
+    return "NI";
+}
+
 Mesh2D::Mesh2D(std::uint32_t width, std::uint32_t height)
     : width_(width), height_(height)
 {

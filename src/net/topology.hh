@@ -38,6 +38,25 @@ Port oppositePort(Port p);
 const char *portName(Port p);
 
 /**
+ * Lanes of a node, as observers index them: the router's ports take
+ * lanes 0..kNumPorts-1 (port index) and the network interface the lane
+ * after them.
+ */
+constexpr std::size_t kNiLane = kNumPorts;
+/** Lanes per node: every router port plus the NI. */
+constexpr std::size_t kNumLanes = kNumPorts + 1;
+
+/** Index of @p node's lane @p lane in a node-major array of lanes. */
+constexpr std::size_t
+laneIndex(NodeId node, std::size_t lane)
+{
+    return static_cast<std::size_t>(node) * kNumLanes + lane;
+}
+
+/** Lane display name: the port name, or "NI". */
+const char *laneName(std::size_t lane);
+
+/**
  * An X-by-Y mesh of nodes numbered id = x + y * width, as in the paper
  * (8x8, node id = x + 8y).
  */

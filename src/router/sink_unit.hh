@@ -46,7 +46,7 @@ class SinkUnit final : public Clocked
     MetricsCollector *metrics_;
     std::function<void(const Flit &, Cycle)> onEject_;
     ReassemblyTable pending_;
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

@@ -18,17 +18,10 @@ SourceUnit::SourceUnit(NodeId node, const WormholeParams &params,
 }
 
 bool
-SourceUnit::canAccept(const Packet &pkt) const
-{
-    if (queueCapacityFlits_ == 0)
-        return true;
-    return queuedFlits_ + pkt.sizeFlits <= queueCapacityFlits_;
-}
-
-bool
 SourceUnit::enqueue(const Packet &pkt)
 {
-    if (!canAccept(pkt))
+    if (queueCapacityFlits_ != 0 &&
+        queuedFlits_ + pkt.sizeFlits > queueCapacityFlits_)
         return false;
     if (pkt.src != node_)
         panic("SourceUnit %u asked to inject a packet from node %u",

@@ -41,9 +41,6 @@ class SourceUnit : public Clocked
 
     ~SourceUnit() override = default;
 
-    /** True if the queue has room for @p pkt. */
-    bool canAccept(const Packet &pkt) const;
-
     /** Enqueue a packet. @return false if the queue is full. */
     bool enqueue(const Packet &pkt);
 
@@ -117,7 +114,7 @@ class SourceUnit : public Clocked
     std::uint64_t nextFlitNo_ = 0;
 
   protected:
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

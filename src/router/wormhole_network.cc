@@ -26,14 +26,6 @@ WormholeNetwork::registerFlows(const std::vector<FlowSpec> &flows)
 }
 
 bool
-WormholeNetwork::canInject(NodeId src) const
-{
-    Packet probe;
-    probe.sizeFlits = 1;
-    return sources_.at(src)->canAccept(probe);
-}
-
-bool
 WormholeNetwork::inject(const Packet &pkt)
 {
     return sources_.at(pkt.src)->enqueue(pkt);

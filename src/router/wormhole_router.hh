@@ -231,7 +231,7 @@ class WormholeRouter final : public Clocked
     /** Per-output-port arbitration for VC allocation, over input VCs. */
     std::array<RoundRobinArbiter, kNumPorts> vcArb_;
 
-    // loft-tidy: deferred-endpoint(DeferredObserver)
+    // loft-tidy: deferred-endpoint(ObserverMux)
     NetObserver *observer_ = nullptr;
 };
 

@@ -124,10 +124,10 @@ class PendingPort
 /**
  * A consumer mutated by components of several domains during the
  * parallel phase of a cycle (metrics collectors, the GSF frame barrier,
- * the deferred observer). While a domain executes, its mutations are
- * recorded into a per-domain buffer; the simulator calls mergeDomains()
- * at the cycle barrier (single-threaded) to replay them in a
- * deterministic order. DomainLog is the implementation.
+ * the observer mux). While two or more domains execute, their
+ * mutations are recorded into per-domain buffers; the simulator calls
+ * mergeDomains() at the cycle barrier (single-threaded) to replay them
+ * in a deterministic order. DomainLog is the implementation.
  */
 class DomainMerged
 {
@@ -163,8 +163,8 @@ struct DomainContext
 
     /**
      * Serial registration index of the component currently ticking
-     * (valid only while domain != kDirect); stamps deferred observer
-     * events so the merge can reconstruct the serial delivery order.
+     * (valid only while domain != kDirect); stamps buffered records
+     * so the merge can reconstruct the serial delivery order.
      */
     std::uint32_t component = 0;
 
@@ -210,15 +210,17 @@ hardwareThreads()
  * once per buffered record.
  *
  * A record is buffered only while the calling thread runs a domain
- * inside an open window; it is stamped with the serial registration
- * index of the component ticking (par::ctx().component). Components
- * run in registration order within their domain and domains partition
- * the index space, so every domain's log is sorted by stamp, and
- * mergeDomains() — a k-way merge by stamp — replays the records in
- * exactly the order a serial run would have applied them. Outside a
- * domain (serial runs, prologue/epilogue components, the replay
- * itself) defer() returns false and the hook applies the record at
- * once.
+ * inside a window of two or more domains; it is stamped with the
+ * serial registration index of the component ticking
+ * (par::ctx().component). Components run in registration order within
+ * their domain and domains partition the index space, so every
+ * domain's log is sorted by stamp, and mergeDomains() — a k-way merge
+ * by stamp — replays the records in exactly the order a serial run
+ * would have applied them. Everywhere else defer() returns false and
+ * the hook applies the record at once: in a one-domain window (every
+ * serial run), where the domain's own order is already the serial
+ * order, and outside a domain (prologue/epilogue components, the
+ * replay itself).
  *
  * The logs are grow-only: endParallel() clears their contents but
  * keeps their capacity, so the warm-up window's growth pays for the
@@ -235,6 +237,9 @@ class DomainLog : public DomainMerged
     beginParallel(unsigned domains) override
     {
         LOFT_PSAN_BARRIER_SEAM(owner_, "beginParallel");
+        domains_ = domains;
+        if (domains < 2)
+            return;
         if (logs_.size() < domains) {
             logs_.resize(domains);
             cursors_.resize(domains);
@@ -242,7 +247,6 @@ class DomainLog : public DomainMerged
         for (std::vector<Stamped> &log : logs_)
             if (log.capacity() < reserve_)
                 log.reserve(reserve_);
-        open_ = true;
     }
 
     void
@@ -281,13 +285,13 @@ class DomainLog : public DomainMerged
     {
         LOFT_PSAN_BARRIER_SEAM(owner_, "endParallel");
         clearLogs();
-        open_ = false;
+        domains_ = 0;
     }
 
     /**
      * Reserve @p per_domain records in each domain log from the next
-     * beginParallel() on, so first-time growth stays out of the
-     * measurement window (0 = grow on demand).
+     * beginParallel() of two or more domains on, so first-time growth
+     * stays out of the measurement window (0 = grow on demand).
      */
     void setDeferredReserve(std::size_t per_domain) { reserve_ = per_domain; }
 
@@ -302,11 +306,15 @@ class DomainLog : public DomainMerged
     defer(const char *hook, const Record &r)
     {
         const int d = par::currentDomain();
-        if (d == par::kDirect || !open_) {
+        // A closed window inside the partitioned phase is a consumer
+        // the simulator never registered (Simulator::addMerged).
+        if (d == par::kDirect || domains_ == 0) {
             LOFT_PSAN_DIRECT_DELIVERY(owner_, hook);
             return false;
         }
         LOFT_PSAN_DEFERRED_BUFFER(owner_, hook);
+        if (domains_ == 1)
+            return false;
         // loft-tidy: pooled(grow-only logs; setDeferredReserve sizes them)
         logs_[static_cast<std::size_t>(d)].push_back(
             {par::ctx().component, r});
@@ -332,8 +340,9 @@ class DomainLog : public DomainMerged
     }
 
     const char *owner_;
-    /** Between beginParallel() and endParallel(). */
-    bool open_ = false;
+    /** Domains of the open window; 0 outside beginParallel() ..
+     *  endParallel(). */
+    unsigned domains_ = 0;
     std::size_t reserve_ = 0;
     std::vector<std::vector<Stamped>> logs_;
     /** Merge position in each log (sized with logs_). */

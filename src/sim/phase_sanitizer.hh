@@ -18,8 +18,10 @@
  *   - a barrier-owned seam is entered from inside a simulation phase,
  *   - a channel's pending buffer is touched by two threads in one cycle
  *     or its in-flight queue is popped from a foreign domain,
- *   - a DomainMerged consumer buffers outside the partitioned phase or
- *     is mutated directly from inside it (the PR-6 bug class).
+ *   - a DomainMerged hook runs in a domain context outside the
+ *     partitioned phase (a leaked context), or a consumer outside any
+ *     open window — one the simulator never registered — is mutated
+ *     directly from inside it.
  *
  * The same switch guards the wake-up protocol: it aborts when a
  * component wakes a component of another domain during the partitioned
@@ -148,7 +150,8 @@ void resetPort(PortState &st);
             ::noc::psan::checkChannelReceive(st_);                       \
     } while (0)
 
-/** A DomainMerged hook buffering into its per-domain scratch. */
+/** A DomainMerged hook called from a domain context: it buffers into
+ *  its per-domain scratch, or applies at once in a one-domain window. */
 #define LOFT_PSAN_DEFERRED_BUFFER(owner_, hook_)                         \
     do {                                                                 \
         if (::noc::psan::enabled())                                      \

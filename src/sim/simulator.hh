@@ -16,7 +16,10 @@
  * thread). Every cycle then executes against start-of-cycle channel
  * state for every worker count, so quiescence decisions cannot depend
  * on the per-cycle tick order and any worker count is bit-identical to
- * any other by construction (see docs/PARALLEL.md).
+ * any other by construction (see docs/PARALLEL.md). Barrier-merged
+ * consumers (DomainLog) buffer only while two or more domains run: the
+ * one domain of a single-worker run already calls them in serial
+ * order.
  */
 
 #ifndef NOC_SIM_SIMULATOR_HH
@@ -86,7 +89,9 @@ class Simulator
     /**
      * Register a consumer whose cross-domain mutations are buffered and
      * merged at the per-cycle barrier (metrics, the GSF frame barrier,
-     * the deferred observer).
+     * the observer mux). Every DomainLog a component calls during a run
+     * must be registered: an unregistered one applies records at once
+     * from every domain, which the phase sanitizer reports.
      */
     void addMerged(DomainMerged *consumer);
 

@@ -16,15 +16,6 @@ namespace
 /** Hard cap on buffered trace events; overflow is counted. */
 constexpr std::size_t kMaxTraceEvents = 200000;
 
-/** Lane display names: the router ports, then the NI. */
-const char *
-laneName(std::size_t lane)
-{
-    if (lane < kNumPorts)
-        return portName(static_cast<Port>(lane));
-    return "NI";
-}
-
 /** The counters stored under index @p i of a sparse epoch row, or a
  *  zero record. */
 template <typename Counters>
@@ -150,8 +141,6 @@ TelemetryCollector::stopMeasurement(Cycle)
 std::size_t
 TelemetryCollector::schedLane(const OutputScheduler &sched)
 {
-    static_assert(kNiLane == kNiSchedLane && kNumLanes == kNumSchedLanes,
-                  "telemetry lanes are scheduler sites");
     const SchedSite &site = sched.site();
     if (site.node >= numNodes_ || site.lane >= kNumLanes)
         panic("telemetry: scheduler '%s' has no site in this mesh",
@@ -250,6 +239,14 @@ void
 TelemetryCollector::onFlitEjected(NodeId node, const Flit &, Cycle)
 {
     ++ejected_[node];
+}
+
+void
+TelemetryCollector::onFlitDropped(NodeId node, const Flit &, Cycle)
+{
+    // A recovery give-up frees the dropped flits' buffer slots.
+    if (buffered_[node] > 0)
+        --buffered_[node];
 }
 
 void

@@ -123,22 +123,15 @@ struct TelemetryEpoch
 //    epoch, not replayed from events.
 //  - onSchedCreditNegative: anomaly counting is the auditor's job;
 //    telemetry reports the scheduler's own counter.
-//  - onFlitDropped: drops surface through the fault counters
-//    (onFaultInjected/Detected/Recovered).
 //  - onSourceThrottled: stall attribution is the trace subsystem's job
 //    (src/trace); the time series already reflects back-pressure
 //    through the utilization counters.
 // loft-tidy: phase-serial — keyless: ticked in the serial epilogue and
-//     fed through the DeferredObserver merge, never inside the
-//     partitioned phase.
+//     fed through the ObserverMux merge, never inside the partitioned
+//     phase of a run with two or more domains.
 class TelemetryCollector final : public NetObserver, public Clocked
 {
   public:
-    /** Lane index of the network interface (after the router ports). */
-    static constexpr std::size_t kNiLane = kNumPorts;
-    /** Lanes per node: the kNumPorts router ports plus the NI. */
-    static constexpr std::size_t kNumLanes = kNumPorts + 1;
-
     /**
      * @param mesh     topology (dimensions are baked into exports).
      * @param config   sampling / tracing knobs.
@@ -233,6 +226,7 @@ class TelemetryCollector final : public NetObserver, public Clocked
     void onFlitForwarded(NodeId node, Port out, const Flit &flit,
                          bool spec, Cycle now) override;
     void onFlitEjected(NodeId node, const Flit &flit, Cycle now) override;
+    void onFlitDropped(NodeId node, const Flit &flit, Cycle now) override;
     void onLookaheadAdmitted(NodeId node, Port in, const LookaheadFlit &la,
                              Cycle now) override;
     void onMissedSlot(NodeId node, Port out, Cycle now) override;
@@ -253,10 +247,6 @@ class TelemetryCollector final : public NetObserver, public Clocked
                           Cycle now) override;
 
   private:
-    std::size_t laneIndex(NodeId node, std::size_t lane) const
-    {
-        return static_cast<std::size_t>(node) * kNumLanes + lane;
-    }
     LaneCounters &laneRef(NodeId node, std::size_t lane)
     {
         return cur_[laneIndex(node, lane)];

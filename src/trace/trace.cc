@@ -76,15 +76,6 @@ stageIdx(TraceStage s)
     return static_cast<std::size_t>(s);
 }
 
-/** Lane display names: the router ports, then the NI. */
-const char *
-traceLaneName(std::size_t lane)
-{
-    if (lane < kNumPorts)
-        return portName(static_cast<Port>(lane));
-    return "NI";
-}
-
 /** `"stages":{...}` fragment shared by summary/flow/exemplar rows. */
 std::string
 stagesJson(const std::array<std::uint64_t, kNumTraceStages> &stages)
@@ -876,7 +867,7 @@ TraceCollector::dumpJson(const std::string &reason, Cycle now) const
                             ",\"event\":\"%s\",\"lane\":\"%s\"",
                             i ? "," : "", e.cycle,
                             flightKindName(e.kind),
-                            traceLaneName(e.lane));
+                            laneName(e.lane));
             if (e.flow != kInvalidFlow)
                 out += csprintf(",\"flow\":%u", e.flow);
             if (e.spec)

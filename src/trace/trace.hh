@@ -41,7 +41,7 @@
  *
  * The collector is passive (it never mutates network state, uses no
  * RNG stream — sampling is a mixSeed hash of the packet id — and
- * sits downstream of the DeferredObserver merge), so results and
+ * sits downstream of the ObserverMux merge), so results and
  * dumps are bit-identical for any worker count, and runs are
  * cycle-identical with tracing on or off. See docs/TRACING.md.
  */
@@ -245,10 +245,6 @@ class TraceCollector final : public NetObserver
                            Cycle now) override;
 
   private:
-    /** Lane index for blame rings: router output ports, then the NI. */
-    static constexpr std::size_t kNiLane = kNumPorts;
-    static constexpr std::size_t kNumLanes = kNumPorts + 1;
-
     /** The stage values of one closed hop. */
     struct HopStages
     {
@@ -350,11 +346,6 @@ class TraceCollector final : public NetObserver
         std::vector<FlightEvent> buf;
         std::size_t head = 0;
     };
-
-    std::size_t laneIndex(NodeId node, std::size_t lane) const
-    {
-        return static_cast<std::size_t>(node) * kNumLanes + lane;
-    }
 
     bool isSampled(FlowId flow, PacketId id) const;
     Cycle slotStart(Slot slot) const

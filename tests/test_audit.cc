@@ -291,6 +291,7 @@ TEST(FaultInjection, PostmortemWritesOneTraceDumpPerKind)
     mux.add(rig.auditor.get());
     mux.add(&trace);
     rig.net->setObserver(&mux);
+    rig.sim.addMerged(&mux);
     rig.auditor->setPostmortem([&trace](AuditKind kind, Cycle now) {
         return trace.dumpToFile(std::string("audit_") + auditKindName(kind),
                                 now);

@@ -189,6 +189,7 @@ struct OracleRig
         net->attach(sim);
         sim.add(flat.get());
         sim.add(ref.get());
+        sim.addMerged(&mux);
     }
 
     /** Run @p cycles, comparing the auditors after each deep audit. */

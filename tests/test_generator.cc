@@ -29,7 +29,6 @@ class StubNetwork : public Network
     {
         metrics_.resizeFlows(flows.size());
     }
-    bool canInject(NodeId) const override { return accept; }
     bool
     inject(const Packet &pkt) override
     {

@@ -202,10 +202,8 @@ TEST_F(LoftNetTest, BoundedSourceQueueBackpressures)
     build({flow(0, 0, 15)});
     PacketId id = 1;
     int accepted = 0;
-    while (net_->canInject(0) && accepted < 100) {
-        ASSERT_TRUE(net_->inject(makePacket(id++, flows_[0], 0)));
+    while (accepted < 100 && net_->inject(makePacket(id++, flows_[0], 0)))
         ++accepted;
-    }
     EXPECT_EQ(accepted, 8); // 32-flit queue / 4-flit packets
 }
 

@@ -9,7 +9,8 @@
  * quanta that several inputs hold for it, and in which order it serves
  * flows. A third fills one input's table past the router's starting
  * arena and checks back-pressure and the output picks after growth. A
- * last one checks that staging a quantum wakes the look-ahead router.
+ * fourth checks that staging a quantum wakes the look-ahead router, and
+ * a last one that recovery gives up on a quantum it can never re-admit.
  */
 
 #include <gtest/gtest.h>
@@ -788,6 +789,84 @@ TEST(LookaheadWake, StagedQuantumWakesTheSleepingLookaheadRouter)
     EXPECT_EQ(router.lookaheadReissues(), 1u);
     EXPECT_EQ(out.inFlightCount(), 1u);
     EXPECT_FALSE(router.hasUnclaimedQuanta());
+}
+
+// ---- Recovery giving up on a quantum ---------------------------------
+
+/** Counts the dropped flits and the look-ahead losses detected. */
+class DropLog final : public NetObserver
+{
+  public:
+    std::uint32_t flitsDropped = 0;
+    std::uint32_t lookaheadDropsDetected = 0;
+
+    void
+    consume(const NetEvent &e) override
+    {
+        if (e.kind == NetEvent::Kind::FlitDropped)
+            ++flitsDropped;
+        else if (e.kind == NetEvent::Kind::FaultDetected &&
+                 e.fault == FaultKind::LookaheadDrop)
+            ++lookaheadDropsDetected;
+    }
+};
+
+TEST(RecoveryGiveUp, UnadmittableQuantumIsDroppedAndItsCreditsReturned)
+{
+    // Router 0 of a 2x1 mesh, its East input on bare wires. Eight
+    // claimed look-aheads fill East's input table (windowSlots() = 8)
+    // and are never scheduled, so the look-ahead re-issued for a
+    // quantum whose own look-ahead was lost is refused every time.
+    LoftParams p;
+    p.frameSizeFlits = 8;
+    p.quantumFlits = 2;
+    p.windowFrames = 2;
+    p.centralBufferFlits = 8;
+    p.specBufferFlits = 0;
+    p.speculativeSwitching = false;
+    p.maxFlows = 4;
+    p.recovery = true;
+    ASSERT_EQ(p.windowSlots(), 8u);
+    const Mesh2D mesh(2, 1);
+    LoftDataRouter router(0, mesh, p);
+    Channel<DataWireFlit> in;
+    Channel<ActualCreditMsg> actual;
+    Channel<VirtualCreditMsg> virt;
+    router.connectInput(Port::East, &in, &actual, &virt);
+    DropLog log;
+    router.setObserver(&log);
+
+    for (std::uint64_t q = 0; q < p.windowSlots(); ++q) {
+        LookaheadFlit la;
+        la.flow = 1;
+        la.src = 1;
+        la.dst = 0;
+        la.quantumNo = q;
+        la.quantumFlits = p.quantumFlits;
+        ASSERT_TRUE(router.admitLookahead(Port::East, la, 0, 0));
+    }
+    for (std::uint32_t i = 0; i < p.quantumFlits; ++i) {
+        Flit f;
+        f.type = i == 0 ? FlitType::Head : FlitType::Tail;
+        f.flow = 2;
+        f.src = 1;
+        f.dst = 0;
+        f.flitNo = i;
+        f.quantumLast = i + 1 == p.quantumFlits;
+        in.send(0, DataWireFlit{f, false});
+    }
+    router.tick(1);
+    ASSERT_EQ(router.bufferedFlits(), 2u);
+    ASSERT_TRUE(router.hasUnclaimedQuanta());
+
+    for (Cycle now = 1; now < 40000; ++now)
+        router.recoverLostLookaheads(now);
+    EXPECT_FALSE(router.hasUnclaimedQuanta());
+    EXPECT_EQ(log.flitsDropped, 2u);
+    EXPECT_EQ(log.lookaheadDropsDetected, 1u);
+    EXPECT_EQ(router.bufferedFlits(), 0u);
+    EXPECT_EQ(actual.inFlightCount(), 2u);
+    EXPECT_EQ(router.lookaheadReissues(), 0u);
 }
 
 } // namespace

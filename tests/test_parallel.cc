@@ -22,7 +22,7 @@
 #include "gsf/gsf_network.hh"
 #include "harness/sweep.hh"
 #include "net/channel.hh"
-#include "net/deferred_observer.hh"
+#include "net/observer_mux.hh"
 #include "qos/allocation.hh"
 #include "sim/alloc.hh"
 #include "sim/phase_sanitizer.hh"
@@ -494,6 +494,22 @@ TEST(DomainLog, RecordOutsideAnyDomainAppliesAtOnce)
     EXPECT_EQ(log.applied, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(DomainLog, OneDomainWindowAppliesAtOnce)
+{
+    // One domain (every serial run) ticks its components in serial
+    // order already: a record made inside it applies at once, and the
+    // merge has nothing left to replay.
+    IntLog log;
+    log.beginParallel(1);
+    inDomain(0, 3, [&] { log.record(1); });
+    EXPECT_EQ(log.applied, (std::vector<int>{1}));
+    inDomain(0, 5, [&] { log.record(2); });
+    log.mergeDomains();
+    EXPECT_EQ(log.applied, (std::vector<int>{1, 2}));
+    log.endParallel();
+    LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
+}
+
 TEST(DomainLog, SecondWindowWithTheSameBurstDoesNotAllocate)
 {
     IntLog log;
@@ -521,7 +537,7 @@ TEST(DomainLog, ReservedLogTakesAFirstBurstWithoutAllocating)
     IntLog log;
     log.applied.reserve(64);
     log.setDeferredReserve(64);
-    log.beginParallel(1);
+    log.beginParallel(2);
     const std::uint64_t before = heapAllocCount();
     for (int i = 0; i < 64; ++i)
         inDomain(0, static_cast<std::uint32_t>(i), [&] { log.record(i); });
@@ -640,58 +656,61 @@ emitFromDomain(NetObserver &obs, int domain, std::uint32_t component,
 
 using Logged = std::vector<std::pair<NodeId, std::uint64_t>>;
 
-TEST(DeferredObserver, MergeReplaysEventsInComponentOrder)
+TEST(ObserverMuxLog, MergeReplaysEventsInComponentOrder)
 {
     EventLog sink;
-    DeferredObserver defer(&sink);
-    defer.beginParallel(2);
+    ObserverMux mux;
+    mux.add(&sink);
+    mux.beginParallel(2);
     // Domain 0 runs components 0 and 2, domain 1 runs 1 and 3; the
     // domains interleave freely, each in its own component order.
-    emitFromDomain(defer, 1, 1, 10);
-    emitFromDomain(defer, 0, 0, 0);
-    emitFromDomain(defer, 1, 1, 11);
-    emitFromDomain(defer, 0, 2, 20);
-    emitFromDomain(defer, 1, 3, 30);
-    emitFromDomain(defer, 0, 2, 21);
+    emitFromDomain(mux, 1, 1, 10);
+    emitFromDomain(mux, 0, 0, 0);
+    emitFromDomain(mux, 1, 1, 11);
+    emitFromDomain(mux, 0, 2, 20);
+    emitFromDomain(mux, 1, 3, 30);
+    emitFromDomain(mux, 0, 2, 21);
     EXPECT_TRUE(sink.events.empty());
 
-    defer.mergeDomains();
+    mux.mergeDomains();
     EXPECT_EQ(sink.events, (Logged{{0, 1000},
                                    {10, 1010},
                                    {11, 1011},
                                    {20, 1020},
                                    {21, 1021},
                                    {30, 1030}}));
-    defer.mergeDomains(); // the buffers were drained
+    mux.mergeDomains(); // the buffers were drained
     EXPECT_EQ(sink.events.size(), 6u);
-    defer.endParallel();
+    mux.endParallel();
     LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
 }
 
-TEST(DeferredObserver, EventOutsideAParallelWindowPassesStraightThrough)
+TEST(ObserverMuxLog, EventOutsideAParallelWindowPassesStraightThrough)
 {
     EventLog sink;
-    DeferredObserver defer(&sink);
-    defer.consume({.kind = NetEvent::Kind::FlitEjected, .node = 5});
+    ObserverMux mux;
+    mux.add(&sink);
+    mux.consume({.kind = NetEvent::Kind::FlitEjected, .node = 5});
     EXPECT_EQ(sink.events, (Logged{{5, 0}}));
 
     // An open window with the calling thread in no domain (a serial
     // prologue or epilogue component) still delivers directly.
-    defer.beginParallel(2);
-    defer.consume({.kind = NetEvent::Kind::FlitEjected, .node = 6});
+    mux.beginParallel(2);
+    mux.consume({.kind = NetEvent::Kind::FlitEjected, .node = 6});
     EXPECT_EQ(sink.events, (Logged{{5, 0}, {6, 0}}));
-    defer.endParallel();
+    mux.endParallel();
 }
 
-TEST(DeferredObserver, EndParallelDropsBufferedEvents)
+TEST(ObserverMuxLog, EndParallelDropsBufferedEvents)
 {
     EventLog sink;
-    DeferredObserver defer(&sink);
-    defer.beginParallel(2);
-    emitFromDomain(defer, 0, 0, 1);
-    emitFromDomain(defer, 1, 1, 2);
-    defer.endParallel();
-    defer.mergeDomains();
+    ObserverMux mux;
+    mux.add(&sink);
+    mux.beginParallel(2);
+    emitFromDomain(mux, 0, 0, 1);
+    emitFromDomain(mux, 1, 1, 2);
+    mux.endParallel();
+    mux.mergeDomains();
     EXPECT_TRUE(sink.events.empty());
     LOFT_PSAN_SET_PHASE(SimPhase::Idle, 1);
 }

@@ -15,6 +15,7 @@
 #include "harness/sweep.hh"
 #include "net/channel.hh"
 #include "net/metrics.hh"
+#include "net/observer_mux.hh"
 #include "qos/allocation.hh"
 #include "sim/parallel.hh"
 #include "sim/phase_sanitizer.hh"
@@ -141,6 +142,42 @@ TEST(PhaseSanitizerDeathTest, LeakedDomainContextAborts)
         "PhaseSanitizer: MetricsCollector::onFlitEjected: per-domain "
         "deferred buffering outside the partitioned phase "
         "\\(leaked domain context\\)");
+}
+
+TEST(PhaseSanitizerDeathTest, LeakedDomainContextAbortsInAOneDomainWindow)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A one-domain window applies records at once instead of buffering
+    // them, and still catches a thread claiming its domain too long.
+    EXPECT_DEATH(
+        {
+            psan::setEnabledForTest(1);
+            MetricsCollector mc(4);
+            mc.beginParallel(1);
+            par::ctx().domain = 0;
+            LOFT_PSAN_SET_PHASE(SimPhase::Epilogue, 13);
+            mc.onFlitEjected(1);
+        },
+        "PhaseSanitizer: MetricsCollector::onFlitEjected: per-domain "
+        "deferred buffering outside the partitioned phase "
+        "\\(leaked domain context\\)");
+}
+
+TEST(PhaseSanitizerDeathTest, UnregisteredObserverMuxAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // No simulator opened a window on this mux (Simulator::addMerged),
+    // so the domain's event would reach the targets unmerged.
+    EXPECT_DEATH(
+        {
+            psan::setEnabledForTest(1);
+            ObserverMux mux;
+            par::ctx().domain = 0;
+            LOFT_PSAN_SET_PHASE(SimPhase::Partitioned, 5);
+            mux.consume({.kind = NetEvent::Kind::FlitEjected, .node = 2});
+        },
+        "PhaseSanitizer: ObserverMux::consume: shared consumer state "
+        "mutated directly from the partitioned phase");
 }
 
 /** A keyed component that sleeps while it has no work. */

@@ -312,10 +312,10 @@ TEST(TelemetryDeathTest, SchedulerEventsAreKeyedBySite)
 {
     TelemetryCollector tel(Mesh2D(2, 2));
     const OutputScheduler sited(LoftParams{}, "any name",
-                                SchedSite{3, kNiSchedLane});
+                                SchedSite{3, kNiLane});
     tel.consume({.kind = NetEvent::Kind::SchedGrant, .sched = &sited,
                  .flow = 1});
-    EXPECT_EQ(tel.lane(3, TelemetryCollector::kNiLane).grants, 1u);
+    EXPECT_EQ(tel.lane(3, kNiLane).grants, 1u);
 
     const OutputScheduler unsited(LoftParams{}, "router0.East.sched");
     EXPECT_DEATH(tel.consume({.kind = NetEvent::Kind::SchedGrant,
@@ -412,14 +412,14 @@ TEST(Telemetry, EpochsTileTheRunContiguously)
     }
 
     // Per-epoch deltas sum back to the cumulative lane counters.
-    const std::size_t lanes = 16 * TelemetryCollector::kNumLanes;
+    const std::size_t lanes = 16 * kNumLanes;
     std::vector<std::uint64_t> forwarded(lanes, 0);
     for (const TelemetryEpoch &ep : t.epochs())
         for (std::size_t i = 0; i < lanes; ++i)
             forwarded[i] += ep.lane(i).flitsForwarded;
     for (NodeId n = 0; n < 16; ++n)
-        for (std::size_t l = 0; l < TelemetryCollector::kNumLanes; ++l)
-            EXPECT_EQ(forwarded[n * TelemetryCollector::kNumLanes + l],
+        for (std::size_t l = 0; l < kNumLanes; ++l)
+            EXPECT_EQ(forwarded[n * kNumLanes + l],
                       t.lane(n, l).flitsForwarded)
                 << "node " << n << " lane " << l;
 }
@@ -436,8 +436,7 @@ TEST(Telemetry, ExportsHaveTheDocumentedShape)
     const std::size_t rows =
         static_cast<std::size_t>(
             std::count(csv.begin(), csv.end(), '\n'));
-    EXPECT_EQ(rows, 1 + t.epochs().size() * t.numNodes() *
-                        TelemetryCollector::kNumLanes);
+    EXPECT_EQ(rows, 1 + t.epochs().size() * t.numNodes() * kNumLanes);
 
     // Heatmap: height rows of width comma-separated values in [0, 1].
     const std::string heat = t.heatmapCsv();
@@ -564,7 +563,7 @@ TEST(Telemetry, ClosedEpochsKeepOnlyNonzeroRows)
     ASSERT_EQ(tel.epochs().size(), 2u);
 
     const std::size_t east2 =
-        2 * TelemetryCollector::kNumLanes + portIndex(Port::East);
+        2 * kNumLanes + portIndex(Port::East);
     const TelemetryEpoch &busy = tel.epochs()[0];
     ASSERT_EQ(busy.lanes.size(), 1u);
     EXPECT_EQ(busy.lanes[0].first, east2);
@@ -586,7 +585,23 @@ TEST(Telemetry, ClosedEpochsKeepOnlyNonzeroRows)
     const std::string csv = tel.timeSeriesCsv();
     EXPECT_EQ(static_cast<std::size_t>(
                   std::count(csv.begin(), csv.end(), '\n')),
-              1 + 2 * 4 * TelemetryCollector::kNumLanes);
+              1 + 2 * 4 * kNumLanes);
+}
+
+TEST(Telemetry, DroppedFlitsLeaveTheBufferGauge)
+{
+    // A recovery give-up (LoftDataRouter::dropQuantum) frees the
+    // buffered flits it drops, as a forward does.
+    TelemetryCollector tel(Mesh2D(2, 1));
+    for (int i = 0; i < 2; ++i)
+        tel.consume({.kind = NetEvent::Kind::FlitArrived, .node = 0,
+                     .port = Port::East, .now = 1});
+    for (int i = 0; i < 2; ++i)
+        tel.consume(
+            {.kind = NetEvent::Kind::FlitDropped, .node = 0, .now = 2});
+    tel.finish(3);
+    ASSERT_EQ(tel.epochs().size(), 1u);
+    EXPECT_EQ(tel.epochs().back().node(0).bufferOccupancy, 0u);
 }
 
 TEST(Telemetry, FinishedCollectorIgnoresLateEvents)

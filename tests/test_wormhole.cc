@@ -119,7 +119,6 @@ TEST(WormholeQueue, BoundedSourceQueueRefusesWhenFull)
     EXPECT_TRUE(net.inject(makePacket(1, 0, 0, 5, 4, 0)));
     EXPECT_TRUE(net.inject(makePacket(2, 0, 0, 5, 4, 0)));
     EXPECT_FALSE(net.inject(makePacket(3, 0, 0, 5, 4, 0)));
-    EXPECT_FALSE(net.canInject(0));
 }
 
 } // namespace

@@ -88,7 +88,7 @@ struct Annotation
 {
     int line = 0;
     std::string directive; ///< e.g. "deferred-endpoint"
-    std::string arg;       ///< e.g. "DeferredObserver" (may be empty)
+    std::string arg;       ///< e.g. "ObserverMux" (may be empty)
 };
 
 /** A lexically discovered member-function definition (with a body). */
